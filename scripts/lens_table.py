@@ -10,14 +10,11 @@ import argparse
 
 from framings import (
     act,
-    characteristic_sublinks,
+    analyze,
     cyclic,
-    homology,
     lens_canonical_offset,
     lens_double_splits,
-    mu_invariant,
     mu_representative,
-    lambda_from_mu,
     quotient_framing_defect,
     unknot,
 )
@@ -35,14 +32,9 @@ def main() -> None:
         defect = quotient_framing_defect(cyclic(m))
         offset = lens_canonical_offset(m)
         landed = act(defect, offset)
-        link = unknot(-m)
-        r = homology(link).r
-        spins = []
-        for c in characteristic_sublinks(link):
-            mu = mu_invariant(link, c)
-            lam = lambda_from_mu(r, mu)
-            spins.append(f"[{c.bitmask}] mu={mu_representative(mu):>2} "
-                         f"lam={lam.representative:>2}")
+        spins = [f"[{s.sublink.bitmask}] mu={mu_representative(s.mu):>2} "
+                 f"lam={s.lam.representative:>2}"
+                 for s in analyze(unknot(-m), None).spin_structures]
         print(f"{m:>3}  {defect.h:>8}  {offset.m_rho:>7}  {landed.h:>7}  "
               f"{'yes' if lens_double_splits(m) else 'no':>6}  " + "   ".join(spins))
 

@@ -39,6 +39,8 @@ def load_link_document(path: str) -> LinkDocument:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # undecodable bytes, or an integer too long to parse
+        raise ParseError(f"cannot parse {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be an object")
     matrix = raw.get("matrix")
@@ -60,12 +62,15 @@ def load_link_document(path: str) -> LinkDocument:
     name = raw.get("name", Path(path).stem)
     if not isinstance(name, str):
         raise ParseError(f"{path}: 'name' must be a string")
+    raw_table = {} if raw.get("arf_table") is None else raw["arf_table"]
+    if not isinstance(raw_table, dict):
+        raise ParseError(f"{path}: 'arf_table' must be an object")
     arf_table: dict[str, int] = {}
-    for key, value in (raw.get("arf_table") or {}).items():
+    for key, value in raw_table.items():
         if (not isinstance(key, str) or len(key) != size
                 or any(c not in "01" for c in key)):
             raise ParseError(f"{path}: arf_table key {key!r} is not a {size}-bit mask")
-        if value not in (0, 1):
+        if not isinstance(value, int) or isinstance(value, bool) or value not in (0, 1):
             raise ParseError(f"{path}: arf_table[{key!r}] must be 0 or 1")
         arf_table[key] = value
     return LinkDocument(name=name, link=link, arf_table=arf_table)
@@ -122,10 +127,9 @@ def _lambda_targets(lam: LambdaClass) -> list[int]:
 def cmd_invariants(args: argparse.Namespace) -> int:
     doc = load_link_document(args.file)
     link = doc.link
-    chi, sigma, tau = links.basic_invariants(link)
-    profile = links.homology(link)
-    spins = links.spin_structures(link, doc.arf_table)
-    nat = links.natural_framings(link)
+    report = links.analyze(link, doc.arf_table)
+    chi, sigma, tau = report.chi, report.sigma, report.tau
+    profile, spins, nat = report.homology, report.spin_structures, report.framings
     warnings: list[str] = []
     framings_json: dict = {"freed_gompf_h": nat.freed_gompf_h}
     lines = [

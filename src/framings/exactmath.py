@@ -1,10 +1,10 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Smith normal forms, signatures of symmetric integer matrices and affine
-GF(2) systems, all computed with arbitrary-precision integers and
-`fractions.Fraction`.  No floating point enters any code path here, so
-results are exact at any input size this library cares about (a few
-hundred rows at most).
+Determinants, Smith normal forms, signatures of symmetric integer matrices
+and affine GF(2) systems, all computed with arbitrary-precision integers.
+Determinants and signatures share one fraction-free (Bareiss) elimination
+step, whose divisions are exact, so no rational or floating-point number
+enters any elimination and results are exact at any input size.
 """
 
 from __future__ import annotations
@@ -49,14 +49,6 @@ class IntMatrix:
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
         return cls(tuple(tuple(int(x) for x in row) for row in rows))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "IntMatrix":
-        return cls(tuple(tuple(0 for _ in range(cols)) for _ in range(rows)))
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -69,18 +61,11 @@ class IntMatrix:
         i, j = key
         return self.entries[i][j]
 
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
     def trace(self) -> int:
         return sum(self.diagonal())
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(self.entries[i][j] for i in range(self.rows))
-                               for j in range(self.cols)))
 
     def is_symmetric(self) -> bool:
         if self.rows != self.cols:
@@ -111,11 +96,26 @@ class IntMatrix:
                     return 0
                 a[k], a[pivot_row] = a[pivot_row], a[k]
                 sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            _bareiss_step(a, k, prev)
             prev = a[k][k]
         return sign * a[n - 1][n - 1]
+
+
+def _bareiss_step(a: list[list[int]], k: int, prev: int) -> None:
+    """One fraction-free elimination step on the pivot a[k][k].
+
+    Each entry of the trailing block (rows and columns after k) becomes
+    (a[i][j] a[k][k] - a[i][k] a[k][j]) / prev, where prev is the previous
+    pivot (1 before the first step).  By Sylvester's identity the result is
+    the minor of the eliminated rows bordered by row i and column j, so the
+    division is exact and every entry stays an integer.
+    """
+    p = a[k][k]
+    top = a[k][k + 1:]
+    for i in range(k + 1, len(a)):
+        row = a[i]
+        f = row[k]
+        row[k + 1:] = [(x * p - f * y) // prev for x, y in zip(row[k + 1:], top)]
 
 
 def as_int_matrix(m: MatrixLike) -> IntMatrix:
@@ -234,18 +234,23 @@ def smith_normal_form(m: MatrixLike) -> SmithForm:
 def exact_signature(q: MatrixLike) -> int:
     """Signature of a symmetric integer matrix, computed exactly.
 
-    Symmetric congruence reduction over the rationals.  A zero diagonal
-    pivot is repaired by swapping in a later nonzero diagonal entry, or,
-    when the whole remaining diagonal vanishes, by adding a row and column
-    that turn an off-diagonal entry b into the nonzero pivot 2b; the
-    hyperbolic pair then contributes one +1 and one -1 as it must.
+    Symmetric fraction-free (Bareiss) elimination over the integers.  The
+    successive pivots are nested principal minors D_1, D_2, ... of a matrix
+    congruent to q, and by Jacobi's rule each contributes the sign of
+    D_k D_{k-1} (D_0 = 1).  A zero pivot is repaired in the trailing block:
+    by swapping in a later nonzero diagonal entry; or, when the whole
+    remaining diagonal vanishes, by adding a partner row and column that
+    turn an off-diagonal entry b into the pivot 2b, the hyperbolic pair
+    then contributing one +1 and one -1 as it must; or, when the row is
+    zero, by skipping it as a radical direction with the divisor unchanged.
     """
     mat = as_int_matrix(q)
     if not mat.is_symmetric():
         raise NotSymmetric("signature needs a symmetric matrix")
     n = mat.rows
-    a = [[Fraction(x) for x in row] for row in mat.entries]
+    a = mat.to_lists()
     signature = 0
+    prev = 1
     for t in range(n):
         if a[t][t] == 0:
             swap = next((k for k in range(t + 1, n) if a[k][k] != 0), None)
@@ -257,18 +262,14 @@ def exact_signature(q: MatrixLike) -> int:
                 partner = next((k for k in range(t + 1, n) if a[t][k] != 0), None)
                 if partner is None:
                     continue  # zero row and column: a radical direction
-                for j in range(n):
+                for j in range(t, n):
                     a[t][j] += a[partner][j]
-                for i in range(n):
+                for i in range(t, n):
                     a[i][t] += a[i][partner]
         p = a[t][t]
-        signature += 1 if p > 0 else -1
-        for i in range(t + 1, n):
-            if a[i][t]:
-                f = a[i][t] / p
-                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
-        for j in range(t + 1, n):
-            a[t][j] = Fraction(0)
+        signature += 1 if (p > 0) == (prev > 0) else -1
+        _bareiss_step(a, t, prev)
+        prev = p
     return signature
 
 
@@ -278,10 +279,6 @@ class Gf2Solution:
 
     particular: tuple[int, ...]
     kernel: tuple[tuple[int, ...], ...]
-
-    @property
-    def count(self) -> int:
-        return 1 << len(self.kernel)
 
     def solutions(self) -> Iterator[tuple[int, ...]]:
         """Every solution, as the particular one shifted by kernel combinations."""

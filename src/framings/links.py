@@ -176,16 +176,23 @@ def characteristic_sublinks(link: FramedLink,
     return out
 
 
-def mu_invariant(link: FramedLink, c: Sublink) -> int:
-    """mu of the spin structure named by the characteristic sublink c:
-    sigma - C.C + 8 Arf(C), as a residue mod 16."""
-    q = link.matrix
-    n = link.components
+def _require_characteristic(q: IntMatrix, c: Sublink) -> None:
+    n = q.rows
     bits = [1 if i in c.members else 0 for i in range(n)]
     for i in range(n):
         if (sum(q[i, j] * bits[j] for j in range(n)) - q[i, i]) % 2:
             raise NotCharacteristic(f"sublink {sorted(c.members)} is not characteristic")
-    return (exact_signature(q) - c.self_intersection + 8 * c.arf) % 16
+
+
+def _mu(sigma: int, c: Sublink) -> int:
+    return (sigma - c.self_intersection + 8 * c.arf) % 16
+
+
+def mu_invariant(link: FramedLink, c: Sublink) -> int:
+    """mu of the spin structure named by the characteristic sublink c:
+    sigma - C.C + 8 Arf(C), as a residue mod 16."""
+    _require_characteristic(link.matrix, c)
+    return _mu(exact_signature(link.matrix), c)
 
 
 def lambda_from_mu(r: int, mu: int) -> LambdaClass:
@@ -203,10 +210,17 @@ def mu_representative(mu: int) -> int:
 def spin_structures(link: FramedLink,
                     arf_table: Mapping[str, int] | None = None) -> list[SpinStructureData]:
     """Every spin structure of the surgered manifold with its invariants."""
-    r = homology(link).r
+    return _spin_structures(link, arf_table, exact_signature(link.matrix), homology(link).r)
+
+
+def _spin_structures(link: FramedLink, arf_table: Mapping[str, int] | None,
+                     sigma: int, r: int) -> list[SpinStructureData]:
+    """spin_structures for a link whose signature sigma and mod-2 rank r
+    are already known; every sublink is still checked characteristic."""
     out = []
     for c in characteristic_sublinks(link, arf_table):
-        mu = mu_invariant(link, c)
+        _require_characteristic(link.matrix, c)
+        mu = _mu(sigma, c)
         out.append(SpinStructureData(sublink=c, mu=mu, lam=lambda_from_mu(r, mu)))
     return out
 
@@ -281,6 +295,31 @@ class NaturalFramings:
 def natural_framings(link: FramedLink, n: int = 0) -> NaturalFramings:
     chi, sigma, tau = basic_invariants(link)
     return NaturalFramings(chi=chi, sigma=sigma, tau=tau, n=n, even=link.is_even)
+
+
+@dataclass(frozen=True)
+class LinkAnalysis:
+    """Everything the surgery calculus says about one link, computed with a
+    single signature, a single Smith form and a single GF(2) solve."""
+
+    chi: int
+    sigma: int
+    tau: int
+    homology: HomologyProfile
+    spin_structures: tuple[SpinStructureData, ...]
+    framings: NaturalFramings
+
+
+def analyze(link: FramedLink, arf_table: Mapping[str, int] | None) -> LinkAnalysis:
+    """chi, sigma, tau, homology, spin structures (Arf invariants looked up
+    in arf_table as in characteristic_sublinks) and natural framings (n = 0)
+    of a link, in one pass."""
+    chi, sigma, tau = basic_invariants(link)
+    profile = homology(link)
+    spins = _spin_structures(link, arf_table, sigma, profile.r)
+    framings = NaturalFramings(chi=chi, sigma=sigma, tau=tau, n=0, even=link.is_even)
+    return LinkAnalysis(chi=chi, sigma=sigma, tau=tau, homology=profile,
+                        spin_structures=tuple(spins), framings=framings)
 
 
 def reverse_link_orientation(link: FramedLink) -> FramedLink:

@@ -3,8 +3,10 @@
 Each oracle deliberately takes a different route from the library code it
 checks: determinants by rational Gaussian elimination instead of
 fraction-free reduction, invariant factors from gcds of minors instead of
-row/column reduction, signatures from floating eigenvalues, and GF(2)
-systems and characteristic sublinks by exhaustive enumeration.
+row/column reduction, signatures from floating eigenvalues and, exactly,
+from the sign changes of the integer characteristic polynomial instead of
+symmetric elimination, and GF(2) systems and characteristic sublinks by
+exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -61,6 +63,42 @@ def signature_by_eigenvalues(rows: list[list[int]], margin: float = 1e-6) -> tup
     eigs = np.linalg.eigvalsh(np.array(rows, dtype=float))
     clear = bool(np.all(np.abs(eigs) > margin))
     return int(np.sum(eigs > 0) - np.sum(eigs < 0)), clear
+
+
+def charpoly_coefficients(rows: list[list[int]]) -> list[int]:
+    """[1, c1, ..., cn] with det(xI - A) = x^n + c1 x^(n-1) + ... + cn.
+
+    Faddeev-LeVerrier: M_k = A M_(k-1) + c_(k-1) I and c_k = -tr(A M_k) / k,
+    starting from M_0 = 0.  The c_k are integers, so every division is exact.
+    """
+    n = len(rows)
+    coeffs = [1]
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(rows[i][l] * m[l][j] for l in range(n)) + (coeffs[-1] if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        trace = sum(rows[i][l] * m[l][i] for i in range(n) for l in range(n))
+        assert trace % k == 0, "Faddeev-LeVerrier division must be exact"
+        coeffs.append(-trace // k)
+    return coeffs
+
+
+def _sign_changes(coeffs: list[int]) -> int:
+    nonzero = [c for c in coeffs if c]
+    return sum(1 for a, b in zip(nonzero, nonzero[1:]) if (a > 0) != (b > 0))
+
+
+def signature_by_charpoly(rows: list[list[int]]) -> int:
+    """Signature of a symmetric integer matrix, exactly.
+
+    Every root of the characteristic polynomial p is real, so Descartes'
+    rule of signs counts the positive roots exactly (with multiplicity),
+    and the negative roots are the positive roots of p(-x).
+    """
+    coeffs = charpoly_coefficients(rows)
+    n = len(coeffs) - 1
+    mirrored = [c if (n - k) % 2 == 0 else -c for k, c in enumerate(coeffs)]
+    return _sign_changes(coeffs) - _sign_changes(mirrored)
 
 
 def gf2_solutions_bruteforce(a: list[list[int]], b: list[int]) -> set[tuple[int, ...]]:

@@ -28,6 +28,53 @@ def symmetric_int_matrices(draw, max_size=6, min_size=0, lo=-5, hi=5):
 
 
 @st.composite
+def degenerate_symmetric_matrices(draw, max_block=4, lo=-5, hi=5):
+    """Symmetric matrices that drive every zero-pivot repair of a symmetric
+    elimination, under a random simultaneous permutation of rows and columns.
+
+    The block sum of A (nonzero diagonal), a zero block and H (zero
+    diagonal), plus copies of some rows and columns of A.  Pivoting spends
+    A first; the copies then leave zero rows behind it, and H meets a
+    vanishing diagonal that only the hyperbolic repair can pivot on, with
+    the zero rows as radical directions in between.
+    """
+    a = draw(symmetric_int_matrices(max_size=max_block, lo=lo, hi=hi))
+    h = draw(symmetric_int_matrices(max_size=max_block, lo=lo, hi=hi))
+    for i in range(len(a)):
+        a[i][i] = draw(st.integers(lo, hi).filter(bool))
+    for i in range(len(h)):
+        h[i][i] = 0
+    na, nz, nh = len(a), draw(st.integers(0, 2)), len(h)
+    n = na + nz + nh
+    rows = [[0] * n for _ in range(n)]
+    for i in range(na):
+        rows[i][:na] = a[i]
+    for i in range(nh):
+        rows[na + nz + i][na + nz:] = h[i]
+    copies = draw(st.lists(st.integers(0, na - 1), max_size=2)) if na else []
+    for i in copies:
+        for row in rows:
+            row.append(row[i])
+        rows.append(list(rows[i]))
+    perm = draw(st.permutations(range(len(rows))))
+    return [[rows[i][j] for j in perm] for i in perm]
+
+
+@st.composite
+def congruent_diagonal_forms(draw, max_size=4, bound=400_000):
+    """(P^T D P, signature of D) for D diagonal in {-1, 0, 1} and P unit
+    upper triangular with entries up to bound: integer entries near 10^12
+    whose smallest eigenvalues lie far below any floating-point margin."""
+    n = draw(st.integers(1, max_size))
+    d = [draw(st.sampled_from([-1, 0, 1])) for _ in range(n)]
+    p = [[1 if i == j else draw(st.integers(-bound, bound)) if j > i else 0
+          for j in range(n)] for i in range(n)]
+    rows = [[sum(p[k][i] * d[k] * p[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+    return rows, sum(d)
+
+
+@st.composite
 def framed_links(draw, max_components=6):
     return FramedLink.from_rows(draw(symmetric_int_matrices(max_size=max_components,
                                                             lo=-3, hi=3)))

@@ -1,6 +1,7 @@
 """The command-line interface."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from framings.cli import load_link_document, main
 from framings.errors import ParseError
 
 LINKS = Path(__file__).resolve().parent.parent / "links"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run(capsys, *argv):
@@ -109,6 +111,23 @@ class TestInvariantsCommand:
         assert code == 2 and "error:" in err
         code, _, err = run(capsys, "invariants", str(tmp_path / "missing.json"))
         assert code == 2
+
+    @pytest.mark.parametrize("arf_table", [[1], {"1": True}, {"1": 1.0}, "1"],
+                             ids=["list", "bool", "float", "string"])
+    def test_malformed_arf_tables_exit_2_with_one_line(self, capsys, tmp_path, arf_table):
+        path = write_doc(tmp_path, {"matrix": [[2]], "arf_table": arf_table})
+        code, out, err = run(capsys, "invariants", path, "--json")
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no integer-parse limit")
+    def test_integer_beyond_the_parse_limit_exits_2_with_one_line(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text('{"matrix": [[' + "7" * 5000 + ']]}')
+        code, out, err = run(capsys, "invariants", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_json_output_is_deterministic(self, capsys):
         _, first, _ = run(capsys, "invariants", str(LINKS / "e8.json"), "--json")
@@ -224,6 +243,14 @@ class TestCatalogCommand:
         payload = json.loads(out)
         assert payload["all_ok"] is True
         assert all(entry["ok"] for entry in payload["entries"])
+
+
+@pytest.mark.parametrize("command", ["invariants", "canonical"])
+@pytest.mark.parametrize("path", sorted(LINKS.glob("*.json")), ids=lambda p: p.stem)
+def test_json_matches_golden_output(capsys, command, path):
+    code, out, _ = run(capsys, command, str(path), "--json")
+    assert code == 0
+    assert out == (GOLDEN / f"{path.stem}.{command}.json").read_text(encoding="utf-8")
 
 
 def test_argparse_rejects_unknown_subcommands(capsys):

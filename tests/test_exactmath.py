@@ -17,7 +17,12 @@ from framings import (
 )
 
 import oracles
-from strategies import int_matrices, symmetric_int_matrices
+from strategies import (
+    congruent_diagonal_forms,
+    degenerate_symmetric_matrices,
+    int_matrices,
+    symmetric_int_matrices,
+)
 
 
 def test_rational_is_reduced_with_positive_denominator():
@@ -47,7 +52,7 @@ class TestIntMatrix:
         assert m[0, 1] == 2
         assert m.diagonal() == (1, 4)
         assert m.trace() == 5
-        assert m.transpose().row(0) == (1, 3)
+        assert m.to_lists() == [[1, 2], [3, 4]]
         assert (-m)[1, 0] == -3
         assert not m.is_symmetric()
 
@@ -67,7 +72,8 @@ class TestSmithNormalForm:
         assert smith_normal_form([[2, 1], [1, 2]]).invariant_factors == (1, 3)
 
     def test_identity(self):
-        assert smith_normal_form(IntMatrix.identity(3)).invariant_factors == (1, 1, 1)
+        identity = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert smith_normal_form(identity).invariant_factors == (1, 1, 1)
 
     def test_zero_matrix(self):
         assert smith_normal_form([[0, 0], [0, 0]]).invariant_factors == (0, 0)
@@ -163,6 +169,30 @@ class TestExactSignature:
         if clear:
             assert exact_signature(rows) == expected
 
+    @given(st.one_of(symmetric_int_matrices(max_size=8),
+                     symmetric_int_matrices(max_size=8, lo=-10**12, hi=10**12)))
+    @settings(max_examples=200)
+    def test_agrees_with_charpoly_oracle(self, rows):
+        assert exact_signature(rows) == oracles.signature_by_charpoly(rows)
+
+    @given(st.one_of(degenerate_symmetric_matrices(),
+                     degenerate_symmetric_matrices(lo=-10**12, hi=10**12)))
+    @settings(max_examples=300)
+    def test_zero_pivot_repairs_agree_with_charpoly_oracle(self, rows):
+        assert exact_signature(rows) == oracles.signature_by_charpoly(rows)
+
+    @given(congruent_diagonal_forms())
+    def test_ill_conditioned_forms_keep_their_inertia(self, case):
+        rows, inertia = case
+        assert exact_signature(rows) == oracles.signature_by_charpoly(rows) == inertia
+
+    def test_near_singular_form_beyond_the_float_oracle(self):
+        # Congruent to diag(1, -1); the negative eigenvalue is about -1e-12.
+        m = 10**6
+        rows = [[1, m], [m, m * m - 1]]
+        assert not oracles.signature_by_eigenvalues(rows)[1]
+        assert exact_signature(rows) == oracles.signature_by_charpoly(rows) == 0
+
 
 class TestSolveGf2:
     def test_zero_map(self):
@@ -172,10 +202,11 @@ class TestSolveGf2:
         assert sorted(sol.solutions()) == [(0,), (1,)]
 
     def test_identity_system(self):
-        sol = solve_gf2(IntMatrix.identity(3), [1, 0, 1])
+        identity = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        sol = solve_gf2(identity, [1, 0, 1])
         assert sol.particular == (1, 0, 1)
         assert sol.kernel == ()
-        assert sol.count == 1
+        assert len(list(sol.solutions())) == 1
 
     def test_chain_matrix_mod2(self):
         # [[2,1],[1,2]] reduces to the swap matrix; diagonal reduces to 0.
@@ -207,7 +238,7 @@ class TestSolveGf2:
             return
         sol = solve_gf2(rows, b)
         assert set(sol.solutions()) == expected
-        assert sol.count == len(expected)
+        assert len(list(sol.solutions())) == len(expected)
 
     def test_characteristic_system_always_solvable_exhaustive(self):
         # a x = diag(a) is solvable for every symmetric bit matrix.

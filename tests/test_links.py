@@ -12,6 +12,7 @@ from framings import (
     OddFraming,
     TotalDefect,
     act,
+    analyze,
     basic_invariants,
     chain_link,
     characteristic_sublinks,
@@ -30,6 +31,7 @@ from framings import (
     unknot,
 )
 
+import framings.links
 import oracles
 from strategies import even_framed_links, framed_links
 
@@ -154,6 +156,74 @@ class TestMuInvariant:
         flipped = sublink_of(link, c.members, arf=1 - c.arf)
         assert (mu_invariant(link, flipped) - mu_invariant(link, c)) % 16 == 8
         assert mu_invariant(link, flipped) % 8 == mu_invariant(link, c) % 8
+
+
+def _count_kernel_calls(monkeypatch) -> dict[str, int]:
+    """Wrap the kernel functions links calls with counters."""
+    calls = {}
+    for name in ("exact_signature", "smith_normal_form", "solve_gf2"):
+        calls[name] = 0
+        original = getattr(framings.links, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(framings.links, name, counted)
+    return calls
+
+
+class TestSpinStructures:
+    def test_signature_and_smith_form_are_computed_once(self, monkeypatch):
+        calls = _count_kernel_calls(monkeypatch)
+        assert len(spin_structures(FramedLink.from_rows([[0] * 4] * 4))) == 16
+        assert calls == {"exact_signature": 1, "smith_normal_form": 1, "solve_gf2": 1}
+
+    @given(framed_links())
+    @settings(max_examples=50)
+    def test_agrees_with_mu_invariant(self, link):
+        for spin in spin_structures(link):
+            assert spin.mu == mu_invariant(link, spin.sublink)
+            assert spin.lam == lambda_from_mu(homology(link).r, spin.mu)
+
+
+class TestAnalyze:
+    def test_each_kernel_function_runs_once(self, monkeypatch):
+        calls = _count_kernel_calls(monkeypatch)
+        report = analyze(FramedLink.from_rows([[0] * 4] * 4), None)
+        assert len(report.spin_structures) == 16
+        assert calls == {"exact_signature": 1, "smith_normal_form": 1, "solve_gf2": 1}
+
+    def test_e8(self):
+        report = analyze(e8_link(), None)
+        assert (report.chi, report.sigma, report.tau) == (9, 8, 16)
+        assert report.framings.delta == TotalDefect(9, -24)
+        assert [s.mu for s in report.spin_structures] == [8]
+
+    def test_enumerated_sublinks_are_checked_characteristic(self, monkeypatch):
+        link = unknot(-5)
+        monkeypatch.setattr(framings.links, "characteristic_sublinks",
+                            lambda link, arf_table: [sublink_of(link, [])])
+        with pytest.raises(NotCharacteristic):
+            analyze(link, None)
+        with pytest.raises(NotCharacteristic):
+            spin_structures(link)
+
+    def test_is_frozen(self):
+        report = analyze(unknot(2), {"1": 1})
+        with pytest.raises(AttributeError):
+            report.sigma = 0
+
+    @given(framed_links(), st.data())
+    @settings(max_examples=80)
+    def test_matches_the_separate_functions(self, link, data):
+        masks = [c.bitmask for c in characteristic_sublinks(link)]
+        arf_table = {m: data.draw(st.integers(0, 1)) for m in masks}
+        report = analyze(link, arf_table)
+        assert (report.chi, report.sigma, report.tau) == basic_invariants(link)
+        assert report.homology == homology(link)
+        assert list(report.spin_structures) == spin_structures(link, arf_table)
+        assert report.framings == natural_framings(link)
 
 
 class TestLambdaFromMu:
