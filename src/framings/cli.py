@@ -41,6 +41,8 @@ def load_link_document(path: str) -> LinkDocument:
         raise ParseError(f"{path} is not valid JSON: {exc}") from exc
     except ValueError as exc:  # undecodable bytes, or an integer too long to parse
         raise ParseError(f"cannot parse {path}: {exc}") from exc
+    except RecursionError as exc:  # nesting deeper than the decoder's recursion limit
+        raise ParseError(f"cannot parse {path}: nested too deeply") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be an object")
     matrix = raw.get("matrix")
@@ -80,15 +82,20 @@ def _lambda_text(lam: LambdaClass) -> str:
     return f"{lam.representative} (class {lam.value} mod 4)"
 
 
-def _mu_text(spin: links.SpinStructureData) -> str:
-    note = " [arf assumed 0]" if spin.sublink.arf_assumed else ""
-    return (f"C.C = {spin.sublink.self_intersection}  Arf = {spin.sublink.arf}{note}  "
-            f"mu = {links.mu_representative(spin.mu)} (mod 16)  "
-            f"lambda = {_lambda_text(spin.lam)}")
+def _mu_text(spin: dict) -> str:
+    """One spin-structure row of the `invariants` text, from its JSON form."""
+    note = " [arf assumed 0]" if spin["arf_assumed"] else ""
+    return (f"C.C = {spin['self_intersection']}  Arf = {spin['arf']}{note}  "
+            f"mu = {spin['mu']} (mod 16)  "
+            f"lambda = {spin['lambda']} (class {spin['lambda_mod4']} mod 4)")
+
+
+def _pair_text(pair: list[int]) -> str:
+    return f"({pair[0]}, {pair[1]})"
 
 
 def _defect_text(p: TotalDefect) -> str:
-    return f"({p.d}, {p.h})"
+    return _pair_text(_defect_json(p))
 
 
 def _defect_json(p: TotalDefect) -> list[int]:
@@ -128,24 +135,9 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     doc = load_link_document(args.file)
     link = doc.link
     report = links.analyze(link, doc.arf_table)
-    chi, sigma, tau = report.chi, report.sigma, report.tau
-    profile, spins, nat = report.homology, report.spin_structures, report.framings
+    nat = report.framings
     warnings: list[str] = []
     framings_json: dict = {"freed_gompf_h": nat.freed_gompf_h}
-    lines = [
-        f"link '{doc.name}': {link.components} components",
-        f"  chi = {chi}",
-        f"  sigma = {sigma}",
-        f"  tau = {tau}",
-        "homology H1(M):",
-        f"  b1 = {profile.betti1}",
-        f"  torsion = {list(profile.torsion)}",
-        f"  r = {profile.r}",
-        f"  s = {profile.s}",
-        f"spin structures (characteristic sublinks): {len(spins)}",
-    ]
-    for spin in spins:
-        lines.append(f"  [{spin.sublink.bitmask or '-'}] {_mu_text(spin)}")
     if link.is_even:
         phi = nat.phi_half_tau
         framings_json.update({
@@ -153,38 +145,57 @@ def cmd_invariants(args: argparse.Namespace) -> int:
             "epsilon_h": nat.epsilon_h,
             "phi_half_tau": _defect_json(phi) if phi is not None else None,
         })
-        lines += [
-            "natural framings:",
-            f"  H(delta_L) = {_defect_text(nat.delta)}",
-            f"  h(epsilon_L) = {nat.epsilon_h}",
-            f"  H(phi_L) = {_defect_text(phi)}" if phi is not None else "  H(phi_L) absent",
-            f"  h(2phi_L) = {nat.freed_gompf_h}  (surgery 2-framing)",
-        ]
     else:
         warnings.append("odd framings present: delta_L, epsilon_L and phi_L are undefined")
-        lines += [
-            "natural framings:",
-            f"  h(2phi_L) = {nat.freed_gompf_h}  (surgery 2-framing)",
-            "warnings:",
-        ] + [f"  {w}" for w in warnings]
     payload = {
         "name": doc.name,
         "components": link.components,
-        "chi": chi,
-        "sigma": sigma,
-        "tau": tau,
+        "chi": report.chi,
+        "sigma": report.sigma,
+        "tau": report.tau,
         "homology": {
-            "betti1": profile.betti1,
-            "torsion": list(profile.torsion),
-            "r": profile.r,
-            "s": profile.s,
+            "betti1": report.homology.betti1,
+            "torsion": list(report.homology.torsion),
+            "r": report.homology.r,
+            "s": report.homology.s,
         },
-        "spin_structures": [_spin_json(s) for s in spins],
+        "spin_structures": [_spin_json(s) for s in report.spin_structures],
         "framings": framings_json,
         "warnings": warnings,
     }
-    _emit(args, payload, lines)
+    _emit(args, payload, [] if args.json else _invariants_text(payload))
     return 0
+
+
+def _invariants_text(payload: dict) -> list[str]:
+    """The text report of `invariants`, rendered from its JSON payload."""
+    profile, spins, framings = payload["homology"], payload["spin_structures"], payload["framings"]
+    lines = [
+        f"link '{payload['name']}': {payload['components']} components",
+        f"  chi = {payload['chi']}",
+        f"  sigma = {payload['sigma']}",
+        f"  tau = {payload['tau']}",
+        "homology H1(M):",
+        f"  b1 = {profile['betti1']}",
+        f"  torsion = {profile['torsion']}",
+        f"  r = {profile['r']}",
+        f"  s = {profile['s']}",
+        f"spin structures (characteristic sublinks): {len(spins)}",
+    ]
+    lines += [f"  [{spin['bitmask'] or '-'}] {_mu_text(spin)}" for spin in spins]
+    lines.append("natural framings:")
+    if "delta" in framings:
+        phi = framings["phi_half_tau"]
+        lines += [
+            f"  H(delta_L) = {_pair_text(framings['delta'])}",
+            f"  h(epsilon_L) = {framings['epsilon_h']}",
+            f"  H(phi_L) = {_pair_text(phi)}" if phi is not None else "  H(phi_L) absent",
+        ]
+    lines.append(f"  h(2phi_L) = {framings['freed_gompf_h']}  (surgery 2-framing)")
+    if payload["warnings"]:
+        lines.append("warnings:")
+        lines += [f"  {w}" for w in payload["warnings"]]
+    return lines
 
 
 def cmd_canonical(args: argparse.Namespace) -> int:

@@ -9,11 +9,10 @@ enters any elimination and results are exact at any input size.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import NotSymmetric, Unsolvable
 
@@ -279,15 +278,6 @@ class Gf2Solution:
 
     particular: tuple[int, ...]
     kernel: tuple[tuple[int, ...], ...]
-
-    def solutions(self) -> Iterator[tuple[int, ...]]:
-        """Every solution, as the particular one shifted by kernel combinations."""
-        for picks in itertools.product((0, 1), repeat=len(self.kernel)):
-            v = list(self.particular)
-            for take, basis in zip(picks, self.kernel):
-                if take:
-                    v = [x ^ y for x, y in zip(v, basis)]
-            yield tuple(v)
 
 
 def solve_gf2(a: MatrixLike, b: Sequence[int]) -> Gf2Solution:

@@ -92,6 +92,31 @@ def even_framed_links(draw, max_components=8):
     return FramedLink.from_rows(rows)
 
 
+@st.composite
+def spin_test_links(draw, max_components=8):
+    """Links with odd, even or mixed framings, singular ones included.
+
+    Some components are copies of others (same framing and linking), which
+    makes the matrix singular and raises the mod-2 rank r of H1, so the
+    spin structures come in larger numbers.
+    """
+    framings = draw(st.sampled_from(["even", "odd", "any"]))
+    n = draw(st.integers(0, max_components))
+    rows = draw(symmetric_int_matrices(min_size=n, max_size=n, lo=-3, hi=3))
+    for i in range(n):
+        if framings == "even":
+            rows[i][i] -= rows[i][i] % 2
+        elif framings == "odd":
+            rows[i][i] |= 1
+    for j in range(1, n):
+        if draw(st.integers(0, 3)) == 0:
+            i = draw(st.integers(0, j - 1))
+            for row in rows:
+                row[j] = row[i]
+            rows[j] = list(rows[i])
+    return FramedLink.from_rows(rows)
+
+
 def total_defects(bound=50):
     return st.builds(TotalDefect, st.integers(-bound, bound), st.integers(-bound, bound))
 

@@ -129,6 +129,16 @@ class TestInvariantsCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("nested", ['{"matrix": ' + "[" * 100000 + "]" * 100000 + "}",
+                                        '{"name": ' + '{"a": ' * 100000 + "0" + "}" * 100001],
+                             ids=["lists", "objects"])
+    def test_deep_nesting_exits_2_with_one_line(self, capsys, tmp_path, nested):
+        path = tmp_path / "deep.json"
+        path.write_text(nested)
+        code, out, err = run(capsys, "invariants", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_json_output_is_deterministic(self, capsys):
         _, first, _ = run(capsys, "invariants", str(LINKS / "e8.json"), "--json")
         _, second, _ = run(capsys, "invariants", str(LINKS / "e8.json"), "--json")

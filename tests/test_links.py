@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from framings import (
     FramedLink,
     FramingOffset,
+    Gf2Solution,
     NotCharacteristic,
     NotSymmetric,
     OddFraming,
@@ -33,7 +34,7 @@ from framings import (
 
 import framings.links
 import oracles
-from strategies import even_framed_links, framed_links
+from strategies import even_framed_links, framed_links, spin_test_links
 
 
 class TestFramedLink:
@@ -158,6 +159,32 @@ class TestMuInvariant:
         assert mu_invariant(link, flipped) % 8 == mu_invariant(link, c) % 8
 
 
+class TestGrayCodeWalk:
+    @given(spin_test_links(), st.data())
+    @settings(max_examples=150)
+    def test_matches_bruteforce(self, link, data):
+        rows = link.matrix.to_lists()
+        n = len(rows)
+        expected = oracles.characteristic_subsets_bruteforce(rows)
+        masks = sorted("".join("1" if i in c else "0" for i in range(n)) for c in expected)
+        arf_table = {m: data.draw(st.integers(0, 1)) for m in masks if data.draw(st.booleans())}
+        subs = characteristic_sublinks(link, arf_table)
+        assert [c.bitmask for c in subs] == masks
+        assert all(a < b for a, b in zip(masks, masks[1:]))
+        assert {c.members for c in subs} == expected
+        for c in subs:
+            assert c.members == frozenset(i for i in range(n) if c.bitmask[i] == "1")
+            assert c.self_intersection == sum(rows[i][j] for i in c.members for j in c.members)
+            if c.bitmask in arf_table:
+                assert (c.arf, c.arf_assumed) == (arf_table[c.bitmask], False)
+            else:
+                assert (c.arf, c.arf_assumed) == (0, True)
+        spins = analyze(link, arf_table).spin_structures
+        assert [s.sublink for s in spins] == subs
+        for spin in spins:
+            assert spin.mu == mu_invariant(link, spin.sublink)
+
+
 def _count_kernel_calls(monkeypatch) -> dict[str, int]:
     """Wrap the kernel functions links calls with counters."""
     calls = {}
@@ -201,13 +228,19 @@ class TestAnalyze:
         assert [s.mu for s in report.spin_structures] == [8]
 
     def test_enumerated_sublinks_are_checked_characteristic(self, monkeypatch):
+        # Only C = {0} is characteristic for the -5 framed unknot.  A solver
+        # returning the empty sublink, as its particular solution or one
+        # kernel step away from a good one, must not go unnoticed.
         link = unknot(-5)
-        monkeypatch.setattr(framings.links, "characteristic_sublinks",
-                            lambda link, arf_table: [sublink_of(link, [])])
-        with pytest.raises(NotCharacteristic):
-            analyze(link, None)
-        with pytest.raises(NotCharacteristic):
-            spin_structures(link)
+        for bad in (Gf2Solution(particular=(0,), kernel=()),
+                    Gf2Solution(particular=(1,), kernel=((1,),))):
+            monkeypatch.setattr(framings.links, "solve_gf2", lambda a, b, _bad=bad: _bad)
+            with pytest.raises(NotCharacteristic):
+                analyze(link, None)
+            with pytest.raises(NotCharacteristic):
+                spin_structures(link)
+            with pytest.raises(NotCharacteristic):
+                characteristic_sublinks(link)
 
     def test_is_frozen(self):
         report = analyze(unknot(2), {"1": 1})
