@@ -255,12 +255,34 @@ class TestCatalogCommand:
         assert all(entry["ok"] for entry in payload["entries"])
 
 
-@pytest.mark.parametrize("command", ["invariants", "canonical"])
-@pytest.mark.parametrize("path", sorted(LINKS.glob("*.json")), ids=lambda p: p.stem)
-def test_json_matches_golden_output(capsys, command, path):
-    code, out, _ = run(capsys, command, str(path), "--json")
+def _golden_cases():
+    """(golden file stem, argv) for every captured output; each runs once
+    with --json against <stem>.json and once without against <stem>.txt."""
+    cases = [(f"{path.stem}.{command}", [command, str(path)])
+             for path in sorted(LINKS.glob("*.json"))
+             for command in ("invariants", "canonical")]
+    cases += [(f"lambda{lam}.canonical", ["canonical", "--lambda", str(lam)])
+              for lam in (-1, 0, 1, 2)]
+    cases += [(f"{group}.quotient", ["quotient", group])
+              for group in ("C1", "C7", "C12", "D3", "T", "O", "I")]
+    cases += [(f"genus{genus}-euler{euler}.bundle",
+               ["bundle", "--genus", str(genus), "--euler", str(euler)])
+              for genus, euler in ((0, 1), (0, 3), (1, 0), (3, -2))]
+    cases += [("poincare.cover", ["cover", "--defect", "0,-6", "--degree", "120",
+                                  "--sigma-pi", "722/3"]),
+              ("degree5.cover", ["cover", "--defect", "2,3", "--degree", "5"]),
+              ("all.catalog", ["catalog"])]
+    return [pytest.param(argv + ["--json"], f"{stem}.json", id=stem.replace(".", "-"))
+            for stem, argv in cases] + [
+            pytest.param(argv, f"{stem}.txt", id=stem.replace(".", "-") + "-text")
+            for stem, argv in cases]
+
+
+@pytest.mark.parametrize("argv, golden", _golden_cases())
+def test_json_matches_golden_output(capsys, argv, golden):
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert out == (GOLDEN / f"{path.stem}.{command}.json").read_text(encoding="utf-8")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_argparse_rejects_unknown_subcommands(capsys):
