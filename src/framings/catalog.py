@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bundles, defects, links, quotients
-from .defects import FramingOffset, TotalDefect
+from .defects import FramingOffset
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,6 @@ class CatalogEntry:
         return self.value == self.expected
 
 
-def _defect(p: TotalDefect) -> list[int]:
-    return [p.d, p.h]
-
-
 def build_catalog() -> list[CatalogEntry]:
     rows: list[CatalogEntry] = []
 
@@ -39,27 +35,27 @@ def build_catalog() -> list[CatalogEntry]:
     # The 3-sphere and its Lie framings.
     delta = defects.boundary_defect(1, 0)
     add("s3.delta", "restriction of the 4-ball framing to its boundary",
-        _defect(delta), [1, 0])
+        list(delta), [1, 0])
     add("s3.delta_minus", "boundary framing of the punctured product of a circle and a 3-sphere",
-        _defect(defects.boundary_defect(-1, 0)), [-1, 0])
+        list(defects.boundary_defect(-1, 0)), [-1, 0])
     hopf_plus = defects.act(delta, FramingOffset(0, 1))
     add("s3.hopf_plus", "right-handed Hopf framing, one sigma past the 4-ball framing",
-        _defect(hopf_plus), [0, 2])
+        list(hopf_plus), [0, 2])
     add("s3.hopf_plus.quotient", "same framing through the trivial quotient",
-        _defect(quotients.quotient_framing_defect(quotients.cyclic(1))), [0, 2])
+        list(quotients.quotient_framing_defect(quotients.cyclic(1))), [0, 2])
     add("s3.hopf_minus", "left-handed Hopf framing by orientation reversal",
-        _defect(defects.reverse_orientation(hopf_plus)), [0, -2])
+        list(defects.reverse_orientation(hopf_plus)), [0, -2])
 
     # The rotation group as the order-2 quotient.
     so3_plus = quotients.quotient_framing_defect(quotients.cyclic(2))
     add("so3.lie_plus", "right Lie framing on the rotation group",
-        _defect(so3_plus), [0, 1])
+        list(so3_plus), [0, 1])
     add("so3.lie_minus", "left Lie framing on the rotation group",
-        _defect(defects.reverse_orientation(so3_plus)), [0, -1])
+        list(defects.reverse_orientation(so3_plus)), [0, -1])
 
     # The 3-torus.
     add("t3.lie", "Lie framing on the 3-torus, bounding a framed product",
-        _defect(defects.boundary_defect(0, 0)), [0, 0])
+        list(defects.boundary_defect(0, 0)), [0, 0])
     add("t3.lambda.lie", "lambda of the Lie spin structures (r = 3, mu = 8)",
         links.lambda_from_mu(3, 8).value, 0)
     add("t3.lambda.rest", "lambda of the remaining spin structures (r = 3, mu = 0)",
@@ -95,23 +91,22 @@ def build_catalog() -> list[CatalogEntry]:
     add("quotient.signature_defect.icosahedral", "signature defect of the Poincare sphere cover",
         str(Fraction(quotients.sigma_g(quotients.ICOSAHEDRAL), 3)), "722/3")
 
-    # Surgery presentations.
-    k4 = links.unknot(-4)
+    # Surgery presentations, each analyzed once.
+    k4 = links.analyze(links.unknot(-4), None)
     add("surgery.lens.delta_K", "boundary framing of the -4-framed unknot handlebody",
-        _defect(links.natural_framings(k4).delta), [2, 3])
+        list(k4.framings.delta), [2, 3])
     add("surgery.lens.mu", "mu of both spin structures of L(4,1) from the unknot presentation",
-        sorted(s.mu for s in links.spin_structures(k4)), [3, 15])
-    chain = links.chain_link(4)
+        sorted(s.mu for s in k4.spin_structures), [3, 15])
+    chain = links.analyze(links.chain_link(4), None)
     add("surgery.lens.delta_L", "boundary framing of the +2 chain presentation of L(5,1)",
-        _defect(links.natural_framings(chain).delta), [5, -12])
+        list(chain.framings.delta), [5, -12])
     add("surgery.lens.mu_L", "mu of the chain presentation's spin structure",
-        links.spin_structures(chain)[0].mu, 4)
-    e8 = links.e8_link()
+        chain.spin_structures[0].mu, 4)
+    e8 = links.analyze(links.e8_link(), None)
     add("surgery.poincare.delta", "boundary framing of the E8 plumbing handlebody",
-        _defect(links.natural_framings(e8).delta), [9, -24])
+        list(e8.framings.delta), [9, -24])
     add("surgery.poincare.rho_offsets", "rho multiples canonicalizing the E8 boundary framing",
-        sorted(defects.canonical_offset(links.natural_framings(e8).delta, t).m_rho
-               for t in (-2, 2)), [1, 2])
+        sorted(defects.canonical_offset(e8.framings.delta, t).m_rho for t in (-2, 2)), [1, 2])
     add("surgery.epsilon.empty", "honest framing from the empty surgery",
         links.natural_framings(links.empty_link()).epsilon_h, 2)
 
@@ -128,16 +123,16 @@ def build_catalog() -> list[CatalogEntry]:
 
     # Canonical sets and 2-framings.
     add("canonical.lambda0", "canonical defects for lambda = 0",
-        sorted(map(_defect, defects.canonical_set(0))), [[0, 0]])
+        sorted(map(list, defects.canonical_set(0))), [[0, 0]])
     add("canonical.lambda1", "canonical defects for lambda = 1",
-        sorted(map(_defect, defects.canonical_set(1))), [[0, 1]])
+        sorted(map(list, defects.canonical_set(1))), [[0, 1]])
     add("canonical.lambda_minus1", "canonical defects for lambda = -1",
-        sorted(map(_defect, defects.canonical_set(-1))), [[0, -1]])
+        sorted(map(list, defects.canonical_set(-1))), [[0, -1]])
     add("canonical.lambda2", "canonical defects for lambda = 2",
-        sorted(map(_defect, defects.canonical_set(2))), [[-1, 0], [0, -2], [0, 2], [1, 0]])
+        sorted(map(list, defects.canonical_set(2))), [[-1, 0], [0, -2], [0, 2], [1, 0]])
     add("two_framing.s3", "canonical 2-framing of the 3-sphere as the sum of the Hopf framings",
         defects.two_framing_sum(2, -2), 0)
     add("two_framing.e8", "surgery 2-framing defect of the E8 presentation",
-        links.natural_framings(e8).freed_gompf_h, -16)
+        e8.framings.freed_gompf_h, -16)
 
     return rows

@@ -3,17 +3,19 @@
 Subcommands: invariants, canonical, quotient, bundle, cover, catalog.
 Link files are JSON documents with a symmetric integer linking matrix and
 an optional table of Arf invariants keyed by sublink bitmask.  Every
-command takes --json for machine-readable output; identical inputs give
-byte-identical JSON.
+command validates its input and returns one payload dict; `main` prints it
+as JSON under --json (identical inputs give byte-identical JSON) and
+otherwise as the text the command's renderer makes of it.
 
-Exit codes: 0 success, 2 parse or validation error, 3 mathematical
-precondition violation.
+Exit codes: 0 success, 1 `catalog` with a FAIL row, 2 parse or validation
+error, 3 mathematical precondition violation.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +57,8 @@ def load_link_document(path: str) -> LinkDocument:
     if any(len(row) != size for row in matrix):
         raise ParseError(f"{path}: matrix must be square")
     components = raw.get("components", size)
+    if not isinstance(components, int) or isinstance(components, bool):
+        raise ParseError(f"{path}: 'components' must be an integer")
     if components != size:
         raise ParseError(f"{path}: components = {components} but matrix is {size}x{size}")
     try:
@@ -78,28 +82,8 @@ def load_link_document(path: str) -> LinkDocument:
     return LinkDocument(name=name, link=link, arf_table=arf_table)
 
 
-def _lambda_text(lam: LambdaClass) -> str:
-    return f"{lam.representative} (class {lam.value} mod 4)"
-
-
-def _mu_text(spin: dict) -> str:
-    """One spin-structure row of the `invariants` text, from its JSON form."""
-    note = " [arf assumed 0]" if spin["arf_assumed"] else ""
-    return (f"C.C = {spin['self_intersection']}  Arf = {spin['arf']}{note}  "
-            f"mu = {spin['mu']} (mod 16)  "
-            f"lambda = {spin['lambda']} (class {spin['lambda_mod4']} mod 4)")
-
-
 def _pair_text(pair: list[int]) -> str:
     return f"({pair[0]}, {pair[1]})"
-
-
-def _defect_text(p: TotalDefect) -> str:
-    return _pair_text(_defect_json(p))
-
-
-def _defect_json(p: TotalDefect) -> list[int]:
-    return [p.d, p.h]
 
 
 def _spin_json(spin: links.SpinStructureData) -> dict:
@@ -116,55 +100,34 @@ def _spin_json(spin: links.SpinStructureData) -> dict:
     }
 
 
-def _emit(args: argparse.Namespace, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print("\n".join(text_lines))
-
-
-def _lambda_targets(lam: LambdaClass) -> list[int]:
-    """Canonical target representatives for a class: one for 0 and +-1,
-    both signs for the class of 2."""
-    if lam.value == 2:
-        return [-2, 2]
-    return [lam.representative]
-
-
-def cmd_invariants(args: argparse.Namespace) -> int:
+def cmd_invariants(args: argparse.Namespace) -> dict:
     doc = load_link_document(args.file)
     link = doc.link
     report = links.analyze(link, doc.arf_table)
-    nat = report.framings
+    nat, profile = report.framings, report.homology
     warnings: list[str] = []
     framings_json: dict = {"freed_gompf_h": nat.freed_gompf_h}
     if link.is_even:
         phi = nat.phi_half_tau
         framings_json.update({
-            "delta": _defect_json(nat.delta),
+            "delta": list(nat.delta),
             "epsilon_h": nat.epsilon_h,
-            "phi_half_tau": _defect_json(phi) if phi is not None else None,
+            "phi_half_tau": list(phi) if phi is not None else None,
         })
     else:
         warnings.append("odd framings present: delta_L, epsilon_L and phi_L are undefined")
-    payload = {
+    return {
         "name": doc.name,
         "components": link.components,
         "chi": report.chi,
         "sigma": report.sigma,
         "tau": report.tau,
-        "homology": {
-            "betti1": report.homology.betti1,
-            "torsion": list(report.homology.torsion),
-            "r": report.homology.r,
-            "s": report.homology.s,
-        },
+        "homology": {"betti1": profile.betti1, "torsion": list(profile.torsion),
+                     "r": profile.r, "s": profile.s},
         "spin_structures": [_spin_json(s) for s in report.spin_structures],
         "framings": framings_json,
         "warnings": warnings,
     }
-    _emit(args, payload, [] if args.json else _invariants_text(payload))
-    return 0
 
 
 def _invariants_text(payload: dict) -> list[str]:
@@ -182,7 +145,11 @@ def _invariants_text(payload: dict) -> list[str]:
         f"  s = {profile['s']}",
         f"spin structures (characteristic sublinks): {len(spins)}",
     ]
-    lines += [f"  [{spin['bitmask'] or '-'}] {_mu_text(spin)}" for spin in spins]
+    for spin in spins:
+        note = " [arf assumed 0]" if spin["arf_assumed"] else ""
+        lines.append(f"  [{spin['bitmask'] or '-'}] C.C = {spin['self_intersection']}  "
+                     f"Arf = {spin['arf']}{note}  mu = {spin['mu']} (mod 16)  "
+                     f"lambda = {spin['lambda']} (class {spin['lambda_mod4']} mod 4)")
     lines.append("natural framings:")
     if "delta" in framings:
         phi = framings["phi_half_tau"]
@@ -198,20 +165,13 @@ def _invariants_text(payload: dict) -> list[str]:
     return lines
 
 
-def cmd_canonical(args: argparse.Namespace) -> int:
+def cmd_canonical(args: argparse.Namespace) -> dict:
     if (args.file is None) == (args.lambda_class is None):
         raise ParseError("give a link file or --lambda, not both")
     if args.lambda_class is not None:
         lam = LambdaClass(args.lambda_class)
-        points = sorted(defects.canonical_set(lam))
-        payload = {
-            "lambda_mod4": lam.value,
-            "canonical_set": [_defect_json(p) for p in points],
-        }
-        lines = [f"canonical defects for lambda class {lam.value} (mod 4):"]
-        lines += [f"  {_defect_text(p)}" for p in points]
-        _emit(args, payload, lines)
-        return 0
+        return {"lambda_mod4": lam.value,
+                "canonical_set": [list(p) for p in sorted(defects.canonical_set(lam))]}
     doc = load_link_document(args.file)
     nat = links.natural_framings(doc.link)
     named = [("delta_L", nat.delta),
@@ -219,39 +179,41 @@ def cmd_canonical(args: argparse.Namespace) -> int:
     if nat.phi_half_tau is not None:
         named.append(("phi_L", nat.phi_half_tau))
     lam = defects.lambda_class(nat.delta)
-    points = sorted(defects.canonical_set(lam))
+    # One canonical target for the classes 0 and +-1, both signs for 2.
+    targets = [-2, 2] if lam.value == 2 else [lam.representative]
     offsets = []
-    lines = [
-        f"link '{doc.name}': lambda = {_lambda_text(lam)}",
-        "canonical defects: " + ", ".join(_defect_text(p) for p in points),
-        "offsets to the canonical points:",
-    ]
     for name, defect in named:
-        for target in _lambda_targets(lam):
+        for target in targets:
             off = defects.canonical_offset(defect, target)
-            landed = defects.act(defect, off)
-            offsets.append({
-                "framing": name,
-                "defect": _defect_json(defect),
-                "m_rho": off.m_rho,
-                "n_sigma": off.n_sigma,
-                "target": target,
-                "result": _defect_json(landed),
-            })
-            lines.append(f"  {name} {_defect_text(defect)} + {off.n_sigma} sigma "
-                         f"+ {off.m_rho} rho -> {_defect_text(landed)}")
-    payload = {
+            offsets.append({"framing": name, "defect": list(defect),
+                            "m_rho": off.m_rho, "n_sigma": off.n_sigma, "target": target,
+                            "result": list(defects.act(defect, off))})
+    return {
         "name": doc.name,
         "lambda_mod4": lam.value,
         "lambda_representative": lam.representative,
-        "canonical_set": [_defect_json(p) for p in points],
+        "canonical_set": [list(p) for p in sorted(defects.canonical_set(lam))],
         "offsets": offsets,
     }
-    _emit(args, payload, lines)
-    return 0
 
 
-def cmd_quotient(args: argparse.Namespace) -> int:
+def _canonical_text(payload: dict) -> list[str]:
+    points = [_pair_text(p) for p in payload["canonical_set"]]
+    if "name" not in payload:  # --lambda: the canonical set alone
+        return ([f"canonical defects for lambda class {payload['lambda_mod4']} (mod 4):"]
+                + [f"  {p}" for p in points])
+    lines = [
+        f"link '{payload['name']}': lambda = {payload['lambda_representative']} "
+        f"(class {payload['lambda_mod4']} mod 4)",
+        "canonical defects: " + ", ".join(points),
+        "offsets to the canonical points:",
+    ]
+    lines += [f"  {o['framing']} {_pair_text(o['defect'])} + {o['n_sigma']} sigma "
+              f"+ {o['m_rho']} rho -> {_pair_text(o['result'])}" for o in payload["offsets"]]
+    return lines
+
+
+def cmd_quotient(args: argparse.Namespace) -> dict:
     try:
         group = quotients.parse_group(args.group)
     except ValueError as exc:
@@ -267,53 +229,59 @@ def cmd_quotient(args: argparse.Namespace) -> int:
         "sigma_g_bruteforce": brute,
         "bruteforce_abs_error": abs(brute - sigma),
         "signature_defect": str(Fraction(sigma, 3)),
-        "defect": _defect_json(defect),
+        "defect": list(defect),
     }
-    lines = [
-        f"group {group.label} ({group.description}), order {group.order}",
-        f"  sigma(G) = {sigma}",
-        f"  cotangent sum = {brute:.9f}  (|error| = {abs(brute - sigma):.2e})",
-        f"  signature defect = {Fraction(sigma, 3)}",
-        f"  quotient framing defect H = {_defect_text(defect)}",
-    ]
     if group.family == "C":
         off = quotients.lens_canonical_offset(group.m)
-        landed = defects.act(defect, off)
         payload["canonical_offset_rho"] = off.m_rho
-        payload["canonical_h"] = landed.h
-        lines.append(f"  canonical framing: + {off.m_rho} rho -> h = {landed.h}")
-    _emit(args, payload, lines)
-    return 0
+        payload["canonical_h"] = defects.act(defect, off).h
+    return payload
 
 
-def cmd_bundle(args: argparse.Namespace) -> int:
+def _quotient_text(payload: dict) -> list[str]:
+    lines = [
+        f"group {payload['group']} ({payload['family']}), order {payload['order']}",
+        f"  sigma(G) = {payload['sigma_g']}",
+        f"  cotangent sum = {payload['sigma_g_bruteforce']:.9f}  "
+        f"(|error| = {payload['bruteforce_abs_error']:.2e})",
+        f"  signature defect = {payload['signature_defect']}",
+        f"  quotient framing defect H = {_pair_text(payload['defect'])}",
+    ]
+    if "canonical_h" in payload:  # cyclic groups: lens spaces
+        lines.append(f"  canonical framing: + {payload['canonical_offset_rho']} rho "
+                     f"-> h = {payload['canonical_h']}")
+    return lines
+
+
+def cmd_bundle(args: argparse.Namespace) -> dict:
     if args.genus < 0:
         raise ParseError("--genus must be nonnegative")
     bundle = bundles.CircleBundle(args.genus, args.euler)
     exists = bundles.fiber_framing_exists(bundle)
     h = bundles.fiber_framing_defect(bundle) if exists else None
-    p1 = (bundles.disk_bundle_p1(bundle)
-          if exists and bundle.euler != 0 else None)
-    payload = {
-        "genus": bundle.genus,
-        "euler": bundle.euler,
-        "chi": bundle.chi,
-        "fiber_framing_exists": exists,
-        "p1": p1,
-        "h": h,
-    }
-    lines = [f"circle bundle: genus {bundle.genus}, euler class {bundle.euler} "
-             f"(chi = {bundle.chi})",
+    p1 = bundles.disk_bundle_p1(bundle) if exists and bundle.euler != 0 else None
+    return {"genus": bundle.genus, "euler": bundle.euler, "chi": bundle.chi,
+            "fiber_framing_exists": exists, "p1": p1, "h": h}
+
+
+def _bundle_text(payload: dict) -> list[str]:
+    exists = payload["fiber_framing_exists"]
+    lines = [f"circle bundle: genus {payload['genus']}, euler class {payload['euler']} "
+             f"(chi = {payload['chi']})",
              f"  fiber-preserving framing exists: {'yes' if exists else 'no'}"]
     if exists:
-        if p1 is not None:
-            lines.append(f"  p1(disk bundle) = {p1}")
-        lines.append(f"  h(fiber framing) = {h}")
-    _emit(args, payload, lines)
-    return 0
+        if payload["p1"] is not None:
+            lines.append(f"  p1(disk bundle) = {payload['p1']}")
+        lines.append(f"  h(fiber framing) = {payload['h']}")
+    return lines
 
 
-def cmd_cover(args: argparse.Namespace) -> int:
+# An integer or p/q.  Fraction also reads decimals and exponents, and it
+# expands '1e999999999' before any size check could refuse it.
+_RATIONAL = re.compile(r"\s*[-+]?\d+(/\d+)?\s*")
+
+
+def cmd_cover(args: argparse.Namespace) -> dict:
     try:
         d_text, h_text = args.defect.split(",")
         start = TotalDefect(int(d_text), int(h_text))
@@ -322,39 +290,38 @@ def cmd_cover(args: argparse.Namespace) -> int:
     if args.degree < 1:
         raise ParseError("--degree must be at least 1")
     try:
+        if not _RATIONAL.fullmatch(args.sigma_pi):
+            raise ValueError("not an integer or p/q")
         sigma_pi = Fraction(args.sigma_pi)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"--sigma-pi must be a rational like '722/3', "
-                         f"got {args.sigma_pi!r}") from exc
+        raise ParseError(f"--sigma-pi must be an integer or p/q, got {args.sigma_pi!r}") from exc
     result = defects.pullback_cover(start, args.degree, sigma_pi)
-    payload = {
-        "defect": _defect_json(start),
-        "degree": args.degree,
-        "sigma_pi": str(sigma_pi),
-        "result": _defect_json(result),
-    }
-    lines = [f"pullback along a {args.degree}-fold cover with signature defect {sigma_pi}:",
-             f"  {_defect_text(start)} -> {_defect_text(result)}"]
-    _emit(args, payload, lines)
-    return 0
+    return {"defect": list(start), "degree": args.degree, "sigma_pi": str(sigma_pi),
+            "result": list(result)}
 
 
-def cmd_catalog(args: argparse.Namespace) -> int:
+def _cover_text(payload: dict) -> list[str]:
+    return [f"pullback along a {payload['degree']}-fold cover with signature defect "
+            f"{payload['sigma_pi']}:",
+            f"  {_pair_text(payload['defect'])} -> {_pair_text(payload['result'])}"]
+
+
+def cmd_catalog(args: argparse.Namespace) -> dict:
     entries = catalog.build_catalog()
-    all_ok = all(e.ok for e in entries)
-    payload = {
+    return {
         "entries": [{"key": e.key, "description": e.description,
                      "value": e.value, "expected": e.expected, "ok": e.ok}
                     for e in entries],
-        "all_ok": all_ok,
+        "all_ok": all(e.ok for e in entries),
     }
-    lines = []
-    for e in entries:
-        mark = "ok  " if e.ok else "FAIL"
-        lines.append(f"{mark} {e.key}: {e.description} = {e.value}")
-    lines.append(f"{sum(e.ok for e in entries)}/{len(entries)} entries verified")
-    _emit(args, payload, lines)
-    return 0 if all_ok else 1
+
+
+def _catalog_text(payload: dict) -> list[str]:
+    entries = payload["entries"]
+    lines = [f"{'ok  ' if e['ok'] else 'FAIL'} {e['key']}: {e['description']} = {e['value']}"
+             for e in entries]
+    lines.append(f"{sum(e['ok'] for e in entries)}/{len(entries)} entries verified")
+    return lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,51 +333,53 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("invariants", help="invariants of a framed-link file")
     p.add_argument("file", help="link document (JSON)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_invariants)
+    p.set_defaults(func=cmd_invariants, text=_invariants_text)
 
     p = sub.add_parser("canonical", help="canonical framings and offsets")
     p.add_argument("file", nargs="?", help="link document (JSON)")
     p.add_argument("--lambda", dest="lambda_class", type=int,
                    help="show the canonical set for this class instead")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_canonical)
+    p.set_defaults(func=cmd_canonical, text=_canonical_text)
 
     p = sub.add_parser("quotient", help="defects of quotients of the 3-sphere")
     p.add_argument("group", help="C<m>, D<m>, T, O or I")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_quotient)
+    p.set_defaults(func=cmd_quotient, text=_quotient_text)
 
     p = sub.add_parser("bundle", help="fiber framings of circle bundles")
     p.add_argument("--genus", type=int, required=True)
     p.add_argument("--euler", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_bundle)
+    p.set_defaults(func=cmd_bundle, text=_bundle_text)
 
     p = sub.add_parser("cover", help="pull a defect back along a finite cover")
     p.add_argument("--defect", required=True, help="total defect 'd,h'")
     p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--sigma-pi", default="0", help="signature defect, e.g. '722/3'")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_cover)
+    p.add_argument("--sigma-pi", default="0",
+                   help="signature defect, an integer or p/q, e.g. '722/3'")
+    p.set_defaults(func=cmd_cover, text=_cover_text)
 
     p = sub.add_parser("catalog", help="recompute the table of known values")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_catalog)
+    p.set_defaults(func=cmd_catalog, text=_catalog_text)
 
+    for p in sub.choices.values():
+        p.add_argument("--json", action="store_true")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        payload = args.func(args)
+        try:
+            output = (json.dumps(payload, indent=2, sort_keys=True) if args.json
+                      else "\n".join(args.text(payload)))
+        except ValueError as exc:  # raised by int-to-str past sys.get_int_max_str_digits()
+            raise ParseError("cannot print the result: an integer in it has more digits "
+                             "than the interpreter converts to text") from exc
     except FramingError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ParseError) else 3
+    print(output)
+    return 1 if payload.get("all_ok") is False else 0
 
 
 if __name__ == "__main__":

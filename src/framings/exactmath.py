@@ -46,7 +46,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(int(x) for x in row) for row in rows))
+        return cls(tuple(tuple(row) for row in rows))
 
     @property
     def rows(self) -> int:

@@ -248,18 +248,7 @@ def mu_representative(mu: int) -> int:
 def spin_structures(link: FramedLink,
                     arf_table: Mapping[str, int] | None = None) -> list[SpinStructureData]:
     """Every spin structure of the surgered manifold with its invariants."""
-    return _spin_structures(link, arf_table, exact_signature(link.matrix), homology(link).r)
-
-
-def _spin_structures(link: FramedLink, arf_table: Mapping[str, int] | None,
-                     sigma: int, r: int) -> list[SpinStructureData]:
-    """spin_structures for a link whose signature sigma and mod-2 rank r
-    are already known; characteristic_sublinks checks every sublink."""
-    out = []
-    for c in characteristic_sublinks(link, arf_table):
-        mu = _mu(sigma, c)
-        out.append(SpinStructureData(sublink=c, mu=mu, lam=lambda_from_mu(r, mu)))
-    return out
+    return list(analyze(link, arf_table).spin_structures)
 
 
 @dataclass(frozen=True)
@@ -353,7 +342,10 @@ def analyze(link: FramedLink, arf_table: Mapping[str, int] | None) -> LinkAnalys
     of a link, in one pass."""
     chi, sigma, tau = basic_invariants(link)
     profile = homology(link)
-    spins = _spin_structures(link, arf_table, sigma, profile.r)
+    spins = []
+    for c in characteristic_sublinks(link, arf_table):
+        mu = _mu(sigma, c)
+        spins.append(SpinStructureData(sublink=c, mu=mu, lam=lambda_from_mu(profile.r, mu)))
     framings = NaturalFramings(chi=chi, sigma=sigma, tau=tau, n=0, even=link.is_even)
     return LinkAnalysis(chi=chi, sigma=sigma, tau=tau, homology=profile,
                         spin_structures=tuple(spins), framings=framings)

@@ -36,8 +36,9 @@ class TestLoadLinkDocument:
         with pytest.raises(ParseError):
             load_link_document(path)
 
-    def test_rejects_component_mismatch(self, tmp_path):
-        path = write_doc(tmp_path, {"components": 3, "matrix": [[0]]})
+    @pytest.mark.parametrize("components", [3, True, 1.0, "1"])
+    def test_rejects_component_mismatch(self, tmp_path, components):
+        path = write_doc(tmp_path, {"components": components, "matrix": [[0]]})
         with pytest.raises(ParseError):
             load_link_document(path)
 
@@ -126,6 +127,17 @@ class TestInvariantsCommand:
         path = tmp_path / "huge.json"
         path.write_text('{"matrix": [[' + "7" * 5000 + ']]}')
         code, out, err = run(capsys, "invariants", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no integer-to-text limit")
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_result_beyond_the_print_limit_exits_2_with_one_line(self, capsys, tmp_path,
+                                                                 json_flag):
+        # Every entry parses, but C.C of the whole link has 4301 digits.
+        path = write_doc(tmp_path, {"matrix": [[10 ** 4299 - 1] * 5] * 5})
+        code, out, err = run(capsys, "invariants", path, *json_flag)
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
@@ -231,6 +243,22 @@ class TestCoverCommand:
         code, _, err = run(capsys, "cover", "--defect", "0,0",
                            "--degree", "1", "--sigma-pi", "1/2")
         assert code == 3
+
+    @pytest.mark.parametrize("sigma_pi", ["1e200000", "1e999999999", "0.5", "1_0", "nan"])
+    def test_sigma_pi_outside_integer_or_ratio_exits_2_with_one_line(self, capsys, sigma_pi):
+        code, out, err = run(capsys, "cover", "--defect", "0,0", "--degree", "1",
+                             "--sigma-pi", sigma_pi)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="this Python has no integer-to-text limit")
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_result_beyond_the_print_limit_exits_2_with_one_line(self, capsys, json_flag):
+        code, out, err = run(capsys, "cover", "--defect", "0," + "7" * 4000,
+                             "--degree", "9" * 4000, *json_flag)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_bad_flag_values_exit_2(self, capsys):
         assert run(capsys, "cover", "--defect", "nope", "--degree", "2",

@@ -42,6 +42,10 @@ class TestFramedLink:
         with pytest.raises(NotSymmetric):
             FramedLink.from_rows([[0, 1], [2, 0]])
 
+    def test_non_integer_entries_are_refused_not_truncated(self):
+        with pytest.raises(TypeError):
+            FramedLink.from_rows([[2.7]])
+
     def test_evenness(self):
         assert chain_link(3).is_even
         assert not unknot(-5).is_even
