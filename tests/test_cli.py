@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from framings import catalog
+from framings.catalog import CatalogEntry
 from framings.cli import load_link_document, main
 from framings.errors import ParseError
 
@@ -36,7 +38,7 @@ class TestLoadLinkDocument:
         with pytest.raises(ParseError):
             load_link_document(path)
 
-    @pytest.mark.parametrize("components", [3, True, 1.0, "1"])
+    @pytest.mark.parametrize("components", [3, True, 1.0], ids=["mismatch", "bool", "float"])
     def test_rejects_component_mismatch(self, tmp_path, components):
         path = write_doc(tmp_path, {"components": components, "matrix": [[0]]})
         with pytest.raises(ParseError):
@@ -244,7 +246,7 @@ class TestCoverCommand:
                            "--degree", "1", "--sigma-pi", "1/2")
         assert code == 3
 
-    @pytest.mark.parametrize("sigma_pi", ["1e200000", "1e999999999", "0.5", "1_0", "nan"])
+    @pytest.mark.parametrize("sigma_pi", ["1e200000", "1e999999999", "0.5", "1_0"])
     def test_sigma_pi_outside_integer_or_ratio_exits_2_with_one_line(self, capsys, sigma_pi):
         code, out, err = run(capsys, "cover", "--defect", "0,0", "--degree", "1",
                              "--sigma-pi", sigma_pi)
@@ -281,6 +283,18 @@ class TestCatalogCommand:
         payload = json.loads(out)
         assert payload["all_ok"] is True
         assert all(entry["ok"] for entry in payload["entries"])
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_a_fail_row_exits_1(self, capsys, monkeypatch, json_flag):
+        stale = CatalogEntry("stale.value", "a value that no longer recomputes", 1, 2)
+        monkeypatch.setattr(catalog, "build_catalog", lambda: [stale])
+        code, out, err = run(capsys, "catalog", *json_flag)
+        assert (code, err) == (1, "")
+        if json_flag:
+            assert json.loads(out)["all_ok"] is False
+        else:
+            assert out == ("FAIL stale.value: a value that no longer recomputes = 1\n"
+                           "0/1 entries verified\n")
 
 
 def _golden_cases():
