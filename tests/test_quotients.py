@@ -1,7 +1,9 @@
 """Quotients of the 3-sphere by finite subgroups."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -28,6 +30,8 @@ from framings import (
     sigma_g,
     sigma_g_bruteforce,
 )
+
+COTANGENT_SUMS = Path(__file__).resolve().parent / "golden" / "cotangent_sums.json"
 
 ALL_FAMILIES = ([cyclic(m) for m in range(1, 9)]
                 + [binary_dihedral(m) for m in range(2, 7)]
@@ -85,6 +89,15 @@ class TestCotangentSums:
     @pytest.mark.parametrize("group", ALL_FAMILIES, ids=lambda g: g.label)
     def test_matches_the_closed_form(self, group):
         assert abs(sigma_g_bruteforce(group) - sigma_g(group)) < 1e-6
+
+    def test_sums_match_the_pinned_doubles_bit_for_bit(self):
+        # repr of every sum as computed when the file was written: C1-C400,
+        # D2-D200, T, O, I and four large groups.  The order of summation
+        # is part of the result, so any change to it shows here.
+        pinned = json.loads(COTANGENT_SUMS.read_text(encoding="utf-8"))
+        assert len(pinned) == 606
+        computed = {label: repr(sigma_g_bruteforce(parse_group(label))) for label in pinned}
+        assert computed == pinned
 
 
 class TestQuotientFramingDefect:
