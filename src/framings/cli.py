@@ -20,6 +20,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import NoReturn
 
 from . import bundles, catalog, defects, links, quotients
 from .defects import LambdaClass, TotalDefect
@@ -213,11 +214,19 @@ def _canonical_text(payload: dict) -> list[str]:
     return lines
 
 
+# The cotangent check visits every element; at this order it takes well
+# under a second and its float error is still below 3e-11 relative.
+MAX_QUOTIENT_ORDER = 10**6
+
+
 def cmd_quotient(args: argparse.Namespace) -> dict:
     try:
         group = quotients.parse_group(args.group)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+    if group.order > MAX_QUOTIENT_ORDER:
+        raise ParseError(f"group {group.label} has order {group.order}, "
+                         f"past the limit of {MAX_QUOTIENT_ORDER}")
     sigma = quotients.sigma_g(group)
     brute = quotients.sigma_g_bruteforce(group)
     defect = quotients.quotient_framing_defect(group)
@@ -324,8 +333,16 @@ def _catalog_text(payload: dict) -> list[str]:
     return lines
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors end, like every other error,
+    in exit 2 with one stderr line; subparsers inherit the class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="framings",
         description="Degree and Hirzebruch-defect invariants of framings of "
                     "closed oriented 3-manifolds.")

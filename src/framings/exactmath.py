@@ -41,7 +41,7 @@ class IntMatrix:
             raise ValueError("matrix rows have unequal lengths")
         for row in self.entries:
             for x in row:
-                if not isinstance(x, int):
+                if not isinstance(x, int) or isinstance(x, bool):
                     raise TypeError(f"non-integer matrix entry {x!r}")
 
     @classmethod

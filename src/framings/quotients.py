@@ -8,8 +8,10 @@ is three times the signature defect of the universal covering.  sigma(G)
 is available both in closed form and by brute-force evaluation of the
 fixed-point cotangent sums, which serves as a numerical oracle.
 
-Angles are carried as exact rational multiples of pi; trigonometry enters
-only in the final floating-point evaluation.
+Angles are carried as exact rational multiples of pi, integer pairs
+(p, q) standing for p/q; they become floats only in the final evaluation
+of each cotangent term.  The brute-force sum streams them one element at
+a time and never holds the |G| angles at once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .defects import FramingOffset, TotalDefect, act
 from .errors import DegenerateAngle, NonIntegralDefect
@@ -119,8 +121,9 @@ def sigma_g(group: FiniteSubgroup) -> int:
             "T": 98, "O": 242, "I": 722}[group.family]
 
 
-def element_angles(group: FiniteSubgroup) -> list[Fraction]:
-    """Rotation angles of every non-identity element, as multiples of pi.
+def _angle_pairs(group: FiniteSubgroup) -> Iterator[tuple[int, int]]:
+    """Rotation angle of every non-identity element, as the multiple p/q
+    of pi given by the integer pair (p, q), not necessarily in lowest terms.
 
     Left multiplication by a unit quaternion u rotates two orthogonal
     planes through the same angle theta with cos(theta) = Re(u); the
@@ -135,16 +138,24 @@ def element_angles(group: FiniteSubgroup) -> list[Fraction]:
     """
     family, m = group.family, group.m
     if family == "C":
-        return [Fraction(2 * k, m) for k in range(1, m)]
-    if family == "D":
-        angles = [Fraction(k, m) for k in range(1, 2 * m)]
-        angles.extend([Fraction(1, 2)] * (2 * m))
-        return angles
-    angles = [Fraction(1)]  # the central element -1, shared by all subgroups
-    for count, order in _POLYHEDRAL_CYCLIC[family]:
-        per_subgroup = [Fraction(2 * k, order) for k in range(1, order) if 2 * k != order]
-        angles.extend(per_subgroup * count)
-    return angles
+        for k in range(1, m):
+            yield 2 * k, m
+    elif family == "D":
+        for k in range(1, 2 * m):
+            yield k, m
+        for _ in range(2 * m):
+            yield 1, 2
+    else:
+        yield 1, 1  # the central element -1, shared by all subgroups
+        for count, order in _POLYHEDRAL_CYCLIC[family]:
+            per_subgroup = [(2 * k, order) for k in range(1, order) if 2 * k != order]
+            for _ in range(count):
+                yield from per_subgroup
+
+
+def element_angles(group: FiniteSubgroup) -> list[Fraction]:
+    """Rotation angles of every non-identity element, as multiples of pi."""
+    return [Fraction(p, q) for p, q in _angle_pairs(group)]
 
 
 def _cot(x: float) -> float:
@@ -153,10 +164,21 @@ def _cot(x: float) -> float:
 
 def sigma_g_bruteforce(group: FiniteSubgroup) -> float:
     """sigma(G) evaluated as 3 times the cotangent sum over the group:
-    each element u != 1 contributes cot^2 of half its rotation angle."""
-    angles = element_angles(group)
-    assert len(angles) + 1 == group.order
-    return 3.0 * sum(_cot(float(t) * math.pi / 2) ** 2 for t in angles)
+    each element u != 1 contributes cot^2 of half its rotation angle.
+
+    The angles are streamed as exact integer ratios; each becomes a float
+    only in its own term, as the correctly rounded p / q, so no list of the
+    |G| angles is built.  The terms are added one by one in enumeration
+    order, which fixes the resulting double whatever algorithm the
+    interpreter's sum() uses.
+    """
+    count, total = 0, 0.0
+    for p, q in _angle_pairs(group):
+        x = p / q * math.pi / 2
+        total += (math.cos(x) / math.sin(x)) ** 2
+        count += 1
+    assert count + 1 == group.order
+    return 3.0 * total
 
 
 def quotient_framing_defect(group: FiniteSubgroup) -> TotalDefect:

@@ -8,7 +8,7 @@ import pytest
 
 from framings import catalog
 from framings.catalog import CatalogEntry
-from framings.cli import load_link_document, main
+from framings.cli import MAX_QUOTIENT_ORDER, load_link_document, main
 from framings.errors import ParseError
 
 LINKS = Path(__file__).resolve().parent.parent / "links"
@@ -209,6 +209,20 @@ class TestQuotientCommand:
         code, _, err = run(capsys, "quotient", "Q8")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("group", ["C1000000000000", "D250001"])
+    def test_order_past_the_limit_exits_2_with_one_line(self, capsys, group):
+        code, out, err = run(capsys, "quotient", group)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(MAX_QUOTIENT_ORDER) in err
+
+    def test_order_at_the_limit_still_answers(self, capsys):
+        code, out, _ = run(capsys, "quotient", "C1000000", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["order"] == MAX_QUOTIENT_ORDER
+        assert payload["defect"] == [0, 3 - MAX_QUOTIENT_ORDER]
+
 
 class TestBundleCommand:
     def test_hopf(self, capsys):
@@ -331,3 +345,25 @@ def test_argparse_rejects_unknown_subcommands(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 2
+    assert capsys.readouterr().err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["cover", "--defect", "0,0", "--degree", "1x"],
+    ["cover", "--defect", "0,0", "--degree", "9" * 5000],
+    ["quotient"],
+], ids=["bad-int", "int-past-the-parse-limit", "missing-positional"])
+def test_usage_errors_exit_2_with_one_line(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [[], ["quotient"]], ids=["top", "quotient"])
+def test_help_still_prints_the_usage(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: framings")

@@ -41,6 +41,12 @@ class TestIntMatrix:
         with pytest.raises(TypeError):
             IntMatrix((((Fraction(1, 2)),),))
 
+    @pytest.mark.parametrize("entry", [True, False])
+    def test_rejects_bools(self, entry):
+        # bool is a subclass of int; accepting it would hand True back from to_lists().
+        with pytest.raises(TypeError):
+            IntMatrix.from_rows([[1, entry], [entry, 1]])
+
     def test_empty_matrix(self):
         m = IntMatrix(())
         assert (m.rows, m.cols) == (0, 0)

@@ -46,6 +46,10 @@ class TestFramedLink:
         with pytest.raises(TypeError):
             FramedLink.from_rows([[2.7]])
 
+    def test_bool_entries_are_refused(self):
+        with pytest.raises(TypeError):
+            FramedLink.from_rows([[True]])
+
     def test_evenness(self):
         assert chain_link(3).is_even
         assert not unknot(-5).is_even

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -89,6 +90,16 @@ class TestCotangentSums:
     @pytest.mark.parametrize("group", ALL_FAMILIES, ids=lambda g: g.label)
     def test_matches_the_closed_form(self, group):
         assert abs(sigma_g_bruteforce(group) - sigma_g(group)) < 1e-6
+
+    def test_the_sweep_builds_no_list_of_angles(self):
+        # 2e5 elements; a list of their angles alone takes megabytes.
+        tracemalloc.start()
+        try:
+            sigma_g_bruteforce(binary_dihedral(50000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, f"peak {peak} bytes"
 
     def test_sums_match_the_pinned_doubles_bit_for_bit(self):
         # repr of every sum as computed when the file was written: C1-C400,
