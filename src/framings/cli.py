@@ -168,7 +168,7 @@ def _invariants_text(payload: dict) -> list[str]:
 
 def cmd_canonical(args: argparse.Namespace) -> dict:
     if (args.file is None) == (args.lambda_class is None):
-        raise ParseError("give a link file or --lambda, not both")
+        raise ParseError("give exactly one of a link file and --lambda")
     if args.lambda_class is not None:
         lam = LambdaClass(args.lambda_class)
         return {"lambda_mod4": lam.value,

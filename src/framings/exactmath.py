@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence, Union
 
 from .errors import NotSymmetric, Unsolvable
@@ -148,12 +148,12 @@ class SmithForm:
         return sum(1 for f in self.invariant_factors if not f)
 
 
-def _smallest_pivot(a: list[list[int]], t: int) -> tuple[int, int] | None:
-    """Position of the nonzero entry of least absolute value in the t-block."""
+def _smallest_pivot(a: list[list[int]]) -> tuple[int, int] | None:
+    """Position of the nonzero entry of least absolute value in a."""
     best: tuple[int, int, int] | None = None
-    for i in range(t, len(a)):
-        for j in range(t, len(a[i])):
-            v = abs(a[i][j])
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            v = abs(x)
             if v and (best is None or v < best[0]):
                 best = (v, i, j)
                 if v == 1:
@@ -161,73 +161,45 @@ def _smallest_pivot(a: list[list[int]], t: int) -> tuple[int, int] | None:
     return None if best is None else (best[1], best[2])
 
 
-def _divisor_chain(values: list[int]) -> list[int]:
-    """Turn a diagonal multiset into its divisibility chain via gcd/lcm swaps."""
-    d = sorted(abs(v) for v in values if v)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(d)):
-            for j in range(i + 1, len(d)):
-                if d[j] % d[i]:
-                    g = gcd(d[i], d[j])
-                    d[i], d[j] = g, d[i] * d[j] // g
-                    changed = True
-        if changed:
-            d.sort()
-    return d
-
-
 def smith_normal_form(m: MatrixLike) -> SmithForm:
     """Invariant factors of an integer matrix.
 
     Row/column reduction with the smallest-absolute-value pivot rule, which
-    keeps coefficient growth tame; the divisibility chain is restored on
-    the resulting diagonal.  Equivalently there are unimodular U, V with
-    U m V diagonal and the returned chain on the diagonal.
+    keeps coefficient growth tame.  A pivot is split off, and the block
+    left to reduce shrinks, once its row and column are clear; a remainder
+    smaller than the pivot means a new pivot.  One pass of gcd/lcm swaps
+    then turns the diagonal into the divisibility chain.  Equivalently there
+    are unimodular U, V with U m V diagonal and the returned chain on it.
     """
     mat = as_int_matrix(m)
     a = mat.to_lists()
-    nr, nc = mat.rows, mat.cols
-    size = min(nr, nc)
-    diag: list[int] = []
-    t = 0
-    while t < size:
-        pos = _smallest_pivot(a, t)
-        if pos is None:
-            break
+    d: list[int] = []
+    while (pos := _smallest_pivot(a)) is not None:
         pi, pj = pos
-        if pi != t:
-            a[t], a[pi] = a[pi], a[t]
-        if pj != t:
+        a[0], a[pi] = a[pi], a[0]
+        if pj:
             for row in a:
-                row[t], row[pj] = row[pj], row[t]
-        p = a[t][t]
-        dirty = False
-        for i in range(t + 1, nr):
-            if a[i][t]:
-                if a[i][t] % p:
-                    dirty = True
-                q = a[i][t] // p
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-        if dirty:
+                row[0], row[pj] = row[pj], row[0]
+        top = a[0]
+        p = top[0]
+        for i in range(1, len(a)):
+            q = a[i][0] // p
+            if q:
+                a[i] = [x - q * y for x, y in zip(a[i], top)]
+        if any(row[0] for row in a[1:]):
             continue  # a remainder smaller than the pivot appeared; re-pivot
-        for j in range(t + 1, nc):
-            if a[t][j]:
-                if a[t][j] % p:
-                    dirty = True
-                q = a[t][j] // p
-                if q:
-                    for row in a:
-                        row[j] -= q * row[t]
-        if dirty:
+        # Column 0 is clear below the pivot, so column operations now change
+        # only the pivot row; reducing it any earlier would be wrong.
+        top[1:] = [x % p for x in top[1:]]
+        if any(top[1:]):
             continue
-        diag.append(abs(p))
-        t += 1
-    factors = _divisor_chain(diag)
-    factors += [0] * (size - len(factors))
-    return SmithForm(tuple(factors))
+        d.append(abs(p))
+        a = [row[1:] for row in a[1:]]
+    for i in range(len(d)):  # afterwards d[i] divides every later d[j]
+        for j in range(i + 1, len(d)):
+            if d[j] % d[i]:
+                d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
+    return SmithForm(tuple(d + [0] * (min(mat.rows, mat.cols) - len(d))))
 
 
 def exact_signature(q: MatrixLike) -> int:

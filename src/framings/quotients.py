@@ -153,11 +153,6 @@ def _angle_pairs(group: FiniteSubgroup) -> Iterator[tuple[int, int]]:
                 yield from per_subgroup
 
 
-def element_angles(group: FiniteSubgroup) -> list[Fraction]:
-    """Rotation angles of every non-identity element, as multiples of pi."""
-    return [Fraction(p, q) for p, q in _angle_pairs(group)]
-
-
 def _cot(x: float) -> float:
     return math.cos(x) / math.sin(x)
 

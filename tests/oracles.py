@@ -2,7 +2,8 @@
 
 Each oracle deliberately takes a different route from the library code it
 checks: determinants by rational Gaussian elimination instead of
-fraction-free reduction, invariant factors from gcds of minors instead of
+fraction-free reduction, invariant factors from gcds of minors and, at
+larger sizes, their counts per prime from ranks over GF(p) instead of
 row/column reduction, signatures from floating eigenvalues and, exactly,
 from the sign changes of the integer characteristic polynomial instead of
 symmetric elimination, and GF(2) systems and characteristic sublinks by
@@ -54,6 +55,25 @@ def invariant_factors_by_minors(rows: list[list[int]]) -> tuple[int, ...]:
     for k in range(1, size + 1):
         factors.append(0 if d[k] == 0 else d[k] // d[k - 1])
     return tuple(factors)
+
+
+def rank_mod_p(rows: list[list[int]], p: int) -> int:
+    """Rank over GF(p), p prime, by Gaussian elimination modulo p."""
+    a = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(a[0]) if a else 0):
+        pivot = next((i for i in range(rank, len(a)) if a[i][col]), None)
+        if pivot is None:
+            continue
+        a[rank], a[pivot] = a[pivot], a[rank]
+        inverse = pow(a[rank][col], p - 2, p)
+        a[rank] = [x * inverse % p for x in a[rank]]
+        for i in range(rank + 1, len(a)):
+            f = a[i][col]
+            if f:
+                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[rank])]
+        rank += 1
+    return rank
 
 
 def signature_by_eigenvalues(rows: list[list[int]], margin: float = 1e-6) -> tuple[int, bool]:

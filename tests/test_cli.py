@@ -177,11 +177,12 @@ class TestCanonicalCommand:
         assert "delta_L (9, -24) + 9 sigma + 1 rho -> (0, -2)" in out
         assert "delta_L (9, -24) + 9 sigma + 2 rho -> (0, 2)" in out
 
-    def test_file_and_lambda_are_exclusive(self, capsys):
-        code, _, err = run(capsys, "canonical", str(LINKS / "e8.json"), "--lambda", "2")
-        assert code == 2
-        code, _, err = run(capsys, "canonical")
-        assert code == 2
+    @pytest.mark.parametrize("extra", [[], [str(LINKS / "e8.json"), "--lambda", "0"]],
+                             ids=["neither", "both"])
+    def test_needs_exactly_one_of_file_and_lambda(self, capsys, extra):
+        code, out, err = run(capsys, "canonical", *extra)
+        assert code == 2 and out == ""
+        assert err == "error: give exactly one of a link file and --lambda\n"
 
     def test_odd_link_exits_3(self, capsys, tmp_path):
         path = write_doc(tmp_path, {"matrix": [[-3]]})

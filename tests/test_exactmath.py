@@ -1,5 +1,6 @@
 """The exact linear-algebra kernel."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -121,6 +122,55 @@ class TestSmithNormalForm:
         for factor in smith_normal_form(rows).invariant_factors:
             product *= factor
         assert product == abs(det)
+
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "singular_even"])
+    def test_workload_sizes_against_ranks_mod_p(self, kind):
+        # The minor-gcd oracle is exponential; at n = 10-40 each prime p
+        # still pins how many factors it divides: size - rank over GF(p).
+        for rows in _workload_size_matrices(kind, random.Random(f"smith:{kind}")):
+            factors = smith_normal_form(rows).invariant_factors
+            size = min(len(rows), len(rows[0]))
+            assert len(factors) == size
+            for a, b in zip(factors, factors[1:]):
+                assert b == 0 or (a != 0 and b % a == 0)
+            for p in (2, 3, 5, 7):
+                divisible = sum(1 for f in factors if f % p == 0)
+                assert divisible == size - oracles.rank_mod_p(rows, p)
+            if len(rows) == len(rows[0]):
+                product = 1
+                for factor in factors:
+                    product *= factor
+                assert product == abs(oracles.det_fraction_gauss(rows))
+
+
+def _workload_size_matrices(kind: str, rng: random.Random, count: int = 12):
+    """Seeded matrices at the sizes the benchmark workloads run.
+
+    dense: entries in [-3, 3], square or rectangular; sparse: entries from
+    {0, 2, 4, 6, 9, 12}, rich in factors 2 and 3; singular_even: symmetric
+    with even diagonal, and singular because the last row and column are
+    the sums of two others.
+    """
+    for k in range(count):
+        n = rng.randint(10, 40)
+        cols = n if k % 2 == 0 else rng.randint(10, 40)
+        if kind == "dense":
+            yield [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(n)]
+        elif kind == "sparse":
+            yield [[rng.choice((0, 0, 0, 2, 4, 6, 9, 12)) for _ in range(cols)]
+                   for _ in range(n)]
+        else:
+            q = [[0] * (n - 1) for _ in range(n - 1)]
+            for i in range(n - 1):
+                for j in range(i, n - 1):
+                    v = rng.choice((-2, 0, 2)) if i == j else rng.randint(-3, 3)
+                    q[i][j] = q[j][i] = v
+            i, j = rng.sample(range(n - 1), 2)
+            last = [x + y for x, y in zip(q[i], q[j])]
+            for row, x in zip(q, last):
+                row.append(x)
+            q.append(last + [last[i] + last[j]])
+            yield q
 
 
 E8_ROWS = [
