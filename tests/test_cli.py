@@ -177,10 +177,13 @@ class TestCanonicalCommand:
         assert "delta_L (9, -24) + 9 sigma + 1 rho -> (0, -2)" in out
         assert "delta_L (9, -24) + 9 sigma + 2 rho -> (0, 2)" in out
 
-    @pytest.mark.parametrize("extra", [[], [str(LINKS / "e8.json"), "--lambda", "0"]],
-                             ids=["neither", "both"])
-    def test_needs_exactly_one_of_file_and_lambda(self, capsys, extra):
-        code, out, err = run(capsys, "canonical", *extra)
+    def test_file_and_lambda_are_exclusive(self, capsys):
+        code, out, err = run(capsys, "canonical", str(LINKS / "e8.json"), "--lambda", "0")
+        assert code == 2 and out == ""
+        assert err == "error: give exactly one of a link file and --lambda\n"
+
+    def test_needs_a_file_or_lambda(self, capsys):
+        code, out, err = run(capsys, "canonical")
         assert code == 2 and out == ""
         assert err == "error: give exactly one of a link file and --lambda\n"
 

@@ -30,6 +30,7 @@ from framings import (
     sigma_g,
     sigma_g_bruteforce,
 )
+from framings.quotients import _angle_pairs
 
 COTANGENT_SUMS = Path(__file__).resolve().parent / "golden" / "cotangent_sums.json"
 
@@ -72,6 +73,14 @@ class TestSigmaG:
 
 
 class TestCotangentSums:
+    @pytest.mark.parametrize("group", ALL_FAMILIES, ids=lambda g: g.label)
+    def test_every_non_identity_element_is_enumerated(self, group):
+        # One angle p/q (a multiple of pi) per element u != 1, each strictly
+        # between 0 and 2: the identity, angle 0, is left out.
+        pairs = list(_angle_pairs(group))
+        assert len(pairs) == group.order - 1
+        assert all(q > 0 and 0 < p < 2 * q for p, q in pairs)
+
     def test_cyclic_three(self):
         assert sigma_g_bruteforce(cyclic(3)) == pytest.approx(2.0, abs=1e-12)
 
