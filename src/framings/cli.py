@@ -109,11 +109,10 @@ def cmd_invariants(args: argparse.Namespace) -> dict:
     warnings: list[str] = []
     framings_json: dict = {"freed_gompf_h": nat.freed_gompf_h}
     if link.is_even:
-        phi = nat.phi_half_tau
         framings_json.update({
             "delta": list(nat.delta),
             "epsilon_h": nat.epsilon_h,
-            "phi_half_tau": list(phi) if phi is not None else None,
+            "phi_half_tau": list(nat.phi_half_tau),
         })
     else:
         warnings.append("odd framings present: delta_L, epsilon_L and phi_L are undefined")
@@ -153,11 +152,10 @@ def _invariants_text(payload: dict) -> list[str]:
                      f"lambda = {spin['lambda']} (class {spin['lambda_mod4']} mod 4)")
     lines.append("natural framings:")
     if "delta" in framings:
-        phi = framings["phi_half_tau"]
         lines += [
             f"  H(delta_L) = {_pair_text(framings['delta'])}",
             f"  h(epsilon_L) = {framings['epsilon_h']}",
-            f"  H(phi_L) = {_pair_text(phi)}" if phi is not None else "  H(phi_L) absent",
+            f"  H(phi_L) = {_pair_text(framings['phi_half_tau'])}",
         ]
     lines.append(f"  h(2phi_L) = {framings['freed_gompf_h']}  (surgery 2-framing)")
     if payload["warnings"]:
@@ -176,9 +174,8 @@ def cmd_canonical(args: argparse.Namespace) -> dict:
     doc = load_link_document(args.file)
     nat = links.natural_framings(doc.link)
     named = [("delta_L", nat.delta),
-             ("epsilon_L", TotalDefect(0, nat.epsilon_h))]
-    if nat.phi_half_tau is not None:
-        named.append(("phi_L", nat.phi_half_tau))
+             ("epsilon_L", TotalDefect(0, nat.epsilon_h)),
+             ("phi_L", nat.phi_half_tau)]
     lam = defects.lambda_class(nat.delta)
     # One canonical target for the classes 0 and +-1, both signs for 2.
     targets = [-2, 2] if lam.value == 2 else [lam.representative]

@@ -2,9 +2,11 @@
 
 Determinants, Smith normal forms, signatures of symmetric integer matrices
 and affine GF(2) systems, all computed with arbitrary-precision integers.
-Determinants and signatures share one fraction-free (Bareiss) elimination
-step, whose divisions are exact, so no rational or floating-point number
-enters any elimination and results are exact at any input size.
+Determinants and signatures eliminate a shrinking block with one shared
+fraction-free (Bareiss) step, whose divisions are exact, and repair a zero
+pivot by adding a later row (and, for signatures, its column), so no
+rational or floating-point number enters any elimination and results are
+exact at any input size.
 """
 
 from __future__ import annotations
@@ -79,42 +81,36 @@ class IntMatrix:
         return [list(row) for row in self.entries]
 
     def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
+        """Exact determinant by fraction-free (Bareiss) elimination: the
+        last pivot.  A zero pivot gets a later row with a nonzero entry in
+        its column added; with no such row the determinant is 0."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return 1
         a = self.to_lists()
-        sign = 1
         prev = 1
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                pivot_row = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-                if pivot_row is None:
+        while a:
+            if a[0][0] == 0:
+                donor = next((row for row in a[1:] if row[0]), None)
+                if donor is None:
                     return 0
-                a[k], a[pivot_row] = a[pivot_row], a[k]
-                sign = -sign
-            _bareiss_step(a, k, prev)
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+                a[0] = [x + y for x, y in zip(a[0], donor)]
+            prev, a = a[0][0], _bareiss_block(a, prev)
+        return prev
 
 
-def _bareiss_step(a: list[list[int]], k: int, prev: int) -> None:
-    """One fraction-free elimination step on the pivot a[k][k].
-
-    Each entry of the trailing block (rows and columns after k) becomes
-    (a[i][j] a[k][k] - a[i][k] a[k][j]) / prev, where prev is the previous
-    pivot (1 before the first step).  By Sylvester's identity the result is
-    the minor of the eliminated rows bordered by row i and column j, so the
-    division is exact and every entry stays an integer.
-    """
-    p = a[k][k]
-    top = a[k][k + 1:]
-    for i in range(k + 1, len(a)):
-        row = a[i]
-        f = row[k]
-        row[k + 1:] = [(x * p - f * y) // prev for x, y in zip(row[k + 1:], top)]
+def _bareiss_block(a: list[list[int]], prev: int) -> list[list[int]]:
+    """One fraction-free step on the pivot a[0][0]: the block left to
+    eliminate, (a[i][j] a[0][0] - a[i][0] a[0][j]) / prev for i, j >= 1,
+    prev being the previous pivot (1 before the first step).  By Sylvester's
+    identity each entry is the minor of the eliminated rows bordered by row
+    i and column j, so the division is exact and entries stay integers."""
+    p = a[0][0]
+    top = a[0][1:]
+    block = []
+    for row in a[1:]:
+        f = row[0]
+        block.append([(x * p - f * y) // prev for x, y in zip(row[1:], top)])
+    return block
 
 
 def as_int_matrix(m: MatrixLike) -> IntMatrix:
@@ -208,39 +204,31 @@ def exact_signature(q: MatrixLike) -> int:
     Symmetric fraction-free (Bareiss) elimination over the integers.  The
     successive pivots are nested principal minors D_1, D_2, ... of a matrix
     congruent to q, and by Jacobi's rule each contributes the sign of
-    D_k D_{k-1} (D_0 = 1).  A zero pivot is repaired in the trailing block:
-    by swapping in a later nonzero diagonal entry; or, when the whole
-    remaining diagonal vanishes, by adding a partner row and column that
-    turn an off-diagonal entry b into the pivot 2b, the hyperbolic pair
-    then contributing one +1 and one -1 as it must; or, when the row is
-    zero, by skipping it as a radical direction with the divisor unchanged.
+    D_k D_{k-1} (D_0 = 1).  A zero pivot with a nonzero entry b = a[0][k]
+    in its row is repaired by adding s times row and column k, which makes
+    the pivot 2sb + a[k][k]; one of s = 1, -1 makes that nonzero.  A zero
+    row and column is skipped as a radical direction, the divisor unchanged.
     """
     mat = as_int_matrix(q)
     if not mat.is_symmetric():
         raise NotSymmetric("signature needs a symmetric matrix")
-    n = mat.rows
     a = mat.to_lists()
     signature = 0
     prev = 1
-    for t in range(n):
-        if a[t][t] == 0:
-            swap = next((k for k in range(t + 1, n) if a[k][k] != 0), None)
-            if swap is not None:
-                a[t], a[swap] = a[swap], a[t]
-                for row in a:
-                    row[t], row[swap] = row[swap], row[t]
-            else:
-                partner = next((k for k in range(t + 1, n) if a[t][k] != 0), None)
-                if partner is None:
-                    continue  # zero row and column: a radical direction
-                for j in range(t, n):
-                    a[t][j] += a[partner][j]
-                for i in range(t, n):
-                    a[i][t] += a[i][partner]
-        p = a[t][t]
+    while a:
+        top = a[0]
+        if top[0] == 0:
+            k = next((k for k in range(1, len(top)) if top[k]), None)
+            if k is None:
+                a = [row[1:] for row in a[1:]]  # a radical direction
+                continue
+            s = 1 if 2 * top[k] + a[k][k] else -1
+            a[0] = [x + s * y for x, y in zip(top, a[k])]
+            for row in a:
+                row[0] += s * row[k]
+        p = a[0][0]
         signature += 1 if (p > 0) == (prev > 0) else -1
-        _bareiss_step(a, t, prev)
-        prev = p
+        prev, a = p, _bareiss_block(a, prev)
     return signature
 
 
@@ -256,20 +244,18 @@ def solve_gf2(a: MatrixLike, b: Sequence[int]) -> Gf2Solution:
     """Solve a x = b over GF(2); entries of a and b are reduced mod 2.
 
     Raises Unsolvable when the system is inconsistent.  Rows are held as
-    integer bitmasks, eliminated into reduced row echelon form.
+    integer bitmasks in reduced row echelon form, keyed by pivot column; a
+    new row is reduced by them, and its pivot cleared from them.
     """
     mat = as_int_matrix(a)
-    nr, nc = mat.rows, mat.cols
-    if len(b) != nr:
-        raise ValueError(f"right-hand side has length {len(b)}, expected {nr}")
-    pivots: list[tuple[int, int, int]] = []  # (pivot column, row bits, rhs bit)
-    for i in range(nr):
-        bits = 0
-        for j in range(nc):
-            if mat[i, j] & 1:
-                bits |= 1 << j
-        rhs = b[i] & 1
-        for col, pbits, prhs in pivots:
+    nc = mat.cols
+    if len(b) != mat.rows:
+        raise ValueError(f"right-hand side has length {len(b)}, expected {mat.rows}")
+    pivots: dict[int, tuple[int, int]] = {}  # pivot column -> (row bits, rhs bit)
+    for row, rhs in zip(mat.entries, b):
+        bits = sum(1 << j for j, x in enumerate(row) if x & 1)
+        rhs &= 1
+        for col, (pbits, prhs) in pivots.items():
             if (bits >> col) & 1:
                 bits ^= pbits
                 rhs ^= prhs
@@ -278,26 +264,20 @@ def solve_gf2(a: MatrixLike, b: Sequence[int]) -> Gf2Solution:
                 raise Unsolvable("inconsistent linear system over GF(2)")
             continue
         col = (bits & -bits).bit_length() - 1
-        reduced = []
-        for pcol, pbits, prhs in pivots:
+        for pcol, (pbits, prhs) in pivots.items():
             if (pbits >> col) & 1:
-                pbits ^= bits
-                prhs ^= rhs
-            reduced.append((pcol, pbits, prhs))
-        reduced.append((col, bits, rhs))
-        pivots = reduced
-    pivots.sort()
-    pivot_cols = {col for col, _, _ in pivots}
+                pivots[pcol] = (pbits ^ bits, prhs ^ rhs)
+        pivots[col] = (bits, rhs)
     particular = [0] * nc
-    for col, _, rhs in pivots:
+    for col, (_, rhs) in pivots.items():
         particular[col] = rhs
     kernel = []
     for free in range(nc):
-        if free in pivot_cols:
+        if free in pivots:
             continue
         v = [0] * nc
         v[free] = 1
-        for col, pbits, _ in pivots:
+        for col, (pbits, _) in pivots.items():
             if (pbits >> free) & 1:
                 v[col] = 1
         kernel.append(tuple(v))

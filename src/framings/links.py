@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import Iterator, Mapping, Sequence
 
-from .defects import LambdaClass, TotalDefect
+from .defects import FramingOffset, LambdaClass, TotalDefect, act
 from .errors import NotCharacteristic, NotSymmetric, OddFraming
 from .exactmath import (Gf2Solution, IntMatrix, exact_signature, smith_normal_form,
                         solve_gf2)
@@ -267,49 +267,37 @@ class NaturalFramings:
     n: int
     even: bool
 
-    def _require_even(self) -> None:
-        if not self.even:
-            raise OddFraming("this framing needs even framings on every component")
-
     @property
     def delta(self) -> TotalDefect:
         """Restriction of the unique framing of the 2-handlebody."""
-        self._require_even()
+        if not self.even:
+            raise OddFraming("this framing needs even framings on every component")
         return TotalDefect(self.chi, -3 * self.sigma)
 
     @property
     def epsilon_h(self) -> int:
         """Defect of the honest framing delta + chi sigma."""
-        self._require_even()
-        return 2 * self.chi - 3 * self.sigma
+        return act(self.delta, FramingOffset(0, self.chi)).h
 
     @property
     def phi_n(self) -> TotalDefect:
         """Stable framing built from n sigma twists on the 0-handle."""
-        self._require_even()
-        return TotalDefect(self.chi - self.n, 2 * self.n - 3 * self.sigma)
+        return act(self.delta, FramingOffset(0, self.n))
 
     @property
     def honest_plus_h(self) -> int:
         """Honest framing glued from the right Lie framing plus n rho twists."""
-        self._require_even()
-        return 4 * self.n + 2 * self.chi - 3 * self.sigma
+        return act(self.delta, FramingOffset(self.n, self.chi)).h
 
     @property
     def honest_minus_h(self) -> int:
         """Honest framing glued from the left Lie framing plus n rho twists."""
-        self._require_even()
-        return 4 * self.n - 2 * self.chi - 3 * self.sigma
+        return act(self.delta, FramingOffset(self.n, -self.chi)).h
 
     @property
-    def phi_half_tau(self) -> TotalDefect | None:
-        """The n = tau/2 stable framing, with defect (chi - tau/2, tau - 3 sigma);
-        absent when tau is odd (impossible for even links)."""
-        self._require_even()
-        if self.tau % 2:
-            return None
-        half = self.tau // 2
-        return TotalDefect(self.chi - half, 2 * half - 3 * self.sigma)
+    def phi_half_tau(self) -> TotalDefect:
+        """The n = tau/2 stable framing, with defect (chi - tau/2, tau - 3 sigma)."""
+        return act(self.delta, FramingOffset(0, self.tau // 2))
 
     @property
     def freed_gompf_h(self) -> int:

@@ -29,14 +29,15 @@ def symmetric_int_matrices(draw, max_size=6, min_size=0, lo=-5, hi=5):
 
 @st.composite
 def degenerate_symmetric_matrices(draw, max_block=4, lo=-5, hi=5):
-    """Symmetric matrices that drive every zero-pivot repair of a symmetric
-    elimination, under a random simultaneous permutation of rows and columns.
+    """Symmetric matrices that drive both zero-pivot outcomes of a symmetric
+    elimination, the row-and-column repair and the radical skip, under a
+    random simultaneous permutation of rows and columns.
 
     The block sum of A (nonzero diagonal), a zero block and H (zero
-    diagonal), plus copies of some rows and columns of A.  Pivoting spends
-    A first; the copies then leave zero rows behind it, and H meets a
-    vanishing diagonal that only the hyperbolic repair can pivot on, with
-    the zero rows as radical directions in between.
+    diagonal), plus copies of some rows and columns of A.  The zero block
+    gives zero rows, and so do the copies once the rows they copy are
+    eliminated; H has a vanishing diagonal that only the repair can pivot
+    on, and zero pivots elsewhere are repaired against the rest.
     """
     a = draw(symmetric_int_matrices(max_size=max_block, lo=lo, hi=hi))
     h = draw(symmetric_int_matrices(max_size=max_block, lo=lo, hi=hi))

@@ -66,6 +66,9 @@ class TestIntMatrix:
     def test_determinant_with_zero_pivot(self):
         m = IntMatrix.from_rows([[0, 1], [1, 0]])
         assert m.det() == -1
+        assert IntMatrix.from_rows([[0, 2], [3, 0]]).det() == -6
+        assert IntMatrix.from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]]).det() == -1
+        assert IntMatrix.from_rows([[0, 1], [0, 2]]).det() == 0
 
     @given(int_matrices(max_rows=5, max_cols=5))
     def test_determinant_matches_rational_gauss(self, rows):
@@ -203,6 +206,7 @@ class TestExactSignature:
     def test_hyperbolic_plane(self):
         assert exact_signature([[0, 1], [1, 0]]) == 0
         assert exact_signature([[0, 3], [3, 0]]) == 0
+        assert exact_signature([[0, 1], [1, -2]]) == 0  # 2b + a[k][k] = 0: s = -1
 
     def test_zero_rows_are_skipped(self):
         assert exact_signature([[0, 0, 0], [0, 5, 0], [0, 0, -2]]) == 0

@@ -328,6 +328,17 @@ class TestNaturalFramings:
         nat = natural_framings(link)
         assert act(nat.delta, FramingOffset(0, nat.chi)) == TotalDefect(0, nat.epsilon_h)
 
+    @given(even_framed_links(), st.integers(-6, 6))
+    def test_even_framings_have_their_closed_form_defects(self, link, n):
+        chi, sigma, tau = basic_invariants(link)
+        nat = natural_framings(link, n)
+        assert nat.delta == TotalDefect(chi, -3 * sigma)
+        assert nat.epsilon_h == 2 * chi - 3 * sigma
+        assert nat.phi_n == TotalDefect(chi - n, 2 * n - 3 * sigma)
+        assert nat.honest_plus_h == 4 * n + 2 * chi - 3 * sigma
+        assert nat.honest_minus_h == 4 * n - 2 * chi - 3 * sigma
+        assert nat.phi_half_tau == TotalDefect(chi - tau // 2, tau - 3 * sigma)
+
     @given(even_framed_links())
     def test_surgery_two_framing_splits_both_ways(self, link):
         half = natural_framings(link, natural_framings(link).tau // 2)
