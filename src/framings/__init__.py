@@ -74,10 +74,8 @@ from .quotients import (
     OCTAHEDRAL,
     TETRAHEDRAL,
     FiniteSubgroup,
-    FixedPointData,
     binary_dihedral,
     cyclic,
-    fixed_point_data,
     g_signature_local,
     lens_canonical_offset,
     lens_signature_defect,

@@ -59,11 +59,9 @@ def fiber_framing_defect(bundle: CircleBundle) -> int:
     is the 3-torus, whose fiber framing bounds in a punctured elliptic
     surface with -2 chi - 3 sigma = 0; we return that value directly.
     """
-    _validate(bundle)
+    if bundle.euler:
+        sign = 1 if bundle.euler > 0 else -1
+        return disk_bundle_p1(bundle) - 3 * sign
     if not fiber_framing_exists(bundle):
-        raise NoFiberFraming(
-            f"euler class {bundle.euler} does not divide chi = {bundle.chi}")
-    if bundle.euler == 0:
-        return 0
-    sign = 1 if bundle.euler > 0 else -1
-    return disk_bundle_p1(bundle) - 3 * sign
+        raise NoFiberFraming(f"euler class 0 does not divide chi = {bundle.chi}")
+    return 0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -177,11 +178,10 @@ def cmd_canonical(args: argparse.Namespace) -> dict:
              ("epsilon_L", TotalDefect(0, nat.epsilon_h)),
              ("phi_L", nat.phi_half_tau)]
     lam = defects.lambda_class(nat.delta)
-    # One canonical target for the classes 0 and +-1, both signs for 2.
-    targets = [-2, 2] if lam.value == 2 else [lam.representative]
+    canonical = sorted(defects.canonical_set(lam))
     offsets = []
     for name, defect in named:
-        for target in targets:
+        for target in (p.h for p in canonical if p.d == 0):
             off = defects.canonical_offset(defect, target)
             offsets.append({"framing": name, "defect": list(defect),
                             "m_rho": off.m_rho, "n_sigma": off.n_sigma, "target": target,
@@ -190,7 +190,7 @@ def cmd_canonical(args: argparse.Namespace) -> dict:
         "name": doc.name,
         "lambda_mod4": lam.value,
         "lambda_representative": lam.representative,
-        "canonical_set": [list(p) for p in sorted(defects.canonical_set(lam))],
+        "canonical_set": [list(p) for p in canonical],
         "offsets": offsets,
     }
 
@@ -392,7 +392,10 @@ def main(argv: list[str] | None = None) -> int:
     except FramingError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ParseError) else 3
-    print(output)
+    try:
+        print(output, flush=True)
+    except BrokenPipeError:  # the reader closed stdout; keep the flush at exit quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 1 if payload.get("all_ok") is False else 0
 
 

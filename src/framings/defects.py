@@ -12,9 +12,10 @@ lattice points minimizing the norm 2|d| + |h|.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Union
+from typing import Iterable, NamedTuple
 
 from .errors import LambdaMismatch, NonIntegralDefect
 
@@ -33,27 +34,20 @@ class FramingOffset(NamedTuple):
 
 @dataclass(frozen=True)
 class LambdaClass:
-    """A residue mod 4; 2 and -2 name the same class."""
+    """A residue mod 4 of an int or a LambdaClass; 2 and -2 name the same class."""
 
     value: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % 4)
+        object.__setattr__(self, "value", operator.index(self.value) % 4)
 
     @property
     def representative(self) -> int:
         """The representative in {-1, 0, 1, 2}."""
         return -1 if self.value == 3 else self.value
 
-    def __int__(self) -> int:
+    def __index__(self) -> int:
         return self.value
-
-
-LambdaLike = Union[LambdaClass, int]
-
-
-def _as_lambda(k: LambdaLike) -> LambdaClass:
-    return k if isinstance(k, LambdaClass) else LambdaClass(int(k))
 
 
 def act(p: TotalDefect, off: FramingOffset) -> TotalDefect:
@@ -66,8 +60,8 @@ def lambda_class(p: TotalDefect) -> LambdaClass:
     return LambdaClass(2 * p.d + p.h)
 
 
-def in_lattice(p: TotalDefect, k: LambdaLike) -> bool:
-    return lambda_class(p) == _as_lambda(k)
+def in_lattice(p: TotalDefect, k: LambdaClass | int) -> bool:
+    return lambda_class(p) == LambdaClass(k)
 
 
 def defect_norm(p: TotalDefect) -> int:
@@ -75,14 +69,14 @@ def defect_norm(p: TotalDefect) -> int:
     return 2 * abs(p.d) + abs(p.h)
 
 
-def canonical_set(k: LambdaLike) -> frozenset[TotalDefect]:
+def canonical_set(k: LambdaClass | int) -> frozenset[TotalDefect]:
     """All minimal-norm points of the lattice with invariant k.
 
     Found by brute-force search.  Every class contains (0, rep) with
     |rep| <= 2, so minimizers have norm at most 2 and a search window of
     norm <= 4 is more than enough.
     """
-    lam = _as_lambda(k)
+    lam = LambdaClass(k)
     candidates = [TotalDefect(d, h)
                   for d in range(-2, 3) for h in range(-4, 5)
                   if 2 * abs(d) + abs(h) <= 4 and (2 * d + h) % 4 == lam.value]
@@ -151,10 +145,10 @@ def canonical_two_framing_offset(h_phi: int) -> int:
     return -h_phi
 
 
-def splits_as_double(k: LambdaLike) -> bool:
+def splits_as_double(k: LambdaClass | int) -> bool:
     """Whether the canonical 2-framing is a double 2*phi of a single honest
     framing canonical in a spin structure of the given class."""
-    return _as_lambda(k).value == 0
+    return LambdaClass(k).value == 0
 
 
 def splits_as_sum(s_m: int) -> bool:

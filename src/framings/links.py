@@ -6,19 +6,20 @@ produces a closed oriented 3-manifold bounding the 2-handlebody whose
 intersection form is Q, and everything computed here (homology of the
 result, characteristic sublinks, mu and lambda invariants, the defects of
 the framings the handlebody hands down to its boundary) is a function of
-that matrix alone.
+that matrix alone.  The spin structures are walked once, in Gray-code
+order, and one parity test of Q x decides whether a sublink is
+characteristic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .defects import FramingOffset, LambdaClass, TotalDefect, act
+from .defects import FramingOffset, LambdaClass, TotalDefect, act, boundary_defect
 from .errors import NotCharacteristic, NotSymmetric, OddFraming
-from .exactmath import (Gf2Solution, IntMatrix, exact_signature, smith_normal_form,
-                        solve_gf2)
+from .exactmath import IntMatrix, exact_signature, smith_normal_form, solve_gf2
 
 
 @dataclass(frozen=True)
@@ -158,21 +159,39 @@ def characteristic_sublinks(link: FramedLink,
     """All sublinks C with lk(C, K_i) = Q_ii mod 2 for every component i.
 
     These index the spin structures of the surgered manifold; there are
-    exactly 2**r of them, the solutions of Q x = diag(Q) over GF(2).  They
-    are visited by one Gray-code walk (see _gray_code_walk), which gives
-    each C.C in O(1); each visited sublink is checked characteristic in
-    O(n) from the integer vector Q x the walk keeps.  Results are sorted by
-    ascending bitmask.  Arf invariants are looked up in arf_table by
-    bitmask, defaulting to 0 with arf_assumed set.
+    exactly 2**r of them, the solutions x = particular + span(kernel) of
+    Q x = diag(Q) over GF(2).  One Gray-code walk visits them: consecutive
+    x differ by the kernel vector whose index is the number of trailing
+    zeros of the step count.  Setting x_i adds 2 y_i + Q_ii to C.C = x^T Q x
+    and column i to y = Q x; clearing it subtracts 2 y_i - Q_ii and the
+    column, y_i read before the update.  A step costs O(n) per component
+    toggled, and each sublink is checked characteristic in O(n) from the
+    parity of y.  Results are sorted by ascending bitmask.  Arf invariants
+    are looked up in arf_table by bitmask, defaulting to 0 with arf_assumed set.
     """
     q = link.matrix
+    rows = q.entries  # Q is symmetric: column i is row i
     diagonal = q.diagonal()
     parity = [d & 1 for d in diagonal]
+    solution = solve_gf2(q, list(diagonal))
+    x = list(solution.particular)
+    y = _times_q(rows, x)
+    cc = sum(v for v, bit in zip(y, x) if bit)
+    toggles = [[i for i, bit in enumerate(v) if bit] for v in solution.kernel]
     out = []
-    for x, y, cc in _gray_code_walk(q, solve_gf2(q, list(diagonal))):
+    for step in range(1 << len(toggles)):
+        if step:
+            for i in toggles[(step & -step).bit_length() - 1]:
+                column = rows[i]
+                if x[i]:
+                    cc -= 2 * y[i] - column[i]
+                    y = [a - b for a, b in zip(y, column)]
+                else:
+                    cc += 2 * y[i] + column[i]
+                    y = [a + b for a, b in zip(y, column)]
+                x[i] ^= 1
         members = frozenset(compress(range(len(x)), x))
-        if [v & 1 for v in y] != parity:
-            raise NotCharacteristic(f"sublink {sorted(members)} is not characteristic")
+        _require_characteristic(y, parity, members)
         bits = "".join("1" if bit else "0" for bit in x)
         if arf_table is not None and bits in arf_table:
             arf, assumed = arf_table[bits], False
@@ -183,43 +202,15 @@ def characteristic_sublinks(link: FramedLink,
     return out
 
 
-def _gray_code_walk(q: IntMatrix,
-                    solution: Gf2Solution) -> Iterator[tuple[list[int], list[int], int]]:
-    """Visit every x in particular + span(kernel), yielding (x, Q x, x^T Q x).
-
-    Consecutive x differ by one kernel vector, the one whose index is the
-    number of trailing zeros of the step count (binary reflected Gray
-    code).  Adding it toggles its components one at a time: setting x_i
-    adds 2 y_i + Q_ii to x^T Q x and column i to y = Q x, clearing it
-    subtracts 2 y_i - Q_ii and the column, y_i read before the update.  A
-    step thus costs O(n) per component toggled.  The yielded lists are
-    updated in place by the next step.
-    """
-    rows = q.entries  # Q is symmetric: column i is row i
-    x = list(solution.particular)
-    y = [sum(v for v, bit in zip(row, x) if bit) for row in rows]
-    cc = sum(v for v, bit in zip(y, x) if bit)
-    yield x, y, cc
-    toggles = [[i for i, bit in enumerate(v) if bit] for v in solution.kernel]
-    for step in range(1, 1 << len(toggles)):
-        for i in toggles[(step & -step).bit_length() - 1]:
-            column = rows[i]
-            if x[i]:
-                cc -= 2 * y[i] - column[i]
-                y[:] = [a - b for a, b in zip(y, column)]
-            else:
-                cc += 2 * y[i] + column[i]
-                y[:] = [a + b for a, b in zip(y, column)]
-            x[i] ^= 1
-        yield x, y, cc
+def _times_q(rows: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
+    """Q x for a 0/1 vector x, Q given by its rows."""
+    return [sum(v for v, bit in zip(row, x) if bit) for row in rows]
 
 
-def _require_characteristic(q: IntMatrix, c: Sublink) -> None:
-    n = q.rows
-    bits = [1 if i in c.members else 0 for i in range(n)]
-    for i in range(n):
-        if (sum(q[i, j] * bits[j] for j in range(n)) - q[i, i]) % 2:
-            raise NotCharacteristic(f"sublink {sorted(c.members)} is not characteristic")
+def _require_characteristic(y: list[int], parity: list[int], members: frozenset[int]) -> None:
+    """The sublink is characteristic when y = Q x has the parity of diag(Q)."""
+    if [v & 1 for v in y] != parity:
+        raise NotCharacteristic(f"sublink {sorted(members)} is not characteristic")
 
 
 def _mu(sigma: int, c: Sublink) -> int:
@@ -229,8 +220,10 @@ def _mu(sigma: int, c: Sublink) -> int:
 def mu_invariant(link: FramedLink, c: Sublink) -> int:
     """mu of the spin structure named by the characteristic sublink c:
     sigma - C.C + 8 Arf(C), as a residue mod 16."""
-    _require_characteristic(link.matrix, c)
-    return _mu(exact_signature(link.matrix), c)
+    q = link.matrix
+    x = [1 if i in c.members else 0 for i in range(q.rows)]
+    _require_characteristic(_times_q(q.entries, x), [d & 1 for d in q.diagonal()], c.members)
+    return _mu(exact_signature(q), c)
 
 
 def lambda_from_mu(r: int, mu: int) -> LambdaClass:
@@ -272,7 +265,7 @@ class NaturalFramings:
         """Restriction of the unique framing of the 2-handlebody."""
         if not self.even:
             raise OddFraming("this framing needs even framings on every component")
-        return TotalDefect(self.chi, -3 * self.sigma)
+        return boundary_defect(self.chi, self.sigma)
 
     @property
     def epsilon_h(self) -> int:

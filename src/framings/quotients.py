@@ -11,14 +11,15 @@ fixed-point cotangent sums, which serves as a numerical oracle.
 Angles are carried as exact rational multiples of pi, integer pairs
 (p, q) standing for p/q; they become floats only in the final evaluation
 of each cotangent term.  The brute-force sum streams them one element at
-a time and never holds the |G| angles at once.
+a time and never holds the |G| angles at once.  g_signature_local takes
+the angle pairs of one diffeomorphism's fixed points directly.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -205,40 +206,26 @@ def lens_signature_defect(m: int) -> Fraction:
     return Fraction((m - 1) * (m - 2), 3)
 
 
-@dataclass(frozen=True)
-class FixedPointData:
-    """Fixed-point data for one orientation-preserving diffeomorphism of a
-    closed 4-manifold: isolated points rotating orthogonal planes through
-    (alpha, beta) and fixed surfaces with self-intersection F.F whose
-    normal planes rotate through gamma.  Angles are multiples of pi in the
-    open interval (0, 2)."""
-
-    isolated_points: tuple[tuple[Fraction, Fraction], ...] = field(default=())
-    surfaces: tuple[tuple[int, Fraction], ...] = field(default=())
-
-
-def fixed_point_data(points: Sequence[tuple[Fraction | int | str, Fraction | int | str]] = (),
-                     surfaces: Sequence[tuple[int, Fraction | int | str]] = ()) -> FixedPointData:
-    """Convenience constructor coercing angle entries to Fraction."""
-    return FixedPointData(
-        tuple((Fraction(a), Fraction(b)) for a, b in points),
-        tuple((int(ff), Fraction(g)) for ff, g in surfaces))
-
-
 def _check_angle(t: Fraction) -> None:
     if not 0 < t < 2:
         raise DegenerateAngle(f"angle multiplier {t} outside the open interval (0, 2)")
 
 
-def g_signature_local(fp: FixedPointData) -> float:
+def g_signature_local(points: Sequence[tuple[Fraction | int | str, Fraction | int | str]] = (),
+                      surfaces: Sequence[tuple[int, Fraction | int | str]] = ()) -> float:
     """The fixed-point formula for the g-signature:
-    -sum cot(alpha/2) cot(beta/2) + sum F.F csc^2(gamma/2)."""
+    -sum cot(alpha/2) cot(beta/2) + sum F.F csc^2(gamma/2), over isolated
+    points rotating two planes through (alpha, beta) and fixed surfaces
+    (F.F, gamma) whose normal planes rotate through gamma.  Angles are
+    multiples of pi in (0, 2), each read through Fraction, e.g. "1/2"."""
     total = 0.0
-    for alpha, beta in fp.isolated_points:
+    for alpha, beta in points:
+        alpha, beta = Fraction(alpha), Fraction(beta)
         _check_angle(alpha)
         _check_angle(beta)
         total -= _cot(float(alpha) * math.pi / 2) * _cot(float(beta) * math.pi / 2)
-    for self_int, gamma in fp.surfaces:
+    for self_int, gamma in surfaces:
+        gamma = Fraction(gamma)
         _check_angle(gamma)
         total += self_int / math.sin(float(gamma) * math.pi / 2) ** 2
     return total

@@ -34,6 +34,9 @@ class TestExistence:
     def test_negative_genus_rejected(self):
         with pytest.raises(ValueError):
             fiber_framing_exists(CircleBundle(-1, 1))
+        for euler in (1, 0):
+            with pytest.raises(ValueError):
+                fiber_framing_defect(CircleBundle(-1, euler))
 
 
 class TestDefect:
@@ -52,6 +55,9 @@ class TestDefect:
     def test_no_framing(self):
         with pytest.raises(NoFiberFraming):
             fiber_framing_defect(CircleBundle(0, 3))
+        for genus in (0, 2):
+            with pytest.raises(NoFiberFraming):
+                fiber_framing_defect(CircleBundle(genus, 0))
 
     @pytest.mark.parametrize("bundle", VALID, ids=str)
     def test_conjugation(self, bundle):

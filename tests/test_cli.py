@@ -1,6 +1,8 @@
 """The command-line interface."""
 
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,6 +14,7 @@ from framings.cli import MAX_QUOTIENT_ORDER, load_link_document, main
 from framings.errors import ParseError
 
 LINKS = Path(__file__).resolve().parent.parent / "links"
+SRC = LINKS.parent / "src"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -152,6 +155,19 @@ class TestInvariantsCommand:
         code, out, err = run(capsys, "invariants", str(path))
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_a_closed_stdout_ends_quietly(self, tmp_path):
+        # The 12-component 0-framed unlink has 4096 spin structures, about
+        # 1 MB of JSON: the reader closes the pipe long before the write ends.
+        path = write_doc(tmp_path, {"matrix": [[0] * 12] * 12}, name="u12.json")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        with subprocess.Popen([sys.executable, "-m", "framings.cli", "invariants", path, "--json"],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert (proc.wait(timeout=60), stderr) == (0, b"")
 
     def test_json_output_is_deterministic(self, capsys):
         _, first, _ = run(capsys, "invariants", str(LINKS / "e8.json"), "--json")

@@ -40,6 +40,12 @@ class TestLambdaClass:
     def test_representatives(self):
         assert [LambdaClass(k).representative for k in range(4)] == [0, 1, 2, -1]
 
+    def test_accepts_a_class_and_rejects_non_integers(self):
+        assert LambdaClass(LambdaClass(7)).value == 3
+        assert canonical_set(LambdaClass(2)) == canonical_set(2)
+        with pytest.raises(TypeError):
+            LambdaClass(2.5)
+
 
 class TestAct:
     def test_sigma_turns_delta_into_hopf(self):

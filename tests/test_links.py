@@ -151,6 +151,9 @@ class TestMuInvariant:
     def test_not_characteristic(self):
         with pytest.raises(NotCharacteristic):
             mu_invariant(unknot(-5), sublink_of(unknot(-5), []))
+        link = chain_link(2)
+        with pytest.raises(NotCharacteristic, match=r"^sublink \[0\] is not characteristic$"):
+            mu_invariant(link, sublink_of(link, [0]))
 
     @pytest.mark.parametrize("m", range(2, 13, 2))
     def test_both_presentations_carry_the_same_mu_multiset(self, m):

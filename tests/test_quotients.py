@@ -20,7 +20,6 @@ from framings import (
     act,
     binary_dihedral,
     cyclic,
-    fixed_point_data,
     g_signature_local,
     lens_canonical_offset,
     lens_signature_defect,
@@ -167,27 +166,31 @@ class TestGSignatureLocal:
     @pytest.mark.parametrize("m,k", [(5, 1), (5, 2), (7, 3), (12, 5)])
     def test_equal_angle_point_gives_minus_cot_squared(self, m, k):
         angle = Fraction(2 * k, m)
-        value = g_signature_local(fixed_point_data(points=[(angle, angle)]))
+        value = g_signature_local(points=[(angle, angle)])
         expected = -(math.cos(k * math.pi / m) / math.sin(k * math.pi / m)) ** 2
         assert value == pytest.approx(expected, abs=1e-9)
 
     def test_zero_self_intersection_surface(self):
-        assert g_signature_local(fixed_point_data(surfaces=[(0, Fraction(1, 3))])) == 0.0
+        assert g_signature_local(surfaces=[(0, Fraction(1, 3))]) == 0.0
 
     def test_half_turn_contributes_nothing(self):
-        value = g_signature_local(fixed_point_data(points=[(1, 1)]))
+        value = g_signature_local(points=[(1, 1)])
         assert value == pytest.approx(0.0, abs=1e-12)
 
     def test_surface_term(self):
         # csc^2(pi/2) = 1, so the term is just the self-intersection.
-        value = g_signature_local(fixed_point_data(surfaces=[(3, 1)]))
+        value = g_signature_local(surfaces=[(3, 1)])
         assert value == pytest.approx(3.0, abs=1e-12)
+
+    def test_angles_may_be_strings(self):
+        assert g_signature_local(points=[("1/2", "3/2")]) == pytest.approx(1.0, abs=1e-12)
+        assert g_signature_local(surfaces=[(2, "1")]) == pytest.approx(2.0, abs=1e-12)
 
     def test_degenerate_angles_are_rejected(self):
         with pytest.raises(DegenerateAngle):
-            g_signature_local(fixed_point_data(points=[(0, 1)]))
+            g_signature_local(points=[(0, 1)])
         with pytest.raises(DegenerateAngle):
-            g_signature_local(fixed_point_data(surfaces=[(1, 2)]))
+            g_signature_local(surfaces=[(1, 2)])
 
     @pytest.mark.parametrize("m", range(2, 30))
     def test_cyclic_defect_assembly(self, m):
@@ -195,6 +198,6 @@ class TestGSignatureLocal:
         # down, so the signature defect is minus the sum of the local
         # g-signatures over the non-identity rotations.
         total = sum(
-            g_signature_local(fixed_point_data(points=[(Fraction(2 * k, m),) * 2]))
+            g_signature_local(points=[(Fraction(2 * k, m),) * 2])
             for k in range(1, m))
         assert -total == pytest.approx(float(lens_signature_defect(m)), abs=1e-6)
