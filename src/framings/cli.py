@@ -109,7 +109,7 @@ def cmd_invariants(args: argparse.Namespace) -> dict:
     nat, profile = report.framings, report.homology
     warnings: list[str] = []
     framings_json: dict = {"freed_gompf_h": nat.freed_gompf_h}
-    if link.is_even:
+    if nat.even:
         framings_json.update({
             "delta": list(nat.delta),
             "epsilon_h": nat.epsilon_h,
@@ -120,9 +120,9 @@ def cmd_invariants(args: argparse.Namespace) -> dict:
     return {
         "name": doc.name,
         "components": link.components,
-        "chi": report.chi,
-        "sigma": report.sigma,
-        "tau": report.tau,
+        "chi": nat.chi,
+        "sigma": nat.sigma,
+        "tau": nat.tau,
         "homology": {"betti1": profile.betti1, "torsion": list(profile.torsion),
                      "r": profile.r, "s": profile.s},
         "spin_structures": [_spin_json(s) for s in report.spin_structures],

@@ -3,18 +3,16 @@
 A framed link is recorded by its symmetric linking matrix Q: framings on
 the diagonal, pairwise linking numbers off it.  Surgery on the link
 produces a closed oriented 3-manifold bounding the 2-handlebody whose
-intersection form is Q, and everything computed here (homology of the
-result, characteristic sublinks, mu and lambda invariants, the defects of
-the framings the handlebody hands down to its boundary) is a function of
-that matrix alone.  The spin structures are walked once, in Gray-code
-order, and one parity test of Q x decides whether a sublink is
-characteristic.
+intersection form is Q, and everything computed here (homology, spin
+structures with their mu and lambda, the natural framings' defects) is a
+function of that matrix alone; each record stores each fact once.  The
+spin structures are walked once, in Gray-code order, and one parity test
+of Q x decides whether a sublink is characteristic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Mapping, Sequence
 
 from .defects import FramingOffset, LambdaClass, TotalDefect, act, boundary_defect
@@ -55,57 +53,57 @@ def unknot(framing: int) -> FramedLink:
     return FramedLink.from_rows([[framing]])
 
 
-def chain_link(components: int, framing: int = 2) -> FramedLink:
-    """A simple chain of unknots, consecutive components linking once.
-
-    With the default +2 framings, a chain of m-1 components presents the
-    lens space L(m, 1).
-    """
-    rows = [[0] * components for _ in range(components)]
-    for i in range(components):
-        rows[i][i] = framing
-        if i + 1 < components:
-            rows[i][i + 1] = rows[i + 1][i] = 1
-    return FramedLink.from_rows(rows)
-
-
-# Plumbing tree on eight vertices: a 7-chain with one extra vertex hung on
-# the fifth, all framings +2.  Its form is positive definite of determinant
-# one; surgery gives the Poincare homology sphere.
-_E8_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (4, 7))
-
-
-def e8_link() -> FramedLink:
-    rows = [[0] * 8 for _ in range(8)]
-    for i in range(8):
-        rows[i][i] = 2
-    for i, j in _E8_EDGES:
+def _plumbing(weights: Sequence[int], edges: Sequence[tuple[int, int]]) -> FramedLink:
+    """Unknots framed by weights, the two ends of each edge linking once."""
+    rows = [[0] * len(weights) for _ in weights]
+    for i, weight in enumerate(weights):
+        rows[i][i] = weight
+    for i, j in edges:
         rows[i][j] = rows[j][i] = 1
     return FramedLink.from_rows(rows)
 
 
+def chain_link(components: int) -> FramedLink:
+    """A simple chain of +2-framed unknots, consecutive components linking
+    once; a chain of m-1 components presents the lens space L(m, 1)."""
+    return _plumbing([2] * components, [(i, i + 1) for i in range(components - 1)])
+
+
+def e8_link() -> FramedLink:
+    """The +2-framed E8 plumbing, a 7-chain with a vertex hung on the fifth:
+    determinant one, so surgery gives the Poincare homology sphere."""
+    return _plumbing([2] * 8, [(i, i + 1) for i in range(6)] + [(4, 7)])
+
+
 @dataclass(frozen=True)
 class Sublink:
-    """A sublink C, its total self-intersection C.C and its Arf invariant.
+    """A sublink C by its bitmask (1 at each member), C.C and Arf invariant.
 
     Arf is a knot-theoretic invariant of the embedded sublink that the
     linking matrix does not determine; it is caller-supplied data and
     arf_assumed records whether the default 0 was silently used.
     """
 
-    members: frozenset[int]
+    bitmask: str
     self_intersection: int
     arf: int
     arf_assumed: bool
-    bitmask: str
 
     def __post_init__(self) -> None:
         if self.arf not in (0, 1):
             raise ValueError("arf must be 0 or 1")
 
+    @property
+    def members(self) -> frozenset[int]:
+        """The components of C, read off the bitmask."""
+        return frozenset(_members(self.bitmask))
 
-def sublink_of(link: FramedLink, members: Sequence[int] | frozenset[int],
-               arf: int = 0, arf_assumed: bool = False) -> Sublink:
+
+def _members(bitmask: str) -> list[int]:
+    return [i for i, bit in enumerate(bitmask) if bit == "1"]
+
+
+def sublink_of(link: FramedLink, members: Sequence[int] | frozenset[int], arf: int = 0) -> Sublink:
     """Build a Sublink of the given link, computing C.C and the bitmask."""
     chosen = frozenset(members)
     n = link.components
@@ -114,7 +112,7 @@ def sublink_of(link: FramedLink, members: Sequence[int] | frozenset[int],
     q = link.matrix
     cc = sum(q[i, j] for i in chosen for j in chosen)
     bits = "".join("1" if i in chosen else "0" for i in range(n))
-    return Sublink(chosen, cc, arf, arf_assumed, bits)
+    return Sublink(bits, cc, arf, False)
 
 
 @dataclass(frozen=True)
@@ -190,14 +188,13 @@ def characteristic_sublinks(link: FramedLink,
                     cc += 2 * y[i] + column[i]
                     y = [a + b for a, b in zip(y, column)]
                 x[i] ^= 1
-        members = frozenset(compress(range(len(x)), x))
-        _require_characteristic(y, parity, members)
         bits = "".join("1" if bit else "0" for bit in x)
+        _require_characteristic(y, parity, bits)
         if arf_table is not None and bits in arf_table:
             arf, assumed = arf_table[bits], False
         else:
             arf, assumed = 0, True
-        out.append(Sublink(members, cc, arf, assumed, bits))
+        out.append(Sublink(bits, cc, arf, assumed))
     out.sort(key=lambda c: c.bitmask)
     return out
 
@@ -207,10 +204,10 @@ def _times_q(rows: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
     return [sum(v for v, bit in zip(row, x) if bit) for row in rows]
 
 
-def _require_characteristic(y: list[int], parity: list[int], members: frozenset[int]) -> None:
+def _require_characteristic(y: list[int], parity: list[int], bitmask: str) -> None:
     """The sublink is characteristic when y = Q x has the parity of diag(Q)."""
     if [v & 1 for v in y] != parity:
-        raise NotCharacteristic(f"sublink {sorted(members)} is not characteristic")
+        raise NotCharacteristic(f"sublink {_members(bitmask)} is not characteristic")
 
 
 def _mu(sigma: int, c: Sublink) -> int:
@@ -221,8 +218,9 @@ def mu_invariant(link: FramedLink, c: Sublink) -> int:
     """mu of the spin structure named by the characteristic sublink c:
     sigma - C.C + 8 Arf(C), as a residue mod 16."""
     q = link.matrix
-    x = [1 if i in c.members else 0 for i in range(q.rows)]
-    _require_characteristic(_times_q(q.entries, x), [d & 1 for d in q.diagonal()], c.members)
+    members = c.members
+    x = [1 if i in members else 0 for i in range(q.rows)]
+    _require_characteristic(_times_q(q.entries, x), [d & 1 for d in q.diagonal()], c.bitmask)
     return _mu(exact_signature(q), c)
 
 
@@ -246,18 +244,17 @@ def spin_structures(link: FramedLink,
 
 @dataclass(frozen=True)
 class NaturalFramings:
-    """Defects of the framings a surgery presentation carries naturally.
+    """Defects of the framings a surgery presentation carries naturally,
+    each a function of (chi, sigma, tau) alone.
 
-    All fields except freed_gompf_h assume even framings on every
-    component (the handlebody is then parallelizable); accessing them on
-    an odd link raises OddFraming.  The parameter n counts the sigma
-    twists inserted on the 0-handle before gluing.
+    All but freed_gompf_h need even framings on every component (the
+    handlebody is then parallelizable) and raise OddFraming otherwise; n
+    counts the twists inserted on the 0-handle before gluing.
     """
 
     chi: int
     sigma: int
     tau: int
-    n: int
     even: bool
 
     @property
@@ -272,25 +269,22 @@ class NaturalFramings:
         """Defect of the honest framing delta + chi sigma."""
         return act(self.delta, FramingOffset(0, self.chi)).h
 
-    @property
-    def phi_n(self) -> TotalDefect:
+    def phi(self, n: int) -> TotalDefect:
         """Stable framing built from n sigma twists on the 0-handle."""
-        return act(self.delta, FramingOffset(0, self.n))
+        return act(self.delta, FramingOffset(0, n))
 
-    @property
-    def honest_plus_h(self) -> int:
+    def honest_plus_h(self, n: int) -> int:
         """Honest framing glued from the right Lie framing plus n rho twists."""
-        return act(self.delta, FramingOffset(self.n, self.chi)).h
+        return act(self.delta, FramingOffset(n, self.chi)).h
 
-    @property
-    def honest_minus_h(self) -> int:
+    def honest_minus_h(self, n: int) -> int:
         """Honest framing glued from the left Lie framing plus n rho twists."""
-        return act(self.delta, FramingOffset(self.n, -self.chi)).h
+        return act(self.delta, FramingOffset(n, -self.chi)).h
 
     @property
     def phi_half_tau(self) -> TotalDefect:
-        """The n = tau/2 stable framing, with defect (chi - tau/2, tau - 3 sigma)."""
-        return act(self.delta, FramingOffset(0, self.tau // 2))
+        """phi(tau/2), with defect (chi - tau/2, tau - 3 sigma)."""
+        return self.phi(self.tau // 2)
 
     @property
     def freed_gompf_h(self) -> int:
@@ -299,9 +293,9 @@ class NaturalFramings:
         return 2 * self.tau - 6 * self.sigma
 
 
-def natural_framings(link: FramedLink, n: int = 0) -> NaturalFramings:
+def natural_framings(link: FramedLink) -> NaturalFramings:
     chi, sigma, tau = basic_invariants(link)
-    return NaturalFramings(chi=chi, sigma=sigma, tau=tau, n=n, even=link.is_even)
+    return NaturalFramings(chi=chi, sigma=sigma, tau=tau, even=link.is_even)
 
 
 @dataclass(frozen=True)
@@ -309,27 +303,22 @@ class LinkAnalysis:
     """Everything the surgery calculus says about one link, computed with a
     single signature, a single Smith form and a single GF(2) solve."""
 
-    chi: int
-    sigma: int
-    tau: int
+    framings: NaturalFramings
     homology: HomologyProfile
     spin_structures: tuple[SpinStructureData, ...]
-    framings: NaturalFramings
 
 
 def analyze(link: FramedLink, arf_table: Mapping[str, int] | None) -> LinkAnalysis:
-    """chi, sigma, tau, homology, spin structures (Arf invariants looked up
-    in arf_table as in characteristic_sublinks) and natural framings (n = 0)
-    of a link, in one pass."""
-    chi, sigma, tau = basic_invariants(link)
+    """Natural framings (hence chi, sigma, tau), homology and spin
+    structures (Arf invariants looked up in arf_table as in
+    characteristic_sublinks) of a link, in one pass."""
+    framings = natural_framings(link)
     profile = homology(link)
     spins = []
     for c in characteristic_sublinks(link, arf_table):
-        mu = _mu(sigma, c)
+        mu = _mu(framings.sigma, c)
         spins.append(SpinStructureData(sublink=c, mu=mu, lam=lambda_from_mu(profile.r, mu)))
-    framings = NaturalFramings(chi=chi, sigma=sigma, tau=tau, n=0, even=link.is_even)
-    return LinkAnalysis(chi=chi, sigma=sigma, tau=tau, homology=profile,
-                        spin_structures=tuple(spins), framings=framings)
+    return LinkAnalysis(framings=framings, homology=profile, spin_structures=tuple(spins))
 
 
 def reverse_link_orientation(link: FramedLink) -> FramedLink:

@@ -153,8 +153,8 @@ def test_criterion_3_random_even_link_properties():
         chi, sigma, tau = (natural_framings(link).chi, natural_framings(link).sigma,
                            natural_framings(link).tau)
         # (a) the surgery 2-framing splits as a sum of the honest framings
-        assert (natural_framings(link, tau // 2).honest_plus_h
-                + natural_framings(link, 0).honest_minus_h) == 2 * tau - 6 * sigma
+        assert (natural_framings(link).honest_plus_h(tau // 2)
+                + natural_framings(link).honest_minus_h(0)) == 2 * tau - 6 * sigma
         # (b) lambda of the boundary framing matches the mu formula at C = {}
         delta = natural_framings(link).delta
         mu = mu_invariant(link, sublink_of(link, []))

@@ -57,11 +57,23 @@ class TestFramedLink:
 
     def test_chain_link_shape(self):
         assert chain_link(3).matrix.to_lists() == [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+        assert chain_link(0) == empty_link()
+        assert chain_link(1).matrix.to_lists() == [[2]]
 
     def test_e8_presents_a_homology_sphere(self):
         profile = homology(e8_link())
         assert profile.betti1 == 0 and profile.torsion == ()
         assert e8_link().matrix.det() == 1
+        assert e8_link().matrix.to_lists() == [
+            [2, 1, 0, 0, 0, 0, 0, 0],
+            [1, 2, 1, 0, 0, 0, 0, 0],
+            [0, 1, 2, 1, 0, 0, 0, 0],
+            [0, 0, 1, 2, 1, 0, 0, 0],
+            [0, 0, 0, 1, 2, 1, 0, 1],
+            [0, 0, 0, 0, 1, 2, 1, 0],
+            [0, 0, 0, 0, 0, 1, 2, 0],
+            [0, 0, 0, 0, 1, 0, 0, 2],
+        ]
 
 
 class TestBasicInvariants:
@@ -188,6 +200,7 @@ class TestGrayCodeWalk:
             assert c.self_intersection == sum(rows[i][j] for i in c.members for j in c.members)
             if c.bitmask in arf_table:
                 assert (c.arf, c.arf_assumed) == (arf_table[c.bitmask], False)
+                assert sublink_of(link, c.members, c.arf) == c
             else:
                 assert (c.arf, c.arf_assumed) == (0, True)
         spins = analyze(link, arf_table).spin_structures
@@ -234,7 +247,7 @@ class TestAnalyze:
 
     def test_e8(self):
         report = analyze(e8_link(), None)
-        assert (report.chi, report.sigma, report.tau) == (9, 8, 16)
+        assert (report.framings.chi, report.framings.sigma, report.framings.tau) == (9, 8, 16)
         assert report.framings.delta == TotalDefect(9, -24)
         assert [s.mu for s in report.spin_structures] == [8]
 
@@ -256,7 +269,9 @@ class TestAnalyze:
     def test_is_frozen(self):
         report = analyze(unknot(2), {"1": 1})
         with pytest.raises(AttributeError):
-            report.sigma = 0
+            report.framings = None
+        with pytest.raises(AttributeError):
+            report.framings.sigma = 0
 
     @given(framed_links(), st.data())
     @settings(max_examples=80)
@@ -264,7 +279,8 @@ class TestAnalyze:
         masks = [c.bitmask for c in characteristic_sublinks(link)]
         arf_table = {m: data.draw(st.integers(0, 1)) for m in masks}
         report = analyze(link, arf_table)
-        assert (report.chi, report.sigma, report.tau) == basic_invariants(link)
+        assert ((report.framings.chi, report.framings.sigma, report.framings.tau)
+                == basic_invariants(link))
         assert report.homology == homology(link)
         assert list(report.spin_structures) == spin_structures(link, arf_table)
         assert report.framings == natural_framings(link)
@@ -311,10 +327,12 @@ class TestNaturalFramings:
 
     def test_odd_framings_refuse_the_even_constructions(self):
         nat = natural_framings(unknot(-3))
-        for field in ("delta", "epsilon_h", "phi_n", "honest_plus_h",
-                      "honest_minus_h", "phi_half_tau"):
+        for field in ("delta", "epsilon_h", "phi_half_tau"):
             with pytest.raises(OddFraming):
                 getattr(nat, field)
+        for method in (nat.phi, nat.honest_plus_h, nat.honest_minus_h):
+            with pytest.raises(OddFraming):
+                method(0)
         assert nat.freed_gompf_h == 0  # 2 tau - 6 sigma = -6 + 6
 
     def test_lens_spaces_have_two_natural_defects(self):
@@ -322,9 +340,9 @@ class TestNaturalFramings:
 
     @given(even_framed_links())
     def test_phi_0_is_delta_and_phi_plus_0_is_epsilon(self, link):
-        nat = natural_framings(link, 0)
-        assert nat.phi_n == nat.delta
-        assert nat.honest_plus_h == nat.epsilon_h
+        nat = natural_framings(link)
+        assert nat.phi(0) == nat.delta
+        assert nat.honest_plus_h(0) == nat.epsilon_h
 
     @given(even_framed_links())
     def test_epsilon_is_delta_shifted_by_chi_sigmas(self, link):
@@ -334,21 +352,21 @@ class TestNaturalFramings:
     @given(even_framed_links(), st.integers(-6, 6))
     def test_even_framings_have_their_closed_form_defects(self, link, n):
         chi, sigma, tau = basic_invariants(link)
-        nat = natural_framings(link, n)
+        nat = natural_framings(link)
         assert nat.delta == TotalDefect(chi, -3 * sigma)
         assert nat.epsilon_h == 2 * chi - 3 * sigma
-        assert nat.phi_n == TotalDefect(chi - n, 2 * n - 3 * sigma)
-        assert nat.honest_plus_h == 4 * n + 2 * chi - 3 * sigma
-        assert nat.honest_minus_h == 4 * n - 2 * chi - 3 * sigma
+        assert nat.phi(n) == TotalDefect(chi - n, 2 * n - 3 * sigma)
+        assert nat.honest_plus_h(n) == 4 * n + 2 * chi - 3 * sigma
+        assert nat.honest_minus_h(n) == 4 * n - 2 * chi - 3 * sigma
         assert nat.phi_half_tau == TotalDefect(chi - tau // 2, tau - 3 * sigma)
 
     @given(even_framed_links())
     def test_surgery_two_framing_splits_both_ways(self, link):
-        half = natural_framings(link, natural_framings(link).tau // 2)
-        zero = natural_framings(link, 0)
-        target = zero.freed_gompf_h
-        assert half.honest_plus_h + zero.honest_minus_h == target
-        assert zero.honest_plus_h + half.honest_minus_h == target
+        nat = natural_framings(link)
+        half = nat.tau // 2
+        target = nat.freed_gompf_h
+        assert nat.honest_plus_h(half) + nat.honest_minus_h(0) == target
+        assert nat.honest_plus_h(0) + nat.honest_minus_h(half) == target
 
     @given(even_framed_links())
     @settings(max_examples=120)
