@@ -37,31 +37,49 @@ def fiber_framing_exists(bundle: CircleBundle) -> bool:
     return bundle.chi % bundle.euler == 0
 
 
+class FiberFraming(NamedTuple):
+    """The fiber-preserving framing of a circle bundle: the relative p1 of
+    the disk bundle (None for Euler class 0) and the Hirzebruch defect h."""
+
+    p1: int | None
+    h: int
+
+
+def fiber_framing(bundle: CircleBundle) -> FiberFraming | None:
+    """The fiber-preserving framing, or None when the bundle has none; the
+    genus and the divisibility are each checked once.
+
+    For nonzero Euler class n, p1 = (1 + chi/n)^2 n - 2 chi, and h is p1
+    minus three times the disk bundle's signature sign(n).  The
+    Euler-class-0 bundle over the torus is the 3-torus, whose fiber framing
+    bounds in a punctured elliptic surface with -2 chi - 3 sigma = 0; we
+    return h = 0 directly.
+    """
+    if not fiber_framing_exists(bundle):
+        return None
+    n, chi = bundle.euler, bundle.chi
+    if n == 0:
+        return FiberFraming(None, 0)
+    p1 = (1 + chi // n) ** 2 * n - 2 * chi
+    return FiberFraming(p1, p1 - 3 * (1 if n > 0 else -1))
+
+
+def _require(bundle: CircleBundle) -> FiberFraming:
+    framing = fiber_framing(bundle)
+    if framing is None:
+        raise NoFiberFraming(f"euler class {bundle.euler} does not divide chi = {bundle.chi}")
+    return framing
+
+
 def disk_bundle_p1(bundle: CircleBundle) -> int:
     """Relative p1 of the associated disk bundle with respect to the
-    fiber-preserving framing: (1 + chi/n)^2 n - 2 chi."""
-    _validate(bundle)
+    fiber-preserving framing."""
     if bundle.euler == 0:
+        _validate(bundle)
         raise ZeroEuler("p1 of the disk bundle needs a nonzero Euler class")
-    if not fiber_framing_exists(bundle):
-        raise NoFiberFraming(
-            f"euler class {bundle.euler} does not divide chi = {bundle.chi}")
-    n, chi = bundle.euler, bundle.chi
-    ratio = chi // n
-    return (1 + ratio) ** 2 * n - 2 * chi
+    return _require(bundle).p1
 
 
 def fiber_framing_defect(bundle: CircleBundle) -> int:
-    """Hirzebruch defect of the fiber-preserving framing.
-
-    For nonzero Euler class this is p1 of the disk bundle minus three
-    times its signature sign(n).  The Euler-class-0 bundle over the torus
-    is the 3-torus, whose fiber framing bounds in a punctured elliptic
-    surface with -2 chi - 3 sigma = 0; we return that value directly.
-    """
-    if bundle.euler:
-        sign = 1 if bundle.euler > 0 else -1
-        return disk_bundle_p1(bundle) - 3 * sign
-    if not fiber_framing_exists(bundle):
-        raise NoFiberFraming(f"euler class 0 does not divide chi = {bundle.chi}")
-    return 0
+    """Hirzebruch defect h of the fiber-preserving framing (see fiber_framing)."""
+    return _require(bundle).h

@@ -1,6 +1,10 @@
 """Command-line front end.
 
 Subcommands: invariants, canonical, quotient, bundle, cover, catalog.
+One table (`_commands`) declares each one's arguments, `cmd_*` and
+renderer.  `main` builds only the parser of the subcommand named first on
+the command line; any other argv (top-level help, `--version`, an unknown
+command) goes through the whole tree from `build_parser`.
 Link files are JSON documents with a symmetric integer linking matrix and
 an optional table of Arf invariants keyed by sublink bitmask.  Every
 command validates its input and returns one payload dict; `main` prints it
@@ -21,9 +25,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import NoReturn
+from typing import Callable, NamedTuple, NoReturn
 
-from . import bundles, catalog, defects, links, quotients
+from . import __version__, bundles, catalog, defects, links, quotients
 from .defects import LambdaClass, TotalDefect
 from .errors import FramingError, NotSymmetric, ParseError
 
@@ -263,11 +267,10 @@ def cmd_bundle(args: argparse.Namespace) -> dict:
     if args.genus < 0:
         raise ParseError("--genus must be nonnegative")
     bundle = bundles.CircleBundle(args.genus, args.euler)
-    exists = bundles.fiber_framing_exists(bundle)
-    h = bundles.fiber_framing_defect(bundle) if exists else None
-    p1 = bundles.disk_bundle_p1(bundle) if exists and bundle.euler != 0 else None
+    framing = bundles.fiber_framing(bundle)
+    p1, h = (None, None) if framing is None else framing
     return {"genus": bundle.genus, "euler": bundle.euler, "chi": bundle.chi,
-            "fiber_framing_exists": exists, "p1": p1, "h": h}
+            "fiber_framing_exists": framing is not None, "p1": p1, "h": h}
 
 
 def _bundle_text(payload: dict) -> list[str]:
@@ -338,54 +341,73 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"error: {message}\n")
 
 
+class _Command(NamedTuple):
+    help: str
+    arguments: tuple[tuple[str, dict], ...]  # (name, add_argument options) pairs
+    run: Callable[[argparse.Namespace], dict]
+    text: Callable[[dict], list[str]]
+
+
+def _commands() -> dict[str, _Command]:
+    """The subcommands in help order.  Built per call, so each entry holds the
+    module's current cmd_* and renderer, wrapped ones (perfbench's tracer) too."""
+    link_file = {"help": "link document (JSON)"}
+    return {
+        "invariants": _Command("invariants of a framed-link file", (("file", link_file),),
+                               cmd_invariants, _invariants_text),
+        "canonical": _Command("canonical framings and offsets", (
+            ("file", {"nargs": "?", **link_file}),
+            ("--lambda", {"dest": "lambda_class", "type": int,
+                          "help": "show the canonical set for this class instead"})),
+            cmd_canonical, _canonical_text),
+        "quotient": _Command("defects of quotients of the 3-sphere",
+                             (("group", {"help": "C<m>, D<m>, T, O or I"}),),
+                             cmd_quotient, _quotient_text),
+        "bundle": _Command("fiber framings of circle bundles", (
+            ("--genus", {"type": int, "required": True}),
+            ("--euler", {"type": int, "required": True})), cmd_bundle, _bundle_text),
+        "cover": _Command("pull a defect back along a finite cover", (
+            ("--defect", {"required": True, "help": "total defect 'd,h'"}),
+            ("--degree", {"type": int, "required": True}),
+            ("--sigma-pi", {"default": "0",
+                            "help": "signature defect, an integer or p/q, e.g. '722/3'"})),
+            cmd_cover, _cover_text),
+        "catalog": _Command("recompute the table of known values", (), cmd_catalog, _catalog_text),
+    }
+
+
+def _add_arguments(parser: argparse.ArgumentParser, command: _Command) -> argparse.ArgumentParser:
+    for name, options in command.arguments + (("--json", {"action": "store_true"}),):
+        parser.add_argument(name, **options)
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="framings",
         description="Degree and Hirzebruch-defect invariants of framings of "
                     "closed oriented 3-manifolds.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("invariants", help="invariants of a framed-link file")
-    p.add_argument("file", help="link document (JSON)")
-    p.set_defaults(func=cmd_invariants, text=_invariants_text)
-
-    p = sub.add_parser("canonical", help="canonical framings and offsets")
-    p.add_argument("file", nargs="?", help="link document (JSON)")
-    p.add_argument("--lambda", dest="lambda_class", type=int,
-                   help="show the canonical set for this class instead")
-    p.set_defaults(func=cmd_canonical, text=_canonical_text)
-
-    p = sub.add_parser("quotient", help="defects of quotients of the 3-sphere")
-    p.add_argument("group", help="C<m>, D<m>, T, O or I")
-    p.set_defaults(func=cmd_quotient, text=_quotient_text)
-
-    p = sub.add_parser("bundle", help="fiber framings of circle bundles")
-    p.add_argument("--genus", type=int, required=True)
-    p.add_argument("--euler", type=int, required=True)
-    p.set_defaults(func=cmd_bundle, text=_bundle_text)
-
-    p = sub.add_parser("cover", help="pull a defect back along a finite cover")
-    p.add_argument("--defect", required=True, help="total defect 'd,h'")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--sigma-pi", default="0",
-                   help="signature defect, an integer or p/q, e.g. '722/3'")
-    p.set_defaults(func=cmd_cover, text=_cover_text)
-
-    p = sub.add_parser("catalog", help="recompute the table of known values")
-    p.set_defaults(func=cmd_catalog, text=_catalog_text)
-
-    for p in sub.choices.values():
-        p.add_argument("--json", action="store_true")
+    for name, command in _commands().items():
+        _add_arguments(sub.add_parser(name, help=command.help), command)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    commands = _commands()
+    if argv and argv[0] in commands:  # build only the subparser build_parser() would use
+        command = commands[argv[0]]
+        args = _add_arguments(_Parser(prog=f"framings {argv[0]}"), command).parse_args(argv[1:])
+    else:  # no subcommand name first: help, --version, '--' or an error
+        args = build_parser().parse_args(argv)
+        command = commands[args.command]
     try:
-        payload = args.func(args)
+        payload = command.run(args)
         try:
             output = (json.dumps(payload, indent=2, sort_keys=True) if args.json
-                      else "\n".join(args.text(payload)))
+                      else "\n".join(command.text(payload)))
         except ValueError as exc:  # raised by int-to-str past sys.get_int_max_str_digits()
             raise ParseError("cannot print the result: an integer in it has more digits "
                              "than the interpreter converts to text") from exc

@@ -216,11 +216,18 @@ def _mu(sigma: int, c: Sublink) -> int:
 
 def mu_invariant(link: FramedLink, c: Sublink) -> int:
     """mu of the spin structure named by the characteristic sublink c:
-    sigma - C.C + 8 Arf(C), as a residue mod 16."""
+    sigma - C.C + 8 Arf(C), as a residue mod 16.  A c that is not a
+    sublink of this link (its bitmask is not n bits of 0 and 1, or its C.C
+    is not x^T Q x) raises ValueError."""
     q = link.matrix
-    members = c.members
-    x = [1 if i in members else 0 for i in range(q.rows)]
-    _require_characteristic(_times_q(q.entries, x), [d & 1 for d in q.diagonal()], c.bitmask)
+    if len(c.bitmask) != q.rows or not set(c.bitmask) <= {"0", "1"}:
+        raise ValueError(f"bitmask {c.bitmask!r} is not a {q.rows}-bit mask of 0 and 1")
+    x = [int(bit) for bit in c.bitmask]
+    y = _times_q(q.entries, x)
+    if c.self_intersection != sum(v for v, bit in zip(y, x) if bit):
+        raise ValueError(f"C.C = {c.self_intersection} is not that of sublink "
+                         f"{_members(c.bitmask)} of this link")
+    _require_characteristic(y, [d & 1 for d in q.diagonal()], c.bitmask)
     return _mu(exact_signature(q), c)
 
 

@@ -2,13 +2,15 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from framings import catalog
+from framings import __version__, bundles, catalog, cli
 from framings.catalog import CatalogEntry
 from framings.cli import MAX_QUOTIENT_ORDER, load_link_document, main
 from framings.errors import ParseError
@@ -368,11 +370,15 @@ def test_argparse_rejects_unknown_subcommands(capsys):
     assert capsys.readouterr().err.count("\n") == 1
 
 
-@pytest.mark.parametrize("argv", [
+USAGE_ERRORS = [
     ["cover", "--defect", "0,0", "--degree", "1x"],
     ["cover", "--defect", "0,0", "--degree", "9" * 5000],
     ["quotient"],
-], ids=["bad-int", "int-past-the-parse-limit", "missing-positional"])
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS,
+                         ids=["bad-int", "int-past-the-parse-limit", "missing-positional"])
 def test_usage_errors_exit_2_with_one_line(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:
         main(argv)
@@ -387,3 +393,71 @@ def test_help_still_prints_the_usage(capsys, argv):
         main(argv + ["--help"])
     assert excinfo.value.code == 0
     assert capsys.readouterr().out.startswith("usage: framings")
+
+
+def outcome(capsys, argv):
+    """(exit code, stdout, stderr) of main(argv), argparse's exits included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class _NothingIsACommand(dict):
+    """The command table with no name found in it, so that main parses every
+    argv with the whole tree from build_parser()."""
+
+    def __contains__(self, name):
+        return False
+
+
+COMMANDS = ["invariants", "canonical", "quotient", "bundle", "cover", "catalog"]
+
+
+@pytest.mark.parametrize("argv", [p.values[0] for p in _golden_cases()]
+                         + [[command, flag] for command in COMMANDS for flag in ("--help", "-h")]
+                         + [["--help"], [], ["frobnicate"], ["--json", "quotient", "C7"],
+                            ["--version"], ["quotient", "C7", "extra"], ["quotient", "--", "C7"],
+                            ["bundle", "--gen", "1", "--euler", "0"]]
+                         + USAGE_ERRORS)
+def test_one_subparser_answers_as_the_whole_tree(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    direct = outcome(capsys, argv)
+    commands = cli._commands
+    monkeypatch.setattr(cli, "_commands", lambda: _NothingIsACommand(commands()))
+    assert outcome(capsys, argv) == direct
+
+
+def test_the_command_table_is_the_help_list(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert list(cli._commands()) == COMMANDS
+    assert "{" + ",".join(COMMANDS) + "}" in outcome(capsys, ["--help"])[1]
+
+
+def test_main_without_argv_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["framings", "quotient", "C7", "--json"])
+    assert main() == 0
+    assert capsys.readouterr().out == (GOLDEN / "C7.quotient.json").read_text(encoding="utf-8")
+
+
+def test_version_prints_the_package_version(capsys):
+    assert outcome(capsys, ["--version"]) == (0, f"framings {__version__}\n", "")
+
+
+def test_package_version_is_the_pyproject_version():
+    pyproject = (LINKS.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert __version__ == re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+
+
+@pytest.mark.parametrize("genus, euler", [(0, 1), (0, 2), (0, 3), (1, 0), (2, 0), (3, -2)])
+def test_bundle_checks_the_genus_and_the_divisibility_once(capsys, monkeypatch, genus, euler):
+    calls = Counter()
+    for name in ("_validate", "fiber_framing_exists"):
+        def counted(bundle, name=name, real=getattr(bundles, name)):
+            calls[name] += 1
+            return real(bundle)
+        monkeypatch.setattr(bundles, name, counted)
+    assert run(capsys, "bundle", "--genus", str(genus), "--euler", str(euler))[0] == 0
+    assert calls == {"_validate": 1, "fiber_framing_exists": 1}

@@ -167,6 +167,16 @@ class TestMuInvariant:
         with pytest.raises(NotCharacteristic, match=r"^sublink \[0\] is not characteristic$"):
             mu_invariant(link, sublink_of(link, [0]))
 
+    @pytest.mark.parametrize("bitmask, cc", [("10", 7), ("1x", 7), ("x", -5), ("1", 7), ("", 0)],
+                             ids=["too-long", "bad-character", "not-a-bit", "wrong-cc", "empty"])
+    def test_rejects_a_sublink_of_another_link(self, bitmask, cc):
+        # unknot(-5) has one component and C.C = -5 for its only nonempty
+        # sublink; mu of that sublink is (-1 + 5) mod 16 = 4.
+        link = unknot(-5)
+        with pytest.raises(ValueError):
+            mu_invariant(link, framings.links.Sublink(bitmask, cc, 0, False))
+        assert mu_invariant(link, framings.links.Sublink("1", -5, 0, False)) == 4
+
     @pytest.mark.parametrize("m", range(2, 13, 2))
     def test_both_presentations_carry_the_same_mu_multiset(self, m):
         from_unknot = sorted(s.mu for s in spin_structures(unknot(-m)))
