@@ -7,9 +7,9 @@ the command line; any other argv (top-level help, `--version`, an unknown
 command) goes through the whole tree from `build_parser`.
 Link files are JSON documents with a symmetric integer linking matrix and
 an optional table of Arf invariants keyed by sublink bitmask.  Every
-command validates its input and returns one payload dict; `main` prints it
-as JSON under --json (identical inputs give byte-identical JSON) and
-otherwise as the text the command's renderer makes of it.
+command validates its input and returns one payload dict; `main` prints its
+renderer's text, or under --json ASCII-escaped JSON byte-identical to
+`json.dumps(payload, indent=2, sort_keys=True)`, joined by `_dumps` in one pass.
 
 Exit codes: 0 success, 1 `catalog` with a FAIL row, 2 parse or validation
 error, 3 mathematical precondition violation.
@@ -24,6 +24,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from typing import Callable, NamedTuple, NoReturn
 
@@ -95,7 +96,7 @@ def _pair_text(pair: list[int]) -> str:
 def _spin_json(spin: links.SpinStructureData) -> dict:
     return {
         "bitmask": spin.sublink.bitmask,
-        "members": sorted(spin.sublink.members),
+        "members": links._members(spin.sublink.bitmask),
         "self_intersection": spin.sublink.self_intersection,
         "arf": spin.sublink.arf,
         "arf_assumed": spin.sublink.arf_assumed,
@@ -394,6 +395,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _dumps(obj: object, pad: str = "\n") -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)` byte for byte, for obj with str keys."""
+    if type(obj) is int:  # most of a payload, so tested first
+        return repr(obj)  # ValueError past sys.get_int_max_str_digits()
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        ends, parts = "{}", [_quote(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items())]
+    elif isinstance(obj, (list, tuple)):
+        ends, parts = "[]", [_dumps(x, inner) for x in obj]
+    else:  # floats (NaN, +-Infinity) and int subclasses; TypeError for what JSON cannot hold
+        return json.dumps(obj)
+    return ends[0] + inner + ("," + inner).join(parts) + pad + ends[1] if parts else ends
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     commands = _commands()
@@ -406,8 +425,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         payload = command.run(args)
         try:
-            output = (json.dumps(payload, indent=2, sort_keys=True) if args.json
-                      else "\n".join(command.text(payload)))
+            output = _dumps(payload) if args.json else "\n".join(command.text(payload))
         except ValueError as exc:  # raised by int-to-str past sys.get_int_max_str_digits()
             raise ParseError("cannot print the result: an integer in it has more digits "
                              "than the interpreter converts to text") from exc

@@ -48,7 +48,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(rows)  # __post_init__ turns each row into a tuple
 
     @property
     def rows(self) -> int:

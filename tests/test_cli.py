@@ -6,9 +6,12 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from framings import __version__, bundles, catalog, cli
 from framings.catalog import CatalogEntry
@@ -175,6 +178,22 @@ class TestInvariantsCommand:
         _, first, _ = run(capsys, "invariants", str(LINKS / "e8.json"), "--json")
         _, second, _ = run(capsys, "invariants", str(LINKS / "e8.json"), "--json")
         assert first == second
+
+    # A 0-framed 10-component unlink (r = 10), and an even link with framings
+    # 0, +-2, 4, -4, 6 whose one odd linking number leaves r = 6.
+    @pytest.mark.parametrize("matrix, r", [
+        ([[0] * 10] * 10, 10),
+        ([[0, 1, 2, 0, 0, 0, 0, 0], [1, 2, 0, 0, 0, 0, 0, 0], [2, 0, -2, 0, 0, 0, 0, 0],
+          [0, 0, 0, 4, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, -4, 0, 0],
+          [0, 0, 0, 0, 0, 0, 2, 0], [0, 0, 0, 0, 0, 0, 0, 6]], 6),
+    ], ids=["unlink10", "mixed-even"])
+    def test_many_spin_rows_render_as_json_dumps_indent_2(self, capsys, tmp_path, matrix, r):
+        path = write_doc(tmp_path, {"name": "snowman \u2603 \"q\"", "matrix": matrix})
+        code, out, _ = run(capsys, "invariants", path, "--json")
+        payload = json.loads(out)
+        assert code == 0 and payload["homology"]["r"] == r
+        assert len(payload["spin_structures"]) == 2 ** r
+        assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 class TestCanonicalCommand:
@@ -354,6 +373,42 @@ def _golden_cases():
             for stem, argv in cases] + [
             pytest.param(argv, f"{stem}.txt", id=stem.replace(".", "-") + "-text")
             for stem, argv in cases]
+
+
+_text = st.lists(st.characters() | st.characters(categories=["Cs"])
+                 | st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "\U0001f600"])
+                 ).map("".join)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(2 ** 64, 2 ** 200).map(lambda n: -n)
+    | st.integers(2 ** 64, 2 ** 200) | st.floats() | st.sampled_from([-0.0, float("nan")]) | _text,
+    lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                   | st.dictionaries(_text, inner, max_size=4)),
+    max_leaves=25)
+
+
+@settings(max_examples=400)
+@given(_json_values)
+def test_json_renderer_is_json_dumps_indent_2(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}, {"rows": [{"x": Fraction(1, 3)}]}],
+                         ids=["fraction", "set", "nested"])
+def test_json_renderer_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._dumps(value)
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this Python has no integer-to-text limit")
+@pytest.mark.parametrize("wrap", [lambda n: n, lambda n: [0, -n], lambda n: {"k": {"n": n}}],
+                         ids=["bare", "list", "dict"])
+def test_json_renderer_raises_value_error_past_the_print_limit(wrap):
+    # main turns this ValueError into exit 2 with one line on stderr.
+    with pytest.raises(ValueError):
+        cli._dumps(wrap(10 ** sys.get_int_max_str_digits()))
 
 
 @pytest.mark.parametrize("argv, golden", _golden_cases())

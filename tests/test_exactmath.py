@@ -1,8 +1,10 @@
 """The exact linear-algebra kernel."""
 
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -35,12 +37,17 @@ def test_rational_is_reduced_with_positive_denominator():
 
 class TestIntMatrix:
     def test_rejects_ragged_rows(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^matrix rows have unequal lengths$"):
             IntMatrix.from_rows([[1, 2], [3]])
 
     def test_rejects_non_integers(self):
         with pytest.raises(TypeError):
             IntMatrix((((Fraction(1, 2)),),))
+
+    @pytest.mark.parametrize("entry", [2.7, np.int64(3)], ids=["float", "numpy"])
+    def test_from_rows_rejects_non_integers(self, entry):
+        with pytest.raises(TypeError, match=f"^non-integer matrix entry {re.escape(repr(entry))}$"):
+            IntMatrix.from_rows([[entry]])
 
     @pytest.mark.parametrize("entry", [True, False])
     def test_rejects_bools(self, entry):
