@@ -19,9 +19,7 @@ from .defects import (
     boundary_defect,
     canonical_offset,
     canonical_set,
-    canonical_two_framing_offset,
     defect_norm,
-    glue,
     in_lattice,
     lambda_class,
     lens_double_splits,
@@ -29,7 +27,6 @@ from .defects import (
     reverse_orientation,
     splits_as_double,
     splits_as_sum,
-    two_framing_sum,
 )
 from .errors import (
     DegenerateAngle,
@@ -47,7 +44,6 @@ from .errors import (
 from .exactmath import (
     Gf2Solution,
     IntMatrix,
-    Rational,
     SmithForm,
     exact_signature,
     smith_normal_form,

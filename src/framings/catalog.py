@@ -7,15 +7,14 @@ up as a FAIL row in `framings catalog` and as a test failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import bundles, defects, links, quotients
 from .defects import FramingOffset
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     key: str
     description: str
     value: object
@@ -131,7 +130,7 @@ def build_catalog() -> list[CatalogEntry]:
     add("canonical.lambda2", "canonical defects for lambda = 2",
         sorted(map(list, defects.canonical_set(2))), [[-1, 0], [0, -2], [0, 2], [1, 0]])
     add("two_framing.s3", "canonical 2-framing of the 3-sphere as the sum of the Hopf framings",
-        defects.two_framing_sum(2, -2), 0)
+        hopf_plus.h + defects.reverse_orientation(hopf_plus).h, 0)
     add("two_framing.e8", "surgery 2-framing defect of the E8 presentation",
         e8.framings.freed_gompf_h, -16)
 

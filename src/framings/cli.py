@@ -22,7 +22,6 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -33,8 +32,7 @@ from .defects import LambdaClass, TotalDefect
 from .errors import FramingError, NotSymmetric, ParseError
 
 
-@dataclass(frozen=True)
-class LinkDocument:
+class LinkDocument(NamedTuple):
     name: str
     link: links.FramedLink
     arf_table: dict[str, int]

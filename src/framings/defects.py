@@ -13,9 +13,8 @@ lattice points minimizing the norm 2|d| + |h|.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .errors import LambdaMismatch, NonIntegralDefect
 
@@ -32,14 +31,16 @@ class FramingOffset(NamedTuple):
     n_sigma: int
 
 
-@dataclass(frozen=True)
-class LambdaClass:
+class LambdaClass(NamedTuple("LambdaClass", [("value", int)])):
     """A residue mod 4 of an int or a LambdaClass; 2 and -2 name the same class."""
 
-    value: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", operator.index(self.value) % 4)
+    def __new__(cls, value: LambdaClass | int) -> LambdaClass:
+        return super().__new__(cls, operator.index(value) % 4)
+
+    # _replace builds through _make, which would otherwise skip __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def representative(self) -> int:
@@ -122,27 +123,6 @@ def pullback_cover(p: TotalDefect, r: int, sigma_pi: Fraction | int = 0) -> Tota
         raise NonIntegralDefect(
             f"{r}*{p.h} + 3*({sigma_pi}) = {corrected} is not an integer")
     return TotalDefect(r * p.d, int(corrected))
-
-
-def glue(parts: Iterable[tuple[int, int]], chi_region: int) -> tuple[int, int]:
-    """Combine (degree, p1) data of framed 4-manifold pieces glued along a
-    region of Euler characteristic chi_region: degrees add and drop chi,
-    relative p1 is additive."""
-    parts = list(parts)
-    if not parts:
-        raise ValueError("gluing needs at least one piece")
-    return (sum(d for d, _ in parts) - chi_region, sum(p1 for _, p1 in parts))
-
-
-def two_framing_sum(h1: int, h2: int) -> int:
-    """Defect of a Whitney sum of framings: relative p1 is additive."""
-    return h1 + h2
-
-
-def canonical_two_framing_offset(h_phi: int) -> int:
-    """Multiples of sigma turning the doubled framing into the defect-0
-    2-framing: doubling gives defect 2 h, each sigma adds 2."""
-    return -h_phi
 
 
 def splits_as_double(k: LambdaClass | int) -> bool:

@@ -11,44 +11,39 @@ exact at any input size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .errors import NotSymmetric, Unsolvable
-
-# Exact rational scalar used throughout the library (signature defects of
-# coverings, fractional corrections in covering formulas).  Fraction
-# already keeps the denominator positive and the pair fully reduced.
-Rational = Fraction
 
 MatrixLike = Union["IntMatrix", Sequence[Sequence[int]]]
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(NamedTuple("IntMatrix", [("entries", tuple[tuple[int, ...], ...])])):
     """Immutable integer matrix stored as a tuple of row tuples.
 
     The 0x0 matrix is legal and represents the empty presentation
     (surgery on the empty link, i.e. the 3-sphere).
     """
 
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(tuple(row) for row in self.entries))
-        widths = {len(row) for row in self.entries}
-        if len(widths) > 1:
+    def __new__(cls, entries: Sequence[Sequence[int]]) -> IntMatrix:
+        entries = tuple(tuple(row) for row in entries)
+        if len({len(row) for row in entries}) > 1:
             raise ValueError("matrix rows have unequal lengths")
-        for row in self.entries:
+        for row in entries:
             for x in row:
                 if not isinstance(x, int) or isinstance(x, bool):
                     raise TypeError(f"non-integer matrix entry {x!r}")
+        return super().__new__(cls, entries)
+
+    # _replace builds through _make, which would otherwise skip __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        return cls(rows)  # __post_init__ turns each row into a tuple
+        return cls(rows)  # __new__ turns each row into a tuple
 
     @property
     def rows(self) -> int:
@@ -119,14 +114,13 @@ def as_int_matrix(m: MatrixLike) -> IntMatrix:
     return IntMatrix.from_rows(m)
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(NamedTuple("SmithForm", [("invariant_factors", tuple[int, ...])])):
     """Invariant factors d1 | d2 | ... | dr followed by zeros."""
 
-    invariant_factors: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        fs = self.invariant_factors
+    def __new__(cls, invariant_factors: tuple[int, ...]) -> SmithForm:
+        fs = invariant_factors
         for a, b in zip(fs, fs[1:]):
             if a < 0 or b < 0:
                 raise ValueError("invariant factors must be nonnegative")
@@ -134,6 +128,9 @@ class SmithForm:
                 raise ValueError("zero invariant factors must come last")
             if a != 0 and b != 0 and b % a:
                 raise ValueError("invariant factors must form a divisibility chain")
+        return super().__new__(cls, invariant_factors)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def rank(self) -> int:
@@ -232,8 +229,7 @@ def exact_signature(q: MatrixLike) -> int:
     return signature
 
 
-@dataclass(frozen=True)
-class Gf2Solution:
+class Gf2Solution(NamedTuple):
     """Affine solution set of a GF(2) system: particular + kernel basis."""
 
     particular: tuple[int, ...]

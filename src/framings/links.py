@@ -12,23 +12,25 @@ of Q x decides whether a sublink is characteristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .defects import FramingOffset, LambdaClass, TotalDefect, act, boundary_defect
 from .errors import NotCharacteristic, NotSymmetric, OddFraming
 from .exactmath import IntMatrix, exact_signature, smith_normal_form, solve_gf2
 
 
-@dataclass(frozen=True)
-class FramedLink:
+class FramedLink(NamedTuple("FramedLink", [("matrix", IntMatrix)])):
     """A framed link, known only through its linking matrix."""
 
-    matrix: IntMatrix
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.matrix.is_symmetric():
+    def __new__(cls, matrix: IntMatrix) -> FramedLink:
+        if not matrix.is_symmetric():
             raise NotSymmetric("a linking matrix must be square and symmetric")
+        return super().__new__(cls, matrix)
+
+    # _replace builds through _make, which would otherwise skip __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "FramedLink":
@@ -75,8 +77,8 @@ def e8_link() -> FramedLink:
     return _plumbing([2] * 8, [(i, i + 1) for i in range(6)] + [(4, 7)])
 
 
-@dataclass(frozen=True)
-class Sublink:
+class Sublink(NamedTuple("Sublink", [("bitmask", str), ("self_intersection", int),
+                                      ("arf", int), ("arf_assumed", bool)])):
     """A sublink C by its bitmask (1 at each member), C.C and Arf invariant.
 
     Arf is a knot-theoretic invariant of the embedded sublink that the
@@ -84,19 +86,14 @@ class Sublink:
     arf_assumed records whether the default 0 was silently used.
     """
 
-    bitmask: str
-    self_intersection: int
-    arf: int
-    arf_assumed: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.arf not in (0, 1):
+    def __new__(cls, bitmask: str, self_intersection: int, arf: int, arf_assumed: bool) -> Sublink:
+        if arf not in (0, 1):
             raise ValueError("arf must be 0 or 1")
+        return super().__new__(cls, bitmask, self_intersection, arf, arf_assumed)
 
-    @property
-    def members(self) -> frozenset[int]:
-        """The components of C, read off the bitmask."""
-        return frozenset(_members(self.bitmask))
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
 
 def _members(bitmask: str) -> list[int]:
@@ -115,8 +112,7 @@ def sublink_of(link: FramedLink, members: Sequence[int] | frozenset[int], arf: i
     return Sublink(bits, cc, arf, False)
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(NamedTuple):
     """First homology of the surgered manifold: Betti number, torsion
     coefficients, and the mod-2 ranks r of H1 and s of its torsion part."""
 
@@ -126,8 +122,7 @@ class HomologyProfile:
     s: int
 
 
-@dataclass(frozen=True)
-class SpinStructureData:
+class SpinStructureData(NamedTuple):
     """A spin structure of the surgered manifold, indexed by its
     characteristic sublink, with its mu (mod 16) and lambda (mod 4)."""
 
@@ -249,8 +244,7 @@ def spin_structures(link: FramedLink,
     return list(analyze(link, arf_table).spin_structures)
 
 
-@dataclass(frozen=True)
-class NaturalFramings:
+class NaturalFramings(NamedTuple):
     """Defects of the framings a surgery presentation carries naturally,
     each a function of (chi, sigma, tau) alone.
 
@@ -305,8 +299,7 @@ def natural_framings(link: FramedLink) -> NaturalFramings:
     return NaturalFramings(chi=chi, sigma=sigma, tau=tau, even=link.is_even)
 
 
-@dataclass(frozen=True)
-class LinkAnalysis:
+class LinkAnalysis(NamedTuple):
     """Everything the surgery calculus says about one link, computed with a
     single signature, a single Smith form and a single GF(2) solve."""
 

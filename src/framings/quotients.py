@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .defects import FramingOffset, TotalDefect, act
 from .errors import DegenerateAngle, NonIntegralDefect
@@ -50,22 +49,24 @@ _POLYHEDRAL_CYCLIC = {
 }
 
 
-@dataclass(frozen=True)
-class FiniteSubgroup:
+class FiniteSubgroup(NamedTuple("FiniteSubgroup", [("family", str), ("m", int)])):
     """A finite subgroup of the unit quaternions, up to conjugacy."""
 
-    family: str
-    m: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILY_NAMES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.family == "C" and self.m < 1:
+    def __new__(cls, family: str, m: int = 0) -> FiniteSubgroup:
+        if family not in _FAMILY_NAMES:
+            raise ValueError(f"unknown family {family!r}")
+        if family == "C" and m < 1:
             raise ValueError("cyclic groups need m >= 1")
-        if self.family == "D" and self.m < 2:
+        if family == "D" and m < 2:
             raise ValueError("binary dihedral groups need m >= 2")
-        if self.family in "TOI" and self.m:
-            raise ValueError(f"family {self.family} takes no parameter")
+        if family in "TOI" and m:
+            raise ValueError(f"family {family} takes no parameter")
+        return super().__new__(cls, family, m)
+
+    # _replace builds through _make, which would otherwise skip __new__.
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def order(self) -> int:

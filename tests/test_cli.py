@@ -516,3 +516,14 @@ def test_bundle_checks_the_genus_and_the_divisibility_once(capsys, monkeypatch, 
         monkeypatch.setattr(bundles, name, counted)
     assert run(capsys, "bundle", "--genus", str(genus), "--euler", str(euler))[0] == 0
     assert calls == {"_validate": 1, "fiber_framing_exists": 1}
+
+
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_ast():
+    # Each of these modules costs a fresh process milliseconds to import.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    check = ("import sys, framings.cli; "
+             "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
+                            env=env, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")

@@ -16,9 +16,7 @@ from framings import (
     boundary_defect,
     canonical_offset,
     canonical_set,
-    canonical_two_framing_offset,
     defect_norm,
-    glue,
     in_lattice,
     lambda_class,
     lens_double_splits,
@@ -26,15 +24,16 @@ from framings import (
     reverse_orientation,
     splits_as_double,
     splits_as_sum,
-    two_framing_sum,
 )
 
+from records import assert_rejected, assert_round_trips
 from strategies import framing_offsets, total_defects
 
 
 class TestLambdaClass:
     def test_normalizes_mod_4(self):
         assert LambdaClass(-2) == LambdaClass(2)
+        assert hash(LambdaClass(-2)) == hash(LambdaClass(2))
         assert LambdaClass(7).value == 3
 
     def test_representatives(self):
@@ -45,6 +44,20 @@ class TestLambdaClass:
         assert canonical_set(LambdaClass(2)) == canonical_set(2)
         with pytest.raises(TypeError):
             LambdaClass(2.5)
+
+    @pytest.mark.parametrize("value, message", [
+        (2.5, "'float' object cannot be interpreted as an integer"),
+        ("1", "'str' object cannot be interpreted as an integer"),
+    ], ids=["float", "str"])
+    def test_every_build_runs_the_checks(self, value, message):
+        good = LambdaClass(1)
+        assert_rejected(good, {"value": value}, TypeError, message)
+        assert_round_trips(good)
+
+    def test_every_build_reduces_mod_4(self):
+        good = LambdaClass(1)
+        assert good._replace(value=9) == LambdaClass._make([9]) == LambdaClass(9) == good
+        assert good._replace(value=-2).value == 2
 
 
 class TestAct:
@@ -209,43 +222,6 @@ class TestPullbackCover:
             du, hu = up.d, up.h - 2
             assert du % m == 0 and hu % m == 0
             assert (2 * (du // m) + hu // m) % 4 == 0
-
-
-class TestGluing:
-    def test_single_piece(self):
-        assert glue([(1, 0)], 0) == (1, 0)
-
-    def test_degrees_add_along_solid_tori(self):
-        pieces = [(1, 0)] + [(1, 2)] * 3  # 0-handle plus three 2-handles
-        assert glue(pieces, 0) == (4, 6)
-
-    def test_two_pieces(self):
-        assert glue([(1, 0), (1, 2)], 0) == (2, 2)
-
-    def test_chi_of_the_region_is_subtracted(self):
-        assert glue([(2, 0), (2, 0)], 2) == (2, 0)
-
-    def test_empty_is_rejected(self):
-        with pytest.raises(ValueError):
-            glue([], 0)
-
-
-class TestTwoFramings:
-    def test_sphere_canonical_two_framing_is_hopf_sum(self):
-        assert two_framing_sum(2, -2) == 0
-
-    @given(st.integers(-50, 50))
-    def test_zero_is_neutral(self, h):
-        assert two_framing_sum(h, 0) == h
-
-    def test_canonical_offset_examples(self):
-        assert canonical_two_framing_offset(2) == -2
-        assert canonical_two_framing_offset(0) == 0
-        assert canonical_two_framing_offset(-6) == 6
-
-    @given(st.integers(-50, 50))
-    def test_offset_kills_the_doubled_defect(self, h):
-        assert 2 * h + 2 * canonical_two_framing_offset(h) == 0
 
 
 class TestSplittings:

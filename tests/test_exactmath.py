@@ -12,7 +12,7 @@ import hypothesis.strategies as st
 from framings import (
     IntMatrix,
     NotSymmetric,
-    Rational,
+    SmithForm,
     Unsolvable,
     exact_signature,
     smith_normal_form,
@@ -20,19 +20,13 @@ from framings import (
 )
 
 import oracles
+from records import assert_rejected, assert_round_trips
 from strategies import (
     congruent_diagonal_forms,
     degenerate_symmetric_matrices,
     int_matrices,
     symmetric_int_matrices,
 )
-
-
-def test_rational_is_reduced_with_positive_denominator():
-    x = Rational(6, -8)
-    assert (x.numerator, x.denominator) == (-3, 4)
-    y = x + Rational(3, 4)
-    assert (y.numerator, y.denominator) == (0, 1)
 
 
 class TestIntMatrix:
@@ -54,6 +48,23 @@ class TestIntMatrix:
         # bool is a subclass of int; accepting it would hand True back from to_lists().
         with pytest.raises(TypeError):
             IntMatrix.from_rows([[1, entry], [entry, 1]])
+
+    @pytest.mark.parametrize("entries, exc, message", [
+        (((1, 2), (3,)), ValueError, "matrix rows have unequal lengths"),
+        (((1, 2.5),), TypeError, "non-integer matrix entry 2.5"),
+        (((True,),), TypeError, "non-integer matrix entry True"),
+    ], ids=["ragged", "float", "bool"])
+    def test_every_build_runs_the_checks(self, entries, exc, message):
+        good = IntMatrix.from_rows([[1, 2], [2, 1]])
+        assert_rejected(good, {"entries": entries}, exc, message)
+        assert_round_trips(good)
+
+    def test_every_build_stores_tuple_rows(self):
+        good = IntMatrix(())
+        for built in (IntMatrix([[1, 2]]), good._replace(entries=[[1, 2]]),
+                      IntMatrix._make([[[1, 2]]])):
+            assert type(built.entries) is tuple and type(built.entries[0]) is tuple
+            assert built == IntMatrix(((1, 2),))
 
     def test_empty_matrix(self):
         m = IntMatrix(())
@@ -101,6 +112,16 @@ class TestSmithNormalForm:
     def test_rectangular(self):
         assert smith_normal_form([[2, 4, 6]]).invariant_factors == (2,)
         assert smith_normal_form([[2], [4], [6]]).invariant_factors == (2,)
+
+    @pytest.mark.parametrize("factors, message", [
+        ((1, -2), "invariant factors must be nonnegative"),
+        ((0, 2), "zero invariant factors must come last"),
+        ((2, 3), "invariant factors must form a divisibility chain"),
+    ], ids=["negative", "zero-first", "not-a-chain"])
+    def test_every_build_runs_the_checks(self, factors, message):
+        good = SmithForm((1, 2, 0))
+        assert_rejected(good, {"invariant_factors": factors}, ValueError, message)
+        assert_round_trips(good)
 
     def test_rank_and_kernel_rank(self):
         form = smith_normal_form([[2, 0, 0], [0, 0, 0], [0, 0, 6]])

@@ -8,9 +8,11 @@ from framings import (
     FramedLink,
     FramingOffset,
     Gf2Solution,
+    IntMatrix,
     NotCharacteristic,
     NotSymmetric,
     OddFraming,
+    Sublink,
     TotalDefect,
     act,
     analyze,
@@ -34,7 +36,13 @@ from framings import (
 
 import framings.links
 import oracles
+from records import assert_rejected, assert_round_trips
 from strategies import even_framed_links, framed_links, spin_test_links
+
+
+def members_of(c: Sublink) -> frozenset[int]:
+    """The components of the sublink c, read off its bitmask."""
+    return frozenset(i for i, bit in enumerate(c.bitmask) if bit == "1")
 
 
 class TestFramedLink:
@@ -49,6 +57,14 @@ class TestFramedLink:
     def test_bool_entries_are_refused(self):
         with pytest.raises(TypeError):
             FramedLink.from_rows([[True]])
+
+    @pytest.mark.parametrize("rows", [[[0, 1], [2, 0]], [[0, 1]]],
+                             ids=["asymmetric", "not-square"])
+    def test_every_build_runs_the_checks(self, rows):
+        good = chain_link(2)
+        assert_rejected(good, {"matrix": IntMatrix.from_rows(rows)}, NotSymmetric,
+                        "a linking matrix must be square and symmetric")
+        assert_round_trips(good)
 
     def test_evenness(self):
         assert chain_link(3).is_even
@@ -110,10 +126,18 @@ class TestHomology:
         assert profile.r == profile.s + profile.betti1
 
 
+class TestSublink:
+    @pytest.mark.parametrize("arf", [2, -1, None])
+    def test_every_build_runs_the_checks(self, arf):
+        good = sublink_of(chain_link(2), [1], arf=1)
+        assert_rejected(good, {"arf": arf}, ValueError, "arf must be 0 or 1")
+        assert_round_trips(good)
+
+
 class TestCharacteristicSublinks:
     def test_empty_sublink_is_characteristic_for_even_links(self):
         subs = characteristic_sublinks(chain_link(4))
-        assert subs[0].members == frozenset()
+        assert members_of(subs[0]) == frozenset()
         assert subs[0].bitmask == "0000"
 
     def test_even_surgery_on_an_unknot_has_two(self):
@@ -133,7 +157,7 @@ class TestCharacteristicSublinks:
     def test_matches_bruteforce_enumeration(self, link):
         rows = link.matrix.to_lists()
         expected = oracles.characteristic_subsets_bruteforce(rows)
-        got = {c.members for c in characteristic_sublinks(link)}
+        got = {members_of(c) for c in characteristic_sublinks(link)}
         assert got == expected
 
     @given(framed_links(max_components=6))
@@ -187,7 +211,7 @@ class TestMuInvariant:
     def test_arf_bit_shifts_mu_by_eight(self, link, pick):
         subs = characteristic_sublinks(link)
         c = subs[pick % len(subs)]
-        flipped = sublink_of(link, c.members, arf=1 - c.arf)
+        flipped = sublink_of(link, members_of(c), arf=1 - c.arf)
         assert (mu_invariant(link, flipped) - mu_invariant(link, c)) % 16 == 8
         assert mu_invariant(link, flipped) % 8 == mu_invariant(link, c) % 8
 
@@ -204,13 +228,13 @@ class TestGrayCodeWalk:
         subs = characteristic_sublinks(link, arf_table)
         assert [c.bitmask for c in subs] == masks
         assert all(a < b for a, b in zip(masks, masks[1:]))
-        assert {c.members for c in subs} == expected
+        assert {members_of(c) for c in subs} == expected
         for c in subs:
-            assert c.members == frozenset(i for i in range(n) if c.bitmask[i] == "1")
-            assert c.self_intersection == sum(rows[i][j] for i in c.members for j in c.members)
+            members = members_of(c)
+            assert c.self_intersection == sum(rows[i][j] for i in members for j in members)
             if c.bitmask in arf_table:
                 assert (c.arf, c.arf_assumed) == (arf_table[c.bitmask], False)
-                assert sublink_of(link, c.members, c.arf) == c
+                assert sublink_of(link, members, c.arf) == c
             else:
                 assert (c.arf, c.arf_assumed) == (0, True)
         spins = analyze(link, arf_table).spin_structures

@@ -31,6 +31,8 @@ from framings import (
 )
 from framings.quotients import _angle_pairs
 
+from records import assert_rejected, assert_round_trips
+
 COTANGENT_SUMS = Path(__file__).resolve().parent / "golden" / "cotangent_sums.json"
 
 ALL_FAMILIES = ([cyclic(m) for m in range(1, 9)]
@@ -49,6 +51,17 @@ class TestFiniteSubgroup:
             cyclic(0)
         with pytest.raises(ValueError):
             binary_dihedral(1)
+
+    @pytest.mark.parametrize("good, changes, message", [
+        (cyclic(3), {"family": "X"}, "unknown family 'X'"),
+        (cyclic(3), {"m": 0}, "cyclic groups need m >= 1"),
+        (binary_dihedral(2), {"m": 1}, "binary dihedral groups need m >= 2"),
+        (TETRAHEDRAL, {"m": 2}, "family T takes no parameter"),
+        (cyclic(3), {"family": "I"}, "family I takes no parameter"),
+    ], ids=["unknown", "cyclic", "dihedral", "polyhedral", "polyhedral-with-m"])
+    def test_every_build_runs_the_checks(self, good, changes, message):
+        assert_rejected(good, changes, ValueError, message)
+        assert_round_trips(good)
 
     def test_parse_group(self):
         assert parse_group("C5") == cyclic(5)
