@@ -8,7 +8,6 @@ the Hopf framing value (0, 2) every time).
 """
 
 import argparse
-from fractions import Fraction
 
 from framings import (
     ICOSAHEDRAL,
@@ -20,6 +19,7 @@ from framings import (
     quotient_framing_defect,
     sigma_g,
     sigma_g_bruteforce,
+    signature_defect,
 )
 
 
@@ -44,7 +44,7 @@ def main() -> None:
         error = abs(brute - closed)
         worst = max(worst, error)
         defect = quotient_framing_defect(group)
-        lifted = pullback_cover(defect, group.order, Fraction(closed, 3))
+        lifted = pullback_cover(defect, group.order, signature_defect(group))
         print(f"{group.label:>6}  {group.order:>4}  {closed:>9}  {brute:>14.6f}  "
               f"{error:>9.2e}  {str(tuple(defect)):>12}  {str(tuple(lifted)):>11}")
         assert lifted == (0, 2)

@@ -11,8 +11,9 @@ import argparse
 from framings import (
     act,
     analyze,
+    canonical_offset,
     cyclic,
-    lens_canonical_offset,
+    lambda_class,
     lens_double_splits,
     mu_representative,
     quotient_framing_defect,
@@ -30,7 +31,7 @@ def main() -> None:
     print("-" * len(header))
     for m in range(1, args.max + 1):
         defect = quotient_framing_defect(cyclic(m))
-        offset = lens_canonical_offset(m)
+        offset = canonical_offset(defect, lambda_class(defect).representative)
         landed = act(defect, offset)
         spins = [f"[{s.sublink.bitmask}] mu={mu_representative(s.mu):>2} "
                  f"lam={s.lam.representative:>2}"

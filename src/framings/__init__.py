@@ -6,10 +6,7 @@ bundles over surfaces."""
 from .bundles import (
     CircleBundle,
     FiberFraming,
-    disk_bundle_p1,
     fiber_framing,
-    fiber_framing_defect,
-    fiber_framing_exists,
 )
 from .defects import (
     FramingOffset,
@@ -32,14 +29,12 @@ from .errors import (
     DegenerateAngle,
     FramingError,
     LambdaMismatch,
-    NoFiberFraming,
     NonIntegralDefect,
     NotCharacteristic,
     NotSymmetric,
     OddFraming,
     ParseError,
     Unsolvable,
-    ZeroEuler,
 )
 from .exactmath import (
     Gf2Solution,
@@ -57,7 +52,6 @@ from .links import (
     SpinStructureData,
     Sublink,
     analyze,
-    basic_invariants,
     chain_link,
     characteristic_sublinks,
     e8_link,
@@ -68,7 +62,6 @@ from .links import (
     mu_representative,
     natural_framings,
     reverse_link_orientation,
-    spin_structures,
     sublink_of,
     unknot,
 )
@@ -80,12 +73,11 @@ from .quotients import (
     binary_dihedral,
     cyclic,
     g_signature_local,
-    lens_canonical_offset,
-    lens_signature_defect,
     parse_group,
     quotient_framing_defect,
     sigma_g,
     sigma_g_bruteforce,
+    signature_defect,
 )
 
 __version__ = "0.1.0"

@@ -7,7 +7,6 @@ up as a FAIL row in `framings catalog` and as a test failure.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import bundles, defects, links, quotients
@@ -86,9 +85,9 @@ def build_catalog() -> list[CatalogEntry]:
          for g in (quotients.TETRAHEDRAL, quotients.OCTAHEDRAL, quotients.ICOSAHEDRAL)],
         [-4, -5, -6])
     add("quotient.signature_defect.lens4", "signature defect (m-1)(m-2)/3 at m = 4",
-        str(quotients.lens_signature_defect(4)), "2")
+        str(quotients.signature_defect(quotients.cyclic(4))), "2")
     add("quotient.signature_defect.icosahedral", "signature defect of the Poincare sphere cover",
-        str(Fraction(quotients.sigma_g(quotients.ICOSAHEDRAL), 3)), "722/3")
+        str(quotients.signature_defect(quotients.ICOSAHEDRAL)), "722/3")
 
     # Surgery presentations, each analyzed once.
     k4 = links.analyze(links.unknot(-4), None)
@@ -110,15 +109,14 @@ def build_catalog() -> list[CatalogEntry]:
         links.natural_framings(links.empty_link()).epsilon_h, 2)
 
     # Circle bundles.
-    hopf = bundles.CircleBundle(0, 1)
+    hopf_fiber = bundles.fiber_framing(bundles.CircleBundle(0, 1))
     add("bundle.hopf.p1", "relative p1 of the disk bundle bounded by the Hopf fibration",
-        bundles.disk_bundle_p1(hopf), 5)
-    add("bundle.hopf.h", "defect of the Hopf fiber framing",
-        bundles.fiber_framing_defect(hopf), 2)
+        hopf_fiber.p1, 5)
+    add("bundle.hopf.h", "defect of the Hopf fiber framing", hopf_fiber.h, 2)
     add("bundle.so3", "defect of the fiber framing of the euler-2 bundle over the sphere",
-        bundles.fiber_framing_defect(bundles.CircleBundle(0, 2)), 1)
+        bundles.fiber_framing(bundles.CircleBundle(0, 2)).h, 1)
     add("bundle.t3", "defect of the fiber framing of the trivial bundle over the torus",
-        bundles.fiber_framing_defect(bundles.CircleBundle(1, 0)), 0)
+        bundles.fiber_framing(bundles.CircleBundle(1, 0)).h, 0)
 
     # Canonical sets and 2-framings.
     add("canonical.lambda0", "canonical defects for lambda = 0",

@@ -237,11 +237,11 @@ def cmd_quotient(args: argparse.Namespace) -> dict:
         "sigma_g": sigma,
         "sigma_g_bruteforce": brute,
         "bruteforce_abs_error": abs(brute - sigma),
-        "signature_defect": str(Fraction(sigma, 3)),
+        "signature_defect": str(quotients.signature_defect(group)),
         "defect": list(defect),
     }
     if group.family == "C":
-        off = quotients.lens_canonical_offset(group.m)
+        off = defects.canonical_offset(defect, defects.lambda_class(defect).representative)
         payload["canonical_offset_rho"] = off.m_rho
         payload["canonical_h"] = defects.act(defect, off).h
     return payload
@@ -284,15 +284,28 @@ def _bundle_text(payload: dict) -> list[str]:
     return lines
 
 
-# An integer or p/q.  Fraction also reads decimals and exponents, and it
-# expands '1e999999999' before any size check could refuse it.
-_RATIONAL = re.compile(r"\s*[-+]?\d+(/\d+)?\s*")
+# The one integer grammar of the command line: ASCII digits, spaces
+# around.  int() and Fraction also read '1_0' and non-ASCII digits, and
+# Fraction reads decimals and exponents, expanding '1e999999999' before
+# any size check could refuse it.
+_INTEGER = re.compile(r"\s*[-+]?[0-9]+\s*")
+_RATIONAL = re.compile(r"\s*[-+]?[0-9]+(/[0-9]+)?\s*")
+
+
+def _integer(text: str) -> int:
+    """int(text) for text in the integer grammar, else ValueError."""
+    if not _INTEGER.fullmatch(text):
+        raise ValueError(f"invalid integer value: {text!r}")
+    return int(text)
+
+
+_integer.__name__ = "integer"  # argparse names the type so: "invalid integer value"
 
 
 def cmd_cover(args: argparse.Namespace) -> dict:
     try:
         d_text, h_text = args.defect.split(",")
-        start = TotalDefect(int(d_text), int(h_text))
+        start = TotalDefect(_integer(d_text), _integer(h_text))
     except ValueError as exc:
         raise ParseError(f"--defect must look like 'd,h', got {args.defect!r}") from exc
     if args.degree < 1:
@@ -356,18 +369,18 @@ def _commands() -> dict[str, _Command]:
                                cmd_invariants, _invariants_text),
         "canonical": _Command("canonical framings and offsets", (
             ("file", {"nargs": "?", **link_file}),
-            ("--lambda", {"dest": "lambda_class", "type": int,
+            ("--lambda", {"dest": "lambda_class", "type": _integer,
                           "help": "show the canonical set for this class instead"})),
             cmd_canonical, _canonical_text),
         "quotient": _Command("defects of quotients of the 3-sphere",
                              (("group", {"help": "C<m>, D<m>, T, O or I"}),),
                              cmd_quotient, _quotient_text),
         "bundle": _Command("fiber framings of circle bundles", (
-            ("--genus", {"type": int, "required": True}),
-            ("--euler", {"type": int, "required": True})), cmd_bundle, _bundle_text),
+            ("--genus", {"type": _integer, "required": True}),
+            ("--euler", {"type": _integer, "required": True})), cmd_bundle, _bundle_text),
         "cover": _Command("pull a defect back along a finite cover", (
             ("--defect", {"required": True, "help": "total defect 'd,h'"}),
-            ("--degree", {"type": int, "required": True}),
+            ("--degree", {"type": _integer, "required": True}),
             ("--sigma-pi", {"default": "0",
                             "help": "signature defect, an integer or p/q, e.g. '722/3'"})),
             cmd_cover, _cover_text),

@@ -29,17 +29,9 @@ class NotCharacteristic(FramingError):
     """The given sublink fails the characteristic condition mod 2."""
 
 
-class NoFiberFraming(FramingError):
-    """The circle bundle admits no fiber-preserving framing."""
-
-
-class ZeroEuler(FramingError):
-    """Euler class zero: the associated disk bundle has no intersection sign."""
-
-
 class DegenerateAngle(FramingError):
-    """A rotation angle of 0 was supplied; the fixed-point formula needs
-    rotations with no fixed direction."""
+    """A rotation angle outside the open interval (0, 2 pi) was supplied; the
+    fixed-point formula needs rotations with no fixed direction."""
 
 
 class ParseError(FramingError):

@@ -41,10 +41,6 @@ class IntMatrix(NamedTuple("IntMatrix", [("entries", tuple[tuple[int, ...], ...]
     # _replace builds through _make, which would otherwise skip __new__.
     _make = classmethod(lambda cls, fields: cls(*fields))
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        return cls(rows)  # __new__ turns each row into a tuple
-
     @property
     def rows(self) -> int:
         return len(self.entries)
@@ -111,7 +107,7 @@ def _bareiss_block(a: list[list[int]], prev: int) -> list[list[int]]:
 def as_int_matrix(m: MatrixLike) -> IntMatrix:
     if isinstance(m, IntMatrix):
         return m
-    return IntMatrix.from_rows(m)
+    return IntMatrix(m)
 
 
 class SmithForm(NamedTuple("SmithForm", [("invariant_factors", tuple[int, ...])])):

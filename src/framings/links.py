@@ -34,7 +34,7 @@ class FramedLink(NamedTuple("FramedLink", [("matrix", IntMatrix)])):
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "FramedLink":
-        return cls(IntMatrix.from_rows(rows))
+        return cls(IntMatrix(rows))
 
     @property
     def components(self) -> int:
@@ -129,13 +129,6 @@ class SpinStructureData(NamedTuple):
     sublink: Sublink
     mu: int
     lam: LambdaClass
-
-
-def basic_invariants(link: FramedLink) -> tuple[int, int, int]:
-    """(chi, sigma, tau) of the 2-handlebody: Euler characteristic
-    1 + #components, exact signature, and trace of the linking matrix."""
-    q = link.matrix
-    return (link.components + 1, exact_signature(q), q.trace())
 
 
 def homology(link: FramedLink) -> HomologyProfile:
@@ -238,12 +231,6 @@ def mu_representative(mu: int) -> int:
     return ((mu + 7) % 16) - 7
 
 
-def spin_structures(link: FramedLink,
-                    arf_table: Mapping[str, int] | None = None) -> list[SpinStructureData]:
-    """Every spin structure of the surgered manifold with its invariants."""
-    return list(analyze(link, arf_table).spin_structures)
-
-
 class NaturalFramings(NamedTuple):
     """Defects of the framings a surgery presentation carries naturally,
     each a function of (chi, sigma, tau) alone.
@@ -295,8 +282,12 @@ class NaturalFramings(NamedTuple):
 
 
 def natural_framings(link: FramedLink) -> NaturalFramings:
-    chi, sigma, tau = basic_invariants(link)
-    return NaturalFramings(chi=chi, sigma=sigma, tau=tau, even=link.is_even)
+    """The natural framings of the 2-handlebody, from its Euler
+    characteristic 1 + #components, exact signature and the trace of the
+    linking matrix."""
+    q = link.matrix
+    return NaturalFramings(chi=link.components + 1, sigma=exact_signature(q), tau=q.trace(),
+                           even=link.is_even)
 
 
 class LinkAnalysis(NamedTuple):

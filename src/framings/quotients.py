@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .defects import FramingOffset, TotalDefect, act
+from .defects import TotalDefect
 from .errors import DegenerateAngle, NonIntegralDefect
 
 _FAMILY_NAMES = {
@@ -101,7 +101,7 @@ ICOSAHEDRAL = FiniteSubgroup("I")
 
 def parse_group(spec: str) -> FiniteSubgroup:
     """Parse a group spec: C<m>, D<m>, T, O or I."""
-    match = re.fullmatch(r"([CDTOI])(\d+)?", spec.strip())
+    match = re.fullmatch(r"([CDTOI])(\d+)?", spec.strip(), re.ASCII)
     if not match:
         raise ValueError(f"bad group spec {spec!r}; expected C<m>, D<m>, T, O or I")
     family, digits = match.groups()
@@ -121,6 +121,12 @@ def sigma_g(group: FiniteSubgroup) -> int:
     return {"C": m * m - 3 * m + 2,
             "D": 4 * m * m + 2,
             "T": 98, "O": 242, "I": 722}[group.family]
+
+
+def signature_defect(group: FiniteSubgroup) -> Fraction:
+    """Signature defect of the universal covering of the quotient, exactly
+    sigma(G) / 3."""
+    return Fraction(sigma_g(group), 3)
 
 
 def _angle_pairs(group: FiniteSubgroup) -> Iterator[tuple[int, int]]:
@@ -186,25 +192,6 @@ def quotient_framing_defect(group: FiniteSubgroup) -> TotalDefect:
         raise NonIntegralDefect(
             f"2 - sigma({group.label}) is not divisible by the group order")
     return TotalDefect(0, h)
-
-
-def lens_canonical_offset(m: int) -> FramingOffset:
-    """The rho multiple carrying the quotient framing of L(m, 1) to a
-    canonical framing: floor((m - 1) / 4) copies."""
-    if m < 1:
-        raise ValueError("lens parameter must be at least 1")
-    offset = FramingOffset((m - 1) // 4, 0)
-    landed = act(quotient_framing_defect(cyclic(m)), offset)
-    assert -1 <= landed.h <= 2, landed
-    return offset
-
-
-def lens_signature_defect(m: int) -> Fraction:
-    """Signature defect of the universal covering of L(m, 1), exactly
-    (m - 1)(m - 2) / 3."""
-    if m < 1:
-        raise ValueError("lens parameter must be at least 1")
-    return Fraction((m - 1) * (m - 2), 3)
 
 
 def _check_angle(t: Fraction) -> None:

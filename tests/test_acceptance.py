@@ -19,6 +19,7 @@ from framings import (
     FramingOffset,
     TotalDefect,
     act,
+    analyze,
     binary_dihedral,
     boundary_defect,
     canonical_offset,
@@ -26,10 +27,9 @@ from framings import (
     chain_link,
     characteristic_sublinks,
     cyclic,
-    disk_bundle_p1,
     e8_link,
     exact_signature,
-    fiber_framing_defect,
+    fiber_framing,
     homology,
     in_lattice,
     lambda_class,
@@ -43,7 +43,6 @@ from framings import (
     sigma_g,
     sigma_g_bruteforce,
     smith_normal_form,
-    spin_structures,
     sublink_of,
     unknot,
 )
@@ -86,7 +85,7 @@ def test_criterion_1_paper_fixture_suite():
     assert lambda_from_mu(3, 8).value == 0
     # With the three-component Arf bit supplied, one spin structure gets
     # mu = 8 (the Lie one) and the other seven get 0; all have lambda = 0.
-    spins = spin_structures(torus_presentation, {"111": 1})
+    spins = analyze(torus_presentation, {"111": 1}).spin_structures
     assert sorted(s.mu for s in spins) == [0] * 7 + [8]
     assert all(s.lam.value == 0 for s in spins)
 
@@ -116,8 +115,8 @@ def test_criterion_1_paper_fixture_suite():
     assert canonical_rhos == [1, 2]
 
     # The disk bundle bounded by the Hopf fibration.
-    assert disk_bundle_p1(CircleBundle(0, 1)) == 5
-    assert fiber_framing_defect(CircleBundle(0, 1)) == 2
+    assert fiber_framing(CircleBundle(0, 1)).p1 == 5
+    assert fiber_framing(CircleBundle(0, 1)).h == 2
 
     # Canonical sets, all four classes.
     assert canonical_set(0) == {TotalDefect(0, 0)}

@@ -32,7 +32,7 @@ from strategies import (
 class TestIntMatrix:
     def test_rejects_ragged_rows(self):
         with pytest.raises(ValueError, match="^matrix rows have unequal lengths$"):
-            IntMatrix.from_rows([[1, 2], [3]])
+            IntMatrix([[1, 2], [3]])
 
     def test_rejects_non_integers(self):
         with pytest.raises(TypeError):
@@ -41,13 +41,13 @@ class TestIntMatrix:
     @pytest.mark.parametrize("entry", [2.7, np.int64(3)], ids=["float", "numpy"])
     def test_from_rows_rejects_non_integers(self, entry):
         with pytest.raises(TypeError, match=f"^non-integer matrix entry {re.escape(repr(entry))}$"):
-            IntMatrix.from_rows([[entry]])
+            IntMatrix([[entry]])
 
     @pytest.mark.parametrize("entry", [True, False])
     def test_rejects_bools(self, entry):
         # bool is a subclass of int; accepting it would hand True back from to_lists().
         with pytest.raises(TypeError):
-            IntMatrix.from_rows([[1, entry], [entry, 1]])
+            IntMatrix([[1, entry], [entry, 1]])
 
     @pytest.mark.parametrize("entries, exc, message", [
         (((1, 2), (3,)), ValueError, "matrix rows have unequal lengths"),
@@ -55,7 +55,7 @@ class TestIntMatrix:
         (((True,),), TypeError, "non-integer matrix entry True"),
     ], ids=["ragged", "float", "bool"])
     def test_every_build_runs_the_checks(self, entries, exc, message):
-        good = IntMatrix.from_rows([[1, 2], [2, 1]])
+        good = IntMatrix([[1, 2], [2, 1]])
         assert_rejected(good, {"entries": entries}, exc, message)
         assert_round_trips(good)
 
@@ -73,7 +73,7 @@ class TestIntMatrix:
         assert m.is_symmetric()
 
     def test_basic_accessors(self):
-        m = IntMatrix.from_rows([[1, 2], [3, 4]])
+        m = IntMatrix([[1, 2], [3, 4]])
         assert m[0, 1] == 2
         assert m.diagonal() == (1, 4)
         assert m.trace() == 5
@@ -82,17 +82,17 @@ class TestIntMatrix:
         assert not m.is_symmetric()
 
     def test_determinant_with_zero_pivot(self):
-        m = IntMatrix.from_rows([[0, 1], [1, 0]])
+        m = IntMatrix([[0, 1], [1, 0]])
         assert m.det() == -1
-        assert IntMatrix.from_rows([[0, 2], [3, 0]]).det() == -6
-        assert IntMatrix.from_rows([[0, 0, 1], [0, 1, 0], [1, 0, 0]]).det() == -1
-        assert IntMatrix.from_rows([[0, 1], [0, 2]]).det() == 0
+        assert IntMatrix([[0, 2], [3, 0]]).det() == -6
+        assert IntMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]).det() == -1
+        assert IntMatrix([[0, 1], [0, 2]]).det() == 0
 
     @given(int_matrices(max_rows=5, max_cols=5))
     def test_determinant_matches_rational_gauss(self, rows):
         if len(rows) != (len(rows[0]) if rows else 0):
             return
-        assert IntMatrix.from_rows(rows).det() == oracles.det_fraction_gauss(rows)
+        assert IntMatrix(rows).det() == oracles.det_fraction_gauss(rows)
 
 
 class TestSmithNormalForm:
@@ -100,7 +100,7 @@ class TestSmithNormalForm:
         assert smith_normal_form([[2, 1], [1, 2]]).invariant_factors == (1, 3)
 
     def test_identity(self):
-        identity = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        identity = IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         assert smith_normal_form(identity).invariant_factors == (1, 1, 1)
 
     def test_zero_matrix(self):
@@ -302,7 +302,7 @@ class TestSolveGf2:
         assert sorted(_expand(sol)) == [(0,), (1,)]
 
     def test_identity_system(self):
-        identity = IntMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        identity = IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         sol = solve_gf2(identity, [1, 0, 1])
         assert sol.particular == (1, 0, 1)
         assert sol.kernel == ()

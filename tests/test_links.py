@@ -16,7 +16,6 @@ from framings import (
     TotalDefect,
     act,
     analyze,
-    basic_invariants,
     chain_link,
     characteristic_sublinks,
     e8_link,
@@ -29,7 +28,6 @@ from framings import (
     mu_representative,
     natural_framings,
     reverse_link_orientation,
-    spin_structures,
     sublink_of,
     unknot,
 )
@@ -38,6 +36,11 @@ import framings.links
 import oracles
 from records import assert_rejected, assert_round_trips
 from strategies import even_framed_links, framed_links, spin_test_links
+
+
+def chi_sigma_tau(link: FramedLink) -> tuple[int, int, int]:
+    nat = natural_framings(link)
+    return nat.chi, nat.sigma, nat.tau
 
 
 def members_of(c: Sublink) -> frozenset[int]:
@@ -62,7 +65,7 @@ class TestFramedLink:
                              ids=["asymmetric", "not-square"])
     def test_every_build_runs_the_checks(self, rows):
         good = chain_link(2)
-        assert_rejected(good, {"matrix": IntMatrix.from_rows(rows)}, NotSymmetric,
+        assert_rejected(good, {"matrix": IntMatrix(rows)}, NotSymmetric,
                         "a linking matrix must be square and symmetric")
         assert_round_trips(good)
 
@@ -94,14 +97,14 @@ class TestFramedLink:
 
 class TestBasicInvariants:
     def test_e8(self):
-        assert basic_invariants(e8_link()) == (9, 8, 16)
+        assert chi_sigma_tau(e8_link()) == (9, 8, 16)
 
     def test_empty_link_presents_the_sphere(self):
-        assert basic_invariants(empty_link()) == (1, 0, 0)
+        assert chi_sigma_tau(empty_link()) == (1, 0, 0)
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_lens_chain(self, m):
-        assert basic_invariants(chain_link(m - 1)) == (m, m - 1, 2 * (m - 1))
+        assert chi_sigma_tau(chain_link(m - 1)) == (m, m - 1, 2 * (m - 1))
 
 
 class TestHomology:
@@ -153,6 +156,14 @@ class TestCharacteristicSublinks:
         assert [(c.bitmask, c.arf, c.arf_assumed) for c in subs] == [
             ("0", 0, True), ("1", 1, False)]
 
+    @pytest.mark.xfail(strict=True, reason="the table's Arf 1 for the empty sublink is used "
+                                            "(see tests/test_cli.py)")
+    @pytest.mark.parametrize("link, key", [(unknot(-4), "0"), (empty_link(), "")],
+                             ids=["unknot-4", "empty"])
+    def test_refuses_arf_one_for_the_empty_sublink(self, link, key):
+        with pytest.raises(ValueError):
+            characteristic_sublinks(link, {key: 1})
+
     @given(framed_links(max_components=6))
     def test_matches_bruteforce_enumeration(self, link):
         rows = link.matrix.to_lists()
@@ -203,8 +214,8 @@ class TestMuInvariant:
 
     @pytest.mark.parametrize("m", range(2, 13, 2))
     def test_both_presentations_carry_the_same_mu_multiset(self, m):
-        from_unknot = sorted(s.mu for s in spin_structures(unknot(-m)))
-        from_chain = sorted(s.mu for s in spin_structures(chain_link(m - 1)))
+        from_unknot = sorted(s.mu for s in analyze(unknot(-m), None).spin_structures)
+        from_chain = sorted(s.mu for s in analyze(chain_link(m - 1), None).spin_structures)
         assert from_unknot == from_chain
 
     @given(framed_links(max_components=5), st.integers(0, 31))
@@ -259,15 +270,10 @@ def _count_kernel_calls(monkeypatch) -> dict[str, int]:
 
 
 class TestSpinStructures:
-    def test_signature_and_smith_form_are_computed_once(self, monkeypatch):
-        calls = _count_kernel_calls(monkeypatch)
-        assert len(spin_structures(FramedLink.from_rows([[0] * 4] * 4))) == 16
-        assert calls == {"exact_signature": 1, "smith_normal_form": 1, "solve_gf2": 1}
-
     @given(framed_links())
     @settings(max_examples=50)
     def test_agrees_with_mu_invariant(self, link):
-        for spin in spin_structures(link):
+        for spin in analyze(link, None).spin_structures:
             assert spin.mu == mu_invariant(link, spin.sublink)
             assert spin.lam == lambda_from_mu(homology(link).r, spin.mu)
 
@@ -296,8 +302,6 @@ class TestAnalyze:
             with pytest.raises(NotCharacteristic):
                 analyze(link, None)
             with pytest.raises(NotCharacteristic):
-                spin_structures(link)
-            with pytest.raises(NotCharacteristic):
                 characteristic_sublinks(link)
 
     def test_is_frozen(self):
@@ -313,11 +317,13 @@ class TestAnalyze:
         masks = [c.bitmask for c in characteristic_sublinks(link)]
         arf_table = {m: data.draw(st.integers(0, 1)) for m in masks}
         report = analyze(link, arf_table)
-        assert ((report.framings.chi, report.framings.sigma, report.framings.tau)
-                == basic_invariants(link))
-        assert report.homology == homology(link)
-        assert list(report.spin_structures) == spin_structures(link, arf_table)
         assert report.framings == natural_framings(link)
+        assert report.homology == homology(link)
+        assert ([s.sublink for s in report.spin_structures]
+                == characteristic_sublinks(link, arf_table))
+        for spin in report.spin_structures:
+            assert spin.mu == mu_invariant(link, spin.sublink)
+            assert spin.lam == lambda_from_mu(report.homology.r, spin.mu)
 
 
 class TestLambdaFromMu:
@@ -385,7 +391,7 @@ class TestNaturalFramings:
 
     @given(even_framed_links(), st.integers(-6, 6))
     def test_even_framings_have_their_closed_form_defects(self, link, n):
-        chi, sigma, tau = basic_invariants(link)
+        chi, sigma, tau = chi_sigma_tau(link)
         nat = natural_framings(link)
         assert nat.delta == TotalDefect(chi, -3 * sigma)
         assert nat.epsilon_h == 2 * chi - 3 * sigma
@@ -414,7 +420,7 @@ class TestNaturalFramings:
 class TestReverseOrientation:
     def test_e8(self):
         reversed_link = reverse_link_orientation(e8_link())
-        assert basic_invariants(reversed_link)[1] == -8
+        assert chi_sigma_tau(reversed_link)[1] == -8
         assert natural_framings(reversed_link).delta == TotalDefect(9, 24)
 
     def test_empty(self):
@@ -428,7 +434,7 @@ class TestReverseOrientation:
 
     @given(even_framed_links(max_components=6))
     def test_conjugates_the_boundary_framing(self, link):
-        chi, sigma, _ = basic_invariants(link)
+        chi, sigma, _ = chi_sigma_tau(link)
         mirrored = natural_framings(reverse_link_orientation(link)).delta
         assert mirrored == TotalDefect(chi, 3 * sigma)
 
@@ -437,5 +443,5 @@ class TestLensDoubleSplitting:
     @pytest.mark.parametrize("n", range(0, 13))
     def test_criterion_matches_spin_structure_lambdas(self, n):
         link = unknot(-n) if n else unknot(0)
-        has_zero = any(s.lam.value == 0 for s in spin_structures(link))
+        has_zero = any(s.lam.value == 0 for s in analyze(link, None).spin_structures)
         assert has_zero == lens_double_splits(n)

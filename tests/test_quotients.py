@@ -20,14 +20,15 @@ from framings import (
     act,
     binary_dihedral,
     cyclic,
+    canonical_offset,
     g_signature_local,
-    lens_canonical_offset,
-    lens_signature_defect,
+    lambda_class,
     parse_group,
     pullback_cover,
     quotient_framing_defect,
     sigma_g,
     sigma_g_bruteforce,
+    signature_defect,
 )
 from framings.quotients import _angle_pairs
 
@@ -147,32 +148,41 @@ class TestQuotientFramingDefect:
         assert pullback_cover(defect, group.order, sigma_pi) == TotalDefect(0, 2)
 
 
+def lens_offset(m: int) -> FramingOffset:
+    """The offset canonicalizing the quotient framing of L(m, 1), through
+    canonical_offset to the small representative of its lambda class."""
+    defect = quotient_framing_defect(cyclic(m))
+    return canonical_offset(defect, lambda_class(defect).representative)
+
+
 class TestLensCanonicalOffset:
     def test_examples(self):
-        assert lens_canonical_offset(7) == FramingOffset(1, 0)
-        assert lens_canonical_offset(1) == FramingOffset(0, 0)
-        assert lens_canonical_offset(5) == FramingOffset(1, 0)
+        assert lens_offset(7) == FramingOffset(1, 0)
+        assert lens_offset(1) == FramingOffset(0, 0)
+        assert lens_offset(5) == FramingOffset(1, 0)
 
     @pytest.mark.parametrize("m", range(1, 61))
     def test_lands_in_the_canonical_band(self, m):
-        landed = act(quotient_framing_defect(cyclic(m)), lens_canonical_offset(m))
+        landed = act(quotient_framing_defect(cyclic(m)), lens_offset(m))
         assert landed.d == 0 and -1 <= landed.h <= 2
 
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            lens_canonical_offset(0)
+    def test_is_floor_of_m_minus_one_over_four_rhos(self):
+        # The closed form: h = 3 - m lands in {-1, 0, 1, 2} after
+        # (m - 1) // 4 rho twists.
+        for m in range(1, 2001):
+            assert lens_offset(m) == FramingOffset((m - 1) // 4, 0), m
 
 
 class TestLensSignatureDefect:
     def test_values(self):
-        assert lens_signature_defect(1) == 0
-        assert lens_signature_defect(4) == 2
-        assert lens_signature_defect(5) == 4
-        assert Fraction(sigma_g(ICOSAHEDRAL), 3) == Fraction(722, 3)
+        assert signature_defect(cyclic(1)) == 0
+        assert signature_defect(cyclic(4)) == 2
+        assert signature_defect(cyclic(5)) == 4
+        assert signature_defect(ICOSAHEDRAL) == Fraction(722, 3)
 
     @given(st.integers(1, 200))
     def test_is_sigma_over_three(self, m):
-        assert lens_signature_defect(m) == Fraction(sigma_g(cyclic(m)), 3)
+        assert signature_defect(cyclic(m)) == Fraction((m - 1) * (m - 2), 3)
 
 
 class TestGSignatureLocal:
@@ -213,4 +223,4 @@ class TestGSignatureLocal:
         total = sum(
             g_signature_local(points=[(Fraction(2 * k, m),) * 2])
             for k in range(1, m))
-        assert -total == pytest.approx(float(lens_signature_defect(m)), abs=1e-6)
+        assert -total == pytest.approx(float(signature_defect(cyclic(m))), abs=1e-6)
