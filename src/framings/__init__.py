@@ -41,6 +41,7 @@ from .exactmath import (
     IntMatrix,
     SmithForm,
     exact_signature,
+    signature_and_smith,
     smith_normal_form,
     solve_gf2,
 )

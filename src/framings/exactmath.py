@@ -1,17 +1,19 @@
 """Exact integer linear algebra.
 
 Determinants, Smith normal forms, signatures of symmetric integer matrices
-and affine GF(2) systems, all computed with arbitrary-precision integers.
-Determinants and signatures eliminate a shrinking block with one shared
-fraction-free (Bareiss) step, whose divisions are exact, and repair a zero
-pivot by adding a later row (and, for signatures, its column), so no
-rational or floating-point number enters any elimination and results are
-exact at any input size.
+and affine GF(2) systems, all with arbitrary-precision integers.  One
+fraction-free (Bareiss) step eliminates a shrinking block for determinants
+and signatures, its divisions exact; a zero pivot is repaired by adding a
+later row (and, for signatures, its column).  A symmetric nonsingular Q
+has its signature, det Q and a modulus t from one elimination of [Q | 1];
+every invariant factor but the last divides t, so the Smith form is
+reduced mod t (Cohen, A Course in Computational Algebraic Number Theory,
+section 2.4).  No rational or floating-point number enters any elimination.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import NamedTuple, Sequence, Union
 
 from .errors import NotSymmetric, Unsolvable
@@ -150,18 +152,15 @@ def _smallest_pivot(a: list[list[int]]) -> tuple[int, int] | None:
     return None if best is None else (best[1], best[2])
 
 
-def smith_normal_form(m: MatrixLike) -> SmithForm:
-    """Invariant factors of an integer matrix.
-
-    Row/column reduction with the smallest-absolute-value pivot rule, which
-    keeps coefficient growth tame.  A pivot is split off, and the block
-    left to reduce shrinks, once its row and column are clear; a remainder
-    smaller than the pivot means a new pivot.  One pass of gcd/lcm swaps
-    then turns the diagonal into the divisibility chain.  Equivalently there
-    are unimodular U, V with U m V diagonal and the returned chain on it.
-    """
-    mat = as_int_matrix(m)
-    a = mat.to_lists()
+def _smith_factors(a: list[list[int]], t: int) -> list[int]:
+    """Invariant factors s_i of a over Z when t = 0, else gcd(s_i, t), with
+    every row the loop makes reduced mod t.  Row/column reduction with the
+    smallest-absolute-value pivot rule, which keeps coefficient growth
+    tame.  A pivot is split off, and the block left to reduce shrinks, once
+    its row and column are clear; a remainder smaller than the pivot means
+    a new pivot.  One pass of gcd/lcm swaps then turns the diagonal into
+    the divisibility chain, which the block left over pads with t."""
+    size = min(len(a), len(a[0])) if a else 0
     d: list[int] = []
     while (pos := _smallest_pivot(a)) is not None:
         pi, pj = pos
@@ -169,11 +168,12 @@ def smith_normal_form(m: MatrixLike) -> SmithForm:
         if pj:
             for row in a:
                 row[0], row[pj] = row[pj], row[0]
-        top = a[0]
-        p = top[0]
+        top, p = a[0], a[0][0]
         for i in range(1, len(a)):
             q = a[i][0] // p
-            if q:
+            if q and t:
+                a[i] = [(x - q * y) % t for x, y in zip(a[i], top)]
+            elif q:
                 a[i] = [x - q * y for x, y in zip(a[i], top)]
         if any(row[0] for row in a[1:]):
             continue  # a remainder smaller than the pivot appeared; re-pivot
@@ -182,47 +182,87 @@ def smith_normal_form(m: MatrixLike) -> SmithForm:
         top[1:] = [x % p for x in top[1:]]
         if any(top[1:]):
             continue
-        d.append(abs(p))
+        d.append(gcd(p, t))
         a = [row[1:] for row in a[1:]]
     for i in range(len(d)):  # afterwards d[i] divides every later d[j]
         for j in range(i + 1, len(d)):
             if d[j] % d[i]:
                 d[i], d[j] = gcd(d[i], d[j]), lcm(d[i], d[j])
-    return SmithForm(tuple(d + [0] * (min(mat.rows, mat.cols) - len(d))))
+    return d + [t] * (size - len(d))
 
 
-def exact_signature(q: MatrixLike) -> int:
-    """Signature of a symmetric integer matrix, computed exactly.
+def smith_normal_form(m: MatrixLike) -> SmithForm:
+    """Invariant factors s_1 | ... | s_n of an integer matrix m: there are
+    unimodular U, V with U m V diagonal and the returned chain on it.
 
-    Symmetric fraction-free (Bareiss) elimination over the integers.  The
-    successive pivots are nested principal minors D_1, D_2, ... of a matrix
-    congruent to q, and by Jacobi's rule each contributes the sign of
-    D_k D_{k-1} (D_0 = 1).  A zero pivot with a nonzero entry b = a[0][k]
-    in its row is repaired by adding s times row and column k, which makes
-    the pivot 2sb + a[k][k]; one of s = 1, -1 makes that nonzero.  A zero
-    row and column is skipped as a radical direction, the divisor unchanged.
-    """
-    mat = as_int_matrix(q)
+    A symmetric m with det m != 0 is reduced mod t = |det m| / den, den the
+    denominator of m^-1 b for an integer b (signature_and_smith).  den | s_n,
+    as s_n m^-1 is integral, so s_1 ... s_{n-1} | t: mod t the loop gives
+    gcd(s_i, t) = s_i for i < n, and s_n = |det m| / (s_1 ... s_{n-1}).
+    Entries stay below t (Cohen, A Course in Computational Algebraic Number
+    Theory, section 2.4).  Any other matrix is reduced over Z."""
+    mat = as_int_matrix(m)
+    if mat.is_symmetric():
+        return signature_and_smith(mat)[1]
+    return SmithForm(tuple(_smith_factors(mat.to_lists(), 0)))
+
+
+def _symmetric_pass(mat: IntMatrix, rhs: list[int]) -> tuple[int, int, list[list[int]]]:
+    """Signature, determinant and kept pivot rows of the symmetric Bareiss
+    elimination of [mat | rhs].  The pivots are nested principal minors
+    D_1, D_2, ... of a matrix Q' = E mat E^T congruent to mat, and by
+    Jacobi's rule each contributes the sign of D_k D_{k-1} (D_0 = 1).  A
+    zero pivot with b = a[0][k] != 0 is repaired by adding s times row and
+    column k, making the pivot 2sb + a[k][k]; one of s = 1, -1 makes that
+    nonzero.  The column operation also reaches the kept pivot rows, so
+    they stay the rows of the elimination of [Q' | E rhs].  A zero row and
+    column is skipped as a radical direction, the divisor unchanged; the
+    determinant is then 0."""
     if not mat.is_symmetric():
         raise NotSymmetric("signature needs a symmetric matrix")
-    a = mat.to_lists()
-    signature = 0
-    prev = 1
+    a = [list(row) + rhs for row in mat.entries]
+    kept: list[list[int]] = []
+    signature, prev = 0, 1
     while a:
         top = a[0]
         if top[0] == 0:
-            k = next((k for k in range(1, len(top)) if top[k]), None)
+            k = next((k for k in range(1, len(a)) if top[k]), None)
             if k is None:
                 a = [row[1:] for row in a[1:]]  # a radical direction
                 continue
             s = 1 if 2 * top[k] + a[k][k] else -1
             a[0] = [x + s * y for x, y in zip(top, a[k])]
-            for row in a:
-                row[0] += s * row[k]
+            for row in a + kept:  # column 0 of the block is len(top) from the end
+                row[-len(top)] += s * row[k - len(top)]
         p = a[0][0]
         signature += 1 if (p > 0) == (prev > 0) else -1
+        kept.append(a[0])
         prev, a = p, _bareiss_block(a, prev)
-    return signature
+    return signature, prev if len(kept) == mat.rows else 0, kept
+
+
+def exact_signature(q: MatrixLike) -> int:
+    """Signature of a symmetric integer matrix, exactly (_symmetric_pass)."""
+    return _symmetric_pass(as_int_matrix(q), [])[0]
+
+
+def signature_and_smith(q: MatrixLike) -> tuple[int, SmithForm]:
+    """Signature and Smith form of a symmetric integer matrix from one
+    symmetric elimination of [q | 1].  For det q != 0, back-substitution on
+    the kept pivot rows gives y = det Q'^-1 E 1, an integer vector, and
+    t = gcd(det, y) is |det| over the denominator of Q'^-1 E 1; the Smith
+    form is reduced mod t as smith_normal_form says.  A singular or empty q
+    is reduced over Z."""
+    mat = as_int_matrix(q)
+    signature, det, kept = _symmetric_pass(mat, [1])
+    if not det or not kept:
+        return signature, SmithForm(tuple(_smith_factors(mat.to_lists(), 0)))
+    y: list[int] = []
+    for row in reversed(kept):  # [pivot, entries right of it, rhs]; y integral: exact
+        y.append((det * row[-1] - sum(u * v for u, v in zip(row[1:-1], reversed(y)))) // row[0])
+    t = gcd(det, *y)
+    head = _smith_factors([[x % t for x in row] for row in mat.entries], t)[:-1]
+    return signature, SmithForm((*head, abs(det) // prod(head)))
 
 
 class Gf2Solution(NamedTuple):

@@ -16,7 +16,8 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .defects import FramingOffset, LambdaClass, TotalDefect, act, boundary_defect
 from .errors import NotCharacteristic, NotSymmetric, OddFraming
-from .exactmath import IntMatrix, exact_signature, smith_normal_form, solve_gf2
+from .exactmath import (IntMatrix, SmithForm, exact_signature, signature_and_smith,
+                        smith_normal_form, solve_gf2)
 
 
 class FramedLink(NamedTuple("FramedLink", [("matrix", IntMatrix)])):
@@ -106,8 +107,7 @@ def sublink_of(link: FramedLink, members: Sequence[int] | frozenset[int], arf: i
     n = link.components
     if any(i < 0 or i >= n for i in chosen):
         raise ValueError("sublink member out of range")
-    q = link.matrix
-    cc = sum(q[i, j] for i in chosen for j in chosen)
+    cc = sum(link.matrix[i, j] for i in chosen for j in chosen)
     bits = "".join("1" if i in chosen else "0" for i in range(n))
     return Sublink(bits, cc, arf, False)
 
@@ -133,11 +133,13 @@ class SpinStructureData(NamedTuple):
 
 def homology(link: FramedLink) -> HomologyProfile:
     """H1 of the surgered manifold, presented by the linking matrix."""
-    form = smith_normal_form(link.matrix)
-    betti1 = form.kernel_rank
+    return _homology(smith_normal_form(link.matrix))
+
+
+def _homology(form: SmithForm) -> HomologyProfile:
     torsion = tuple(f for f in form.invariant_factors if f > 1)
     s = sum(1 for f in torsion if f % 2 == 0)
-    return HomologyProfile(betti1=betti1, torsion=torsion, r=betti1 + s, s=s)
+    return HomologyProfile(betti1=form.kernel_rank, torsion=torsion, r=form.kernel_rank + s, s=s)
 
 
 def characteristic_sublinks(link: FramedLink,
@@ -178,11 +180,8 @@ def characteristic_sublinks(link: FramedLink,
                 x[i] ^= 1
         bits = "".join("1" if bit else "0" for bit in x)
         _require_characteristic(y, parity, bits)
-        if arf_table is not None and bits in arf_table:
-            arf, assumed = arf_table[bits], False
-        else:
-            arf, assumed = 0, True
-        out.append(Sublink(bits, cc, arf, assumed))
+        arf = None if arf_table is None else arf_table.get(bits)
+        out.append(Sublink(bits, cc, arf or 0, arf is None))
     out.sort(key=lambda c: c.bitmask)
     return out
 
@@ -285,14 +284,16 @@ def natural_framings(link: FramedLink) -> NaturalFramings:
     """The natural framings of the 2-handlebody, from its Euler
     characteristic 1 + #components, exact signature and the trace of the
     linking matrix."""
-    q = link.matrix
-    return NaturalFramings(chi=link.components + 1, sigma=exact_signature(q), tau=q.trace(),
-                           even=link.is_even)
+    return _framings(link, exact_signature(link.matrix))
+
+
+def _framings(link: FramedLink, sigma: int) -> NaturalFramings:
+    return NaturalFramings(link.components + 1, sigma, link.matrix.trace(), link.is_even)
 
 
 class LinkAnalysis(NamedTuple):
-    """Everything the surgery calculus says about one link, computed with a
-    single signature, a single Smith form and a single GF(2) solve."""
+    """Everything the surgery calculus says about one link, computed with
+    one symmetric elimination (signature_and_smith) and one GF(2) solve."""
 
     framings: NaturalFramings
     homology: HomologyProfile
@@ -303,13 +304,11 @@ def analyze(link: FramedLink, arf_table: Mapping[str, int] | None) -> LinkAnalys
     """Natural framings (hence chi, sigma, tau), homology and spin
     structures (Arf invariants looked up in arf_table as in
     characteristic_sublinks) of a link, in one pass."""
-    framings = natural_framings(link)
-    profile = homology(link)
-    spins = []
-    for c in characteristic_sublinks(link, arf_table):
-        mu = _mu(framings.sigma, c)
-        spins.append(SpinStructureData(sublink=c, mu=mu, lam=lambda_from_mu(profile.r, mu)))
-    return LinkAnalysis(framings=framings, homology=profile, spin_structures=tuple(spins))
+    sigma, form = signature_and_smith(link.matrix)
+    framings, profile = _framings(link, sigma), _homology(form)
+    mus = [(c, _mu(sigma, c)) for c in characteristic_sublinks(link, arf_table)]
+    spins = tuple(SpinStructureData(c, mu, lambda_from_mu(profile.r, mu)) for c, mu in mus)
+    return LinkAnalysis(framings=framings, homology=profile, spin_structures=spins)
 
 
 def reverse_link_orientation(link: FramedLink) -> FramedLink:

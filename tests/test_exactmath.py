@@ -15,10 +15,12 @@ from framings import (
     SmithForm,
     Unsolvable,
     exact_signature,
+    signature_and_smith,
     smith_normal_form,
     solve_gf2,
 )
 
+from framings import exactmath
 import oracles
 from records import assert_rejected, assert_round_trips
 from strategies import (
@@ -154,10 +156,13 @@ class TestSmithNormalForm:
             product *= factor
         assert product == abs(det)
 
-    @pytest.mark.parametrize("kind", ["dense", "sparse", "singular_even"])
+    @pytest.mark.parametrize("kind", ["dense", "sparse", "singular_even", "symmetric_large"])
     def test_workload_sizes_against_ranks_mod_p(self, kind):
-        # The minor-gcd oracle is exponential; at n = 10-40 each prime p
+        # The minor-gcd oracle is exponential; at n = 10-100 each prime p
         # still pins how many factors it divides: size - rank over GF(p).
+        # Past n = 40 the rational determinant oracle takes seconds, so the
+        # product is held to the Bareiss determinant there; CI checks n = 100
+        # against the rational oracle.
         for rows in _workload_size_matrices(kind, random.Random(f"smith:{kind}")):
             factors = smith_normal_form(rows).invariant_factors
             size = min(len(rows), len(rows[0]))
@@ -171,7 +176,17 @@ class TestSmithNormalForm:
                 product = 1
                 for factor in factors:
                     product *= factor
-                assert product == abs(oracles.det_fraction_gauss(rows))
+                det = (oracles.det_fraction_gauss(rows) if len(rows) <= 40
+                       else IntMatrix(rows).det())
+                assert product == abs(det)
+
+
+def _symmetric(n: int, entries, rng: random.Random) -> list[list[int]]:
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rng.choice(entries)
+    return rows
 
 
 def _workload_size_matrices(kind: str, rng: random.Random, count: int = 12):
@@ -180,8 +195,15 @@ def _workload_size_matrices(kind: str, rng: random.Random, count: int = 12):
     dense: entries in [-3, 3], square or rectangular; sparse: entries from
     {0, 2, 4, 6, 9, 12}, rich in factors 2 and 3; singular_even: symmetric
     with even diagonal, and singular because the last row and column are
-    the sums of two others.
+    the sums of two others; symmetric_large: symmetric at n = 60 and 100,
+    dense in [-3, 3], or 6 times such a matrix, whose Smith form is
+    reduced modulo a t of at least 6^59.
     """
+    if kind == "symmetric_large":
+        yield _symmetric(100, range(-3, 4), rng)
+        yield _symmetric(60, range(-3, 4), rng)
+        yield [[6 * x for x in row] for row in _symmetric(60, range(-3, 4), rng)]
+        return
     for k in range(count):
         n = rng.randint(10, 40)
         cols = n if k % 2 == 0 else rng.randint(10, 40)
@@ -280,6 +302,98 @@ class TestExactSignature:
         rows = [[1, m], [m, m * m - 1]]
         assert not oracles.signature_by_eigenvalues(rows)[1]
         assert exact_signature(rows) == oracles.signature_by_charpoly(rows) == 0
+
+
+def _over_z(rows: list[list[int]]) -> SmithForm:
+    """The Smith form from the smallest-pivot loop over Z, with no modulus."""
+    return SmithForm(tuple(exactmath._smith_factors([list(row) for row in rows], 0)))
+
+
+def _modulus(monkeypatch, rows: list[list[int]]) -> int:
+    """The modulus t that signature_and_smith reduces rows by, 0 when it
+    reduces them over Z; its answer is checked against the over-Z loop."""
+    expected = (exact_signature(rows), _over_z(rows))
+    loop, seen = exactmath._smith_factors, []
+
+    def recorded(a, t):
+        seen.append(t)
+        return loop(a, t)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exactmath, "_smith_factors", recorded)
+        assert signature_and_smith(rows) == expected
+    [t] = seen
+    return t
+
+
+def _hyperbolic(b: list[list[int]]) -> list[list[int]]:
+    """The zero-diagonal block form [[0, B], [B^T, 0]]: Smith form that of
+    B twice over, signature 0."""
+    k = len(b)
+    return ([[0] * k + list(row) for row in b]
+            + [[b[j][i] for j in range(k)] + [0] * k for i in range(k)])
+
+
+class TestSignatureAndSmith:
+    """One symmetric elimination of [Q | 1] gives the signature, det Q and
+    a modulus t with s_1 ... s_{n-1} | t | det Q; the Smith form is then
+    reduced mod t.  Every case is checked against the over-Z loop."""
+
+    @pytest.mark.parametrize("rows, factors, t", [
+        ([], (), 0), ([[7]], (7,), 1), ([[-7]], (7,), 1), ([[0]], (0,), 0),
+    ], ids=["empty", "positive", "negative", "zero"])
+    def test_small_forms(self, monkeypatch, rows, factors, t):
+        assert _modulus(monkeypatch, rows) == t
+        assert signature_and_smith(rows)[1].invariant_factors == factors
+
+    def test_e8_needs_no_reduction_at_all(self, monkeypatch):
+        assert _modulus(monkeypatch, E8_ROWS) == 1
+        assert signature_and_smith(E8_ROWS) == (8, SmithForm((1,) * 8))
+
+    @pytest.mark.parametrize("d, n", [(2, 2), (6, 3), (-5, 4)])
+    def test_scalar_matrix_modulus_is_d_to_the_n_minus_1(self, monkeypatch, d, n):
+        rows = [[d if i == j else 0 for j in range(n)] for i in range(n)]
+        assert _modulus(monkeypatch, rows) == abs(d) ** (n - 1)
+        assert signature_and_smith(rows) == (n if d > 0 else -n, SmithForm((abs(d),) * n))
+
+    def test_integral_inverse_image_of_ones_is_the_worst_case(self, monkeypatch):
+        # 4 I - J has row sums 1, so Q^-1 1 = 1 is integral and t = |det|.
+        rows = [[3, -1, -1], [-1, 3, -1], [-1, -1, 3]]
+        assert oracles.det_fraction_gauss(rows) == 16
+        assert _modulus(monkeypatch, rows) == 16
+        assert signature_and_smith(rows)[1].invariant_factors == (1, 4, 4)
+
+    @pytest.mark.parametrize("rows, form", [
+        (_hyperbolic([[3]]), (0, (3, 3))),
+        (_hyperbolic([[-1, 2], [3, -1]]), (0, (1, 1, 5, 5))),
+        (_hyperbolic([[1, 1, 0], [0, 2, 1], [1, 0, 3]]), (0, (1, 1, 1, 1, 7, 7))),
+        ([[2, 2, 3], [2, 2, 0], [3, 0, 0]], (1, (1, 3, 6))),
+    ], ids=["plane", "B2", "B3", "after-a-pivot"])
+    def test_zero_pivot_repairs_reach_the_kept_pivot_rows(self, monkeypatch, rows, form):
+        # The plane is repaired at its first pivot.  Every other elimination
+        # meets a zero pivot after a kept pivot row with nonzero entries in
+        # the repaired columns; without the repair on that row, the
+        # back-substitution gives a t that loses a factor.
+        _modulus(monkeypatch, rows)
+        assert signature_and_smith(rows) == (form[0], SmithForm(form[1]))
+
+    def test_not_symmetric(self):
+        with pytest.raises(NotSymmetric):
+            signature_and_smith([[0, 1], [2, 0]])
+
+    @given(st.one_of(degenerate_symmetric_matrices(), symmetric_int_matrices(max_size=8),
+                     symmetric_int_matrices(max_size=5, lo=-10**6, hi=10**6)))
+    @settings(max_examples=200)
+    def test_equals_the_separate_signature_and_over_z_loop(self, rows):
+        assert signature_and_smith(rows) == (exact_signature(rows), _over_z(rows))
+        assert smith_normal_form(rows) == _over_z(rows)
+
+    @given(st.one_of(degenerate_symmetric_matrices(max_block=2).filter(lambda r: len(r) <= 5),
+                     symmetric_int_matrices(max_size=5)))
+    @settings(max_examples=60)
+    def test_matches_minor_gcd_oracle(self, rows):
+        assert (signature_and_smith(rows)[1].invariant_factors
+                == oracles.invariant_factors_by_minors(rows))
 
 
 def _expand(sol) -> list[tuple[int, ...]]:

@@ -257,7 +257,7 @@ class TestGrayCodeWalk:
 def _count_kernel_calls(monkeypatch) -> dict[str, int]:
     """Wrap the kernel functions links calls with counters."""
     calls = {}
-    for name in ("exact_signature", "smith_normal_form", "solve_gf2"):
+    for name in ("exact_signature", "smith_normal_form", "signature_and_smith", "solve_gf2"):
         calls[name] = 0
         original = getattr(framings.links, name)
 
@@ -279,11 +279,15 @@ class TestSpinStructures:
 
 
 class TestAnalyze:
-    def test_each_kernel_function_runs_once(self, monkeypatch):
+    @pytest.mark.parametrize("link, spins", [(FramedLink.from_rows([[0] * 4] * 4), 16),
+                                             (chain_link(4), 1)], ids=["zero4", "chain4"])
+    def test_each_kernel_function_runs_once(self, monkeypatch, link, spins):
+        # The signature and the Smith form come from one symmetric elimination.
         calls = _count_kernel_calls(monkeypatch)
-        report = analyze(FramedLink.from_rows([[0] * 4] * 4), None)
-        assert len(report.spin_structures) == 16
-        assert calls == {"exact_signature": 1, "smith_normal_form": 1, "solve_gf2": 1}
+        report = analyze(link, None)
+        assert len(report.spin_structures) == spins
+        assert calls == {"exact_signature": 0, "smith_normal_form": 0,
+                         "signature_and_smith": 1, "solve_gf2": 1}
 
     def test_e8(self):
         report = analyze(e8_link(), None)
