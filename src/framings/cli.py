@@ -9,7 +9,9 @@ Link files are JSON documents with a symmetric integer linking matrix and
 an optional table of Arf invariants keyed by sublink bitmask.  Every
 command validates its input and returns one payload dict; `main` prints its
 renderer's text, or under --json ASCII-escaped JSON byte-identical to
-`json.dumps(payload, indent=2, sort_keys=True)`, joined by `_dumps` in one pass.
+`json.dumps(payload, indent=2, sort_keys=True)`, joined by `_dumps` in one pass;
+a table of dict shapes local to that call sorts and quotes the keys of
+like rows, such as the 2^r spin structures, once.
 
 Exit codes: 0 success, 1 `catalog` with a FAIL row, 2 parse or validation
 error, 3 mathematical precondition violation.
@@ -92,17 +94,10 @@ def _pair_text(pair: list[int]) -> str:
 
 
 def _spin_json(spin: links.SpinStructureData) -> dict:
-    return {
-        "bitmask": spin.sublink.bitmask,
-        "members": links._members(spin.sublink.bitmask),
-        "self_intersection": spin.sublink.self_intersection,
-        "arf": spin.sublink.arf,
-        "arf_assumed": spin.sublink.arf_assumed,
-        "mu": links.mu_representative(spin.mu),
-        "mu_mod16": spin.mu,
-        "lambda": spin.lam.representative,
-        "lambda_mod4": spin.lam.value,
-    }
+    (bitmask, cc, arf, assumed), mu, lam = spin
+    return {"bitmask": bitmask, "members": links._members(bitmask), "self_intersection": cc,
+            "arf": arf, "arf_assumed": assumed, "mu": links.mu_representative(mu),
+            "mu_mod16": mu, "lambda": lam.representative, "lambda_mod4": lam.value}
 
 
 def cmd_invariants(args: argparse.Namespace) -> dict:
@@ -406,22 +401,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _dumps(obj: object, pad: str = "\n") -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True)` byte for byte, for obj with str keys."""
-    if type(obj) is int:  # most of a payload, so tested first
-        return repr(obj)  # ValueError past sys.get_int_max_str_digits()
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None or obj is True or obj is False:
-        return "null" if obj is None else "true" if obj else "false"
-    inner = pad + "  "
-    if isinstance(obj, dict):
-        ends, parts = "{}", [_quote(k) + ": " + _dumps(v, inner) for k, v in sorted(obj.items())]
-    elif isinstance(obj, (list, tuple)):
-        ends, parts = "[]", [_dumps(x, inner) for x in obj]
-    else:  # floats (NaN, +-Infinity) and int subclasses; TypeError for what JSON cannot hold
-        return json.dumps(obj)
-    return ends[0] + inner + ("," + inner).join(parts) + pad + ends[1] if parts else ends
+def _dumps(obj: object) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)` byte for byte, for obj with str keys.
+
+    A table local to the call maps each dict shape (its key tuple and
+    indent) to its sorted keys and a %-template of their `,\n  "key": `
+    heads, so like rows sort and quote their keys once.  Int, str, bool
+    and None values render inline, lists and nonempty dicts recurse, and
+    json.dumps renders the rest: floats, subclasses and {}.
+    """
+    shapes: dict[tuple[tuple, str], tuple[list, str]] = {}
+
+    def render(obj: object, pad: str) -> str:
+        inner, values, template = pad + "  ", obj, None
+        if isinstance(obj, dict) and obj:
+            keys = tuple(obj)
+            shape = shapes.get((keys, pad))
+            if shape is None:
+                order = sorted(keys)
+                shape = shapes[keys, pad] = order, "{" + inner + ("," + inner).join(
+                    _quote(k).replace("%", "%%") + ": %s" for k in order) + pad + "}"
+            order, template = shape
+            values = [obj[k] for k in order]
+        elif not isinstance(obj, (list, tuple)):
+            return json.dumps(obj)  # TypeError for what JSON cannot hold
+        elif not obj:
+            return "[]"
+        texts = tuple([repr(v) if type(v) is int  # ValueError past sys.get_int_max_str_digits()
+                       else _quote(v) if type(v) is str else "null" if v is None
+                       else "true" if v is True else "false" if v is False
+                       else render(v, inner) for v in values])
+        return template % texts if template else (
+            "[" + inner + ("," + inner).join(texts) + pad + "]")
+
+    return render(obj, "\n")
 
 
 def main(argv: list[str] | None = None) -> int:

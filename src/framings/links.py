@@ -6,8 +6,10 @@ produces a closed oriented 3-manifold bounding the 2-handlebody whose
 intersection form is Q, and everything computed here (homology, spin
 structures with their mu and lambda, the natural framings' defects) is a
 function of that matrix alone; each record stores each fact once.  The
-spin structures are walked once, in Gray-code order, and one parity test
-of Q x decides whether a sublink is characteristic.
+spin structures are walked once, in Gray-code order, each sublink carried
+as an int mask; an O(1) comparison of parity masks of Q x and diag(Q)
+checks that it is characteristic, and sorting the masks as ints puts the
+rows in bitmask order.
 """
 
 from __future__ import annotations
@@ -153,48 +155,65 @@ def characteristic_sublinks(link: FramedLink,
     zeros of the step count.  Setting x_i adds 2 y_i + Q_ii to C.C = x^T Q x
     and column i to y = Q x; clearing it subtracts 2 y_i - Q_ii and the
     column, y_i read before the update.  A step costs O(n) per component
-    toggled, and each sublink is checked characteristic in O(n) from the
-    parity of y.  Results are sorted by ascending bitmask.  Arf invariants
-    are looked up in arf_table by bitmask, defaulting to 0 with arf_assumed set.
+    toggled.  x is also an int mask (component 0 the leading bit) and the
+    parities of y another, XORed at each step with the parities of the
+    toggled columns' sum, so each sublink is checked characteristic in
+    O(1) against diag(Q) mod 2.  The masks sorted as ints give ascending
+    bitmask order, each bitmask built once.  Arf invariants are looked up
+    in arf_table by bitmask, defaulting to 0 with arf_assumed set.
     """
     q = link.matrix
-    rows = q.entries  # Q is symmetric: column i is row i
+    n, rows = q.rows, q.entries  # Q is symmetric: column i is row i
     diagonal = q.diagonal()
-    parity = [d & 1 for d in diagonal]
     solution = solve_gf2(q, list(diagonal))
-    x = list(solution.particular)
+    x = solution.particular
     y = _times_q(rows, x)
     cc = sum(v for v, bit in zip(y, x) if bit)
-    toggles = [[i for i, bit in enumerate(v) if bit] for v in solution.kernel]
-    out = []
+    target, y_parity, mask = _parity_mask(diagonal), _parity_mask(y), _parity_mask(x)
+    toggles = [[(i, 1 << (n - 1 - i)) for i, b in enumerate(v) if b] for v in solution.kernel]
+    flips = [_parity_mask(_times_q(rows, v)) for v in solution.kernel]
+    found = []
     for step in range(1 << len(toggles)):
         if step:
-            for i in toggles[(step & -step).bit_length() - 1]:
+            k = (step & -step).bit_length() - 1
+            for i, bit in toggles[k]:
                 column = rows[i]
-                if x[i]:
+                if mask & bit:
                     cc -= 2 * y[i] - column[i]
                     y = [a - b for a, b in zip(y, column)]
                 else:
                     cc += 2 * y[i] + column[i]
                     y = [a + b for a, b in zip(y, column)]
-                x[i] ^= 1
-        bits = "".join("1" if bit else "0" for bit in x)
-        _require_characteristic(y, parity, bits)
+                mask ^= bit
+            y_parity ^= flips[k]
+        if y_parity != target:
+            raise _not_characteristic(_bitmask(mask, n))
+        found.append((mask, cc))
+    out = []
+    for mask, cc in sorted(found):
+        bits = _bitmask(mask, n)
         arf = None if arf_table is None else arf_table.get(bits)
         out.append(Sublink(bits, cc, arf or 0, arf is None))
-    out.sort(key=lambda c: c.bitmask)
     return out
 
 
 def _times_q(rows: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
-    """Q x for a 0/1 vector x, Q given by its rows."""
-    return [sum(v for v, bit in zip(row, x) if bit) for row in rows]
+    """Q x for a 0/1 vector x and Q symmetric: the sum of the rows x picks."""
+    return [sum(column) for column in zip([0] * len(rows), *(r for r, bit in zip(rows, x) if bit))]
 
 
-def _require_characteristic(y: list[int], parity: list[int], bitmask: str) -> None:
-    """The sublink is characteristic when y = Q x has the parity of diag(Q)."""
-    if [v & 1 for v in y] != parity:
-        raise NotCharacteristic(f"sublink {_members(bitmask)} is not characteristic")
+def _parity_mask(values: Sequence[int]) -> int:
+    """The parities of values as the bits of one int, values[0] leading."""
+    return sum(1 << k for k, v in enumerate(reversed(values)) if v & 1)
+
+
+def _bitmask(mask: int, n: int) -> str:
+    """The n-bit string of mask, component 0 first; "" when n = 0."""
+    return format(mask | 1 << n, "b")[1:]
+
+
+def _not_characteristic(bitmask: str) -> NotCharacteristic:
+    return NotCharacteristic(f"sublink {_members(bitmask)} is not characteristic")
 
 
 def _mu(sigma: int, c: Sublink) -> int:
@@ -214,7 +233,8 @@ def mu_invariant(link: FramedLink, c: Sublink) -> int:
     if c.self_intersection != sum(v for v, bit in zip(y, x) if bit):
         raise ValueError(f"C.C = {c.self_intersection} is not that of sublink "
                          f"{_members(c.bitmask)} of this link")
-    _require_characteristic(y, [d & 1 for d in q.diagonal()], c.bitmask)
+    if _parity_mask(y) != _parity_mask(q.diagonal()):
+        raise _not_characteristic(c.bitmask)
     return _mu(exact_signature(q), c)
 
 
@@ -306,8 +326,10 @@ def analyze(link: FramedLink, arf_table: Mapping[str, int] | None) -> LinkAnalys
     characteristic_sublinks) of a link, in one pass."""
     sigma, form = signature_and_smith(link.matrix)
     framings, profile = _framings(link, sigma), _homology(form)
-    mus = [(c, _mu(sigma, c)) for c in characteristic_sublinks(link, arf_table)]
-    spins = tuple(SpinStructureData(c, mu, lambda_from_mu(profile.r, mu)) for c, mu in mus)
+    sublinks = characteristic_sublinks(link, arf_table)
+    mus = [_mu(sigma, c) for c in sublinks]
+    lams = {mu: lambda_from_mu(profile.r, mu) for mu in set(mus)}  # one per residue
+    spins = tuple(SpinStructureData(c, mu, lams[mu]) for c, mu in zip(sublinks, mus))
     return LinkAnalysis(framings=framings, homology=profile, spin_structures=spins)
 
 

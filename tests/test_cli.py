@@ -405,6 +405,33 @@ def test_json_renderer_is_json_dumps_indent_2(value):
     assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+@st.composite
+def _like_dicts(draw):
+    """A payload whose dicts share one key set: rows inserted in different
+    orders, a key's value type differing from row to row, empty dict and
+    list rows among them, and the same shape again deeper down."""
+    keys = draw(st.lists(_text | st.sampled_from(["%", "%s", "%%d", "a"]),
+                         min_size=1, max_size=5, unique=True))
+    values = (st.none() | st.integers() | st.booleans() | _text | st.floats()
+              | st.lists(st.integers(), max_size=2)
+              | st.dictionaries(_text, st.booleans(), max_size=2))
+
+    def row():
+        return {k: draw(values) for k in draw(st.permutations(keys))}
+
+    rows = [row() for _ in range(draw(st.integers(1, 6)))]
+    rows += draw(st.lists(st.sampled_from([{}, [], ()]), max_size=3))
+    deeper = row()
+    deeper[keys[0]] = [row(), {"again": row()}]
+    return {"rows": draw(st.permutations(rows)), "deeper": [deeper, row()]}
+
+
+@settings(max_examples=200)
+@given(_like_dicts())
+def test_json_renderer_reuses_dict_shapes_byte_for_byte(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
 @pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}, {"rows": [{"x": Fraction(1, 3)}]}],
                          ids=["fraction", "set", "nested"])
 def test_json_renderer_refuses_what_json_dumps_refuses(value):

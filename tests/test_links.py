@@ -253,6 +253,18 @@ class TestGrayCodeWalk:
         for spin in spins:
             assert spin.mu == mu_invariant(link, spin.sublink)
 
+    @pytest.mark.parametrize("link, rows", [
+        (empty_link(), [("", 0)]),
+        (unknot(-5), [("1", -5)]),
+        (unknot(4), [("0", 0), ("1", 4)]),
+        (FramedLink.from_rows([[int(i == j) for j in range(70)] for i in range(70)]),
+         [("1" * 70, 70)]),
+    ], ids=["empty", "odd-unknot", "even-unknot", "identity70"])
+    def test_edges(self, link, rows):
+        # Whole (bitmask, C.C) lists in ascending order; test_matches_bruteforce
+        # holds random links to the same.  The identity's mask is 70 bits wide.
+        assert [(c.bitmask, c.self_intersection) for c in characteristic_sublinks(link)] == rows
+
 
 def _count_kernel_calls(monkeypatch) -> dict[str, int]:
     """Wrap the kernel functions links calls with counters."""
