@@ -17,7 +17,6 @@ from .defects import (
     canonical_offset,
     canonical_set,
     defect_norm,
-    in_lattice,
     lambda_class,
     lens_double_splits,
     pullback_cover,
@@ -57,13 +56,10 @@ from .links import (
     characteristic_sublinks,
     e8_link,
     empty_link,
-    homology,
     lambda_from_mu,
     mu_invariant,
     mu_representative,
     natural_framings,
-    reverse_link_orientation,
-    sublink_of,
     unknot,
 )
 from .quotients import (

@@ -59,7 +59,7 @@ def build_catalog() -> list[CatalogEntry]:
     add("t3.lambda.rest", "lambda of the remaining spin structures (r = 3, mu = 0)",
         links.lambda_from_mu(3, 0).value, 0)
     add("t3.r", "mod-2 rank of H1 from the 0-framed 3-component unlink",
-        links.homology(links.FramedLink.from_rows([[0] * 3] * 3)).r, 3)
+        links.analyze(links.FramedLink.from_rows([[0] * 3] * 3), None).homology.r, 3)
 
     # Quotients of the 3-sphere.
     add("quotient.sigma.cyclic", "sigma(C_m) = m^2 - 3m + 2 at m = 5",

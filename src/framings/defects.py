@@ -61,10 +61,6 @@ def lambda_class(p: TotalDefect) -> LambdaClass:
     return LambdaClass(2 * p.d + p.h)
 
 
-def in_lattice(p: TotalDefect, k: LambdaClass | int) -> bool:
-    return lambda_class(p) == LambdaClass(k)
-
-
 def defect_norm(p: TotalDefect) -> int:
     """The selection norm 2|d| + |h|."""
     return 2 * abs(p.d) + abs(p.h)

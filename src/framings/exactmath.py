@@ -51,10 +51,6 @@ class IntMatrix(NamedTuple("IntMatrix", [("entries", tuple[tuple[int, ...], ...]
     def cols(self) -> int:
         return len(self.entries[0]) if self.entries else 0
 
-    def __getitem__(self, key: tuple[int, int]) -> int:
-        i, j = key
-        return self.entries[i][j]
-
     def diagonal(self) -> tuple[int, ...]:
         return tuple(self.entries[i][i] for i in range(min(self.rows, self.cols)))
 
@@ -66,9 +62,6 @@ class IntMatrix(NamedTuple("IntMatrix", [("entries", tuple[tuple[int, ...], ...]
             return False
         return all(self.entries[i][j] == self.entries[j][i]
                    for i in range(self.rows) for j in range(i + 1, self.cols))
-
-    def __neg__(self) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(-x for x in row) for row in self.entries))
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
@@ -129,10 +122,6 @@ class SmithForm(NamedTuple("SmithForm", [("invariant_factors", tuple[int, ...])]
         return super().__new__(cls, invariant_factors)
 
     _make = classmethod(lambda cls, fields: cls(*fields))
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for f in self.invariant_factors if f)
 
     @property
     def kernel_rank(self) -> int:

@@ -18,8 +18,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .defects import FramingOffset, LambdaClass, TotalDefect, act, boundary_defect
 from .errors import NotCharacteristic, NotSymmetric, OddFraming
-from .exactmath import (IntMatrix, SmithForm, exact_signature, signature_and_smith,
-                        smith_normal_form, solve_gf2)
+from .exactmath import IntMatrix, exact_signature, signature_and_smith, solve_gf2
 
 
 class FramedLink(NamedTuple("FramedLink", [("matrix", IntMatrix)])):
@@ -103,17 +102,6 @@ def _members(bitmask: str) -> list[int]:
     return [i for i, bit in enumerate(bitmask) if bit == "1"]
 
 
-def sublink_of(link: FramedLink, members: Sequence[int] | frozenset[int], arf: int = 0) -> Sublink:
-    """Build a Sublink of the given link, computing C.C and the bitmask."""
-    chosen = frozenset(members)
-    n = link.components
-    if any(i < 0 or i >= n for i in chosen):
-        raise ValueError("sublink member out of range")
-    cc = sum(link.matrix[i, j] for i in chosen for j in chosen)
-    bits = "".join("1" if i in chosen else "0" for i in range(n))
-    return Sublink(bits, cc, arf, False)
-
-
 class HomologyProfile(NamedTuple):
     """First homology of the surgered manifold: Betti number, torsion
     coefficients, and the mod-2 ranks r of H1 and s of its torsion part."""
@@ -131,17 +119,6 @@ class SpinStructureData(NamedTuple):
     sublink: Sublink
     mu: int
     lam: LambdaClass
-
-
-def homology(link: FramedLink) -> HomologyProfile:
-    """H1 of the surgered manifold, presented by the linking matrix."""
-    return _homology(smith_normal_form(link.matrix))
-
-
-def _homology(form: SmithForm) -> HomologyProfile:
-    torsion = tuple(f for f in form.invariant_factors if f > 1)
-    s = sum(1 for f in torsion if f % 2 == 0)
-    return HomologyProfile(betti1=form.kernel_rank, torsion=torsion, r=form.kernel_rank + s, s=s)
 
 
 def characteristic_sublinks(link: FramedLink,
@@ -325,15 +302,13 @@ def analyze(link: FramedLink, arf_table: Mapping[str, int] | None) -> LinkAnalys
     structures (Arf invariants looked up in arf_table as in
     characteristic_sublinks) of a link, in one pass."""
     sigma, form = signature_and_smith(link.matrix)
-    framings, profile = _framings(link, sigma), _homology(form)
+    torsion = tuple(f for f in form.invariant_factors if f > 1)
+    s = sum(1 for f in torsion if f % 2 == 0)
+    profile = HomologyProfile(betti1=form.kernel_rank, torsion=torsion,
+                              r=form.kernel_rank + s, s=s)
     sublinks = characteristic_sublinks(link, arf_table)
     mus = [_mu(sigma, c) for c in sublinks]
     lams = {mu: lambda_from_mu(profile.r, mu) for mu in set(mus)}  # one per residue
     spins = tuple(SpinStructureData(c, mu, lams[mu]) for c, mu in zip(sublinks, mus))
-    return LinkAnalysis(framings=framings, homology=profile, spin_structures=spins)
-
-
-def reverse_link_orientation(link: FramedLink) -> FramedLink:
-    """The presentation of the oppositely oriented manifold: negate Q.
-    The signature negates; component count and chi are unchanged."""
-    return FramedLink(-link.matrix)
+    return LinkAnalysis(framings=_framings(link, sigma), homology=profile,
+                        spin_structures=spins)

@@ -6,8 +6,9 @@ fraction-free reduction, invariant factors from gcds of minors and, at
 larger sizes, their counts per prime from ranks over GF(p) instead of
 row/column reduction, signatures from floating eigenvalues and, exactly,
 from the sign changes of the integer characteristic polynomial instead of
-symmetric elimination, and GF(2) systems and characteristic sublinks by
-exhaustive enumeration.
+symmetric elimination, GF(2) systems and characteristic sublinks by
+exhaustive enumeration, and a sublink's C.C summed straight from the
+linking matrix's entries instead of by the Gray-code walk's updates.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from itertools import combinations
 from math import gcd
 
 import numpy as np
+
+from framings import Sublink
 
 
 def det_fraction_gauss(rows: list[list[int]]) -> Fraction:
@@ -141,3 +144,15 @@ def characteristic_subsets_bruteforce(rows: list[list[int]]) -> set[frozenset[in
                for i in range(n)):
             out.add(frozenset(i for i in range(n) if x[i]))
     return out
+
+
+def sublink_of(link, members, arf: int = 0) -> Sublink:
+    """The Sublink of link with the given members: its bitmask, and C.C as
+    the sum of the linking matrix's entries over pairs of members."""
+    chosen = frozenset(members)
+    rows = link.matrix.entries
+    if any(i < 0 or i >= len(rows) for i in chosen):
+        raise ValueError("sublink member out of range")
+    cc = sum(rows[i][j] for i in chosen for j in chosen)
+    bits = "".join("1" if i in chosen else "0" for i in range(len(rows)))
+    return Sublink(bits, cc, arf, False)

@@ -237,6 +237,20 @@ class TestCanonicalCommand:
         assert code == 2 and out == ""
         assert err == "error: give exactly one of a link file and --lambda\n"
 
+    @pytest.mark.parametrize("path", sorted(LINKS.glob("*.json")), ids=lambda p: p.stem)
+    def test_lambda_of_delta_is_that_of_the_empty_sublink(self, capsys, path):
+        # Two routes to one lambda within one even presentation: 2d + h of
+        # the boundary framing delta, and 2(1 + r) + mu at C = {}.
+        code, out, _ = run(capsys, "canonical", str(path), "--json")
+        assert code == 0
+        canonical = json.loads(out)
+        code, out, _ = run(capsys, "invariants", str(path), "--json")
+        assert code == 0
+        empty = [row for row in json.loads(out)["spin_structures"] if "1" not in row["bitmask"]]
+        assert len(empty) == 1, "every shipped link is even"
+        d, h = next(o["defect"] for o in canonical["offsets"] if o["framing"] == "delta_L")
+        assert (2 * d + h) % 4 == canonical["lambda_mod4"] == empty[0]["lambda_mod4"]
+
     def test_odd_link_exits_3(self, capsys, tmp_path):
         path = write_doc(tmp_path, {"matrix": [[-3]]})
         code, _, err = run(capsys, "canonical", path)

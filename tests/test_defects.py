@@ -17,7 +17,6 @@ from framings import (
     canonical_offset,
     canonical_set,
     defect_norm,
-    in_lattice,
     lambda_class,
     lens_double_splits,
     pullback_cover,
@@ -98,12 +97,6 @@ class TestLambdaAndLattices:
         assert lam.value == 3
         assert lam.representative == -1
 
-    def test_in_lattice(self):
-        assert in_lattice(TotalDefect(-1, 2), 0)
-        assert not in_lattice(TotalDefect(0, 1), 0)
-        assert in_lattice(TotalDefect(1, 0), 2)
-        assert in_lattice(TotalDefect(1, 0), LambdaClass(-2))
-
 
 class TestCanonicalSet:
     def test_lambda_zero(self):
@@ -131,7 +124,7 @@ class TestCanonicalSet:
     def test_members_minimize_norm_on_lattice_sample(self, k):
         best = min(defect_norm(p) for p in canonical_set(k))
         sample = [TotalDefect(d, h) for d in range(-6, 7) for h in range(-14, 15)
-                  if in_lattice(TotalDefect(d, h), k)]
+                  if lambda_class(TotalDefect(d, h)) == LambdaClass(k)]
         assert best == min(defect_norm(p) for p in sample)
 
 
@@ -216,7 +209,7 @@ class TestPullbackCover:
         lam = lambda_class(TotalDefect(m, 3 - 3 * m))
         sigma_pi = Fraction((m - 1) * (m - 2), 3)
         points = [TotalDefect(d, h) for d in range(-4, 5) for h in range(-9, 10)
-                  if in_lattice(TotalDefect(d, h), lam)]
+                  if lambda_class(TotalDefect(d, h)) == lam]
         for p in points:
             up = pullback_cover(p, m, sigma_pi)
             du, hu = up.d, up.h - 2

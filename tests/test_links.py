@@ -1,5 +1,7 @@
 """Framed-link surgery calculus."""
 
+from math import prod
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -20,20 +22,19 @@ from framings import (
     characteristic_sublinks,
     e8_link,
     empty_link,
-    homology,
     lambda_class,
     lambda_from_mu,
     lens_double_splits,
     mu_invariant,
     mu_representative,
     natural_framings,
-    reverse_link_orientation,
-    sublink_of,
     unknot,
 )
 
+import framings.exactmath
 import framings.links
 import oracles
+from oracles import sublink_of
 from records import assert_rejected, assert_round_trips
 from strategies import even_framed_links, framed_links, spin_test_links
 
@@ -80,7 +81,7 @@ class TestFramedLink:
         assert chain_link(1).matrix.to_lists() == [[2]]
 
     def test_e8_presents_a_homology_sphere(self):
-        profile = homology(e8_link())
+        profile = analyze(e8_link(), None).homology
         assert profile.betti1 == 0 and profile.torsion == ()
         assert e8_link().matrix.det() == 1
         assert e8_link().matrix.to_lists() == [
@@ -110,22 +111,22 @@ class TestBasicInvariants:
 class TestHomology:
     @pytest.mark.parametrize("m,r", [(4, 1), (5, 0)])
     def test_surgery_on_an_unknot(self, m, r):
-        profile = homology(unknot(-m))
+        profile = analyze(unknot(-m), None).homology
         assert profile.betti1 == 0
         assert profile.torsion == (m,)
         assert profile.r == r and profile.s == r
 
     def test_empty_link(self):
-        profile = homology(empty_link())
+        profile = analyze(empty_link(), None).homology
         assert (profile.betti1, profile.torsion, profile.r, profile.s) == (0, (), 0, 0)
 
     def test_zero_framed_three_component_unlink(self):
-        profile = homology(FramedLink.from_rows([[0] * 3] * 3))
+        profile = analyze(FramedLink.from_rows([[0] * 3] * 3), None).homology
         assert (profile.betti1, profile.r, profile.s) == (3, 3, 0)
 
     @given(framed_links(max_components=6))
     def test_r_splits_as_s_plus_betti(self, link):
-        profile = homology(link)
+        profile = analyze(link, None).homology
         assert profile.r == profile.s + profile.betti1
 
 
@@ -173,7 +174,7 @@ class TestCharacteristicSublinks:
 
     @given(framed_links(max_components=6))
     def test_count_is_two_to_the_r(self, link):
-        assert len(characteristic_sublinks(link)) == 2 ** homology(link).r
+        assert len(characteristic_sublinks(link)) == 2 ** analyze(link, None).homology.r
 
 
 class TestMuInvariant:
@@ -267,17 +268,22 @@ class TestGrayCodeWalk:
 
 
 def _count_kernel_calls(monkeypatch) -> dict[str, int]:
-    """Wrap the kernel functions links calls with counters."""
+    """Wrap the kernel functions with counters where links looks them up;
+    links does not import smith_normal_form, so that one is counted in
+    exactmath."""
     calls = {}
-    for name in ("exact_signature", "smith_normal_form", "signature_and_smith", "solve_gf2"):
+    for module, name in ((framings.links, "exact_signature"),
+                         (framings.exactmath, "smith_normal_form"),
+                         (framings.links, "signature_and_smith"),
+                         (framings.links, "solve_gf2")):
         calls[name] = 0
-        original = getattr(framings.links, name)
+        original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original):
             calls[_name] += 1
             return _original(*args)
 
-        monkeypatch.setattr(framings.links, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -285,9 +291,10 @@ class TestSpinStructures:
     @given(framed_links())
     @settings(max_examples=50)
     def test_agrees_with_mu_invariant(self, link):
-        for spin in analyze(link, None).spin_structures:
+        report = analyze(link, None)
+        for spin in report.spin_structures:
             assert spin.mu == mu_invariant(link, spin.sublink)
-            assert spin.lam == lambda_from_mu(homology(link).r, spin.mu)
+            assert spin.lam == lambda_from_mu(report.homology.r, spin.mu)
 
 
 class TestAnalyze:
@@ -334,7 +341,18 @@ class TestAnalyze:
         arf_table = {m: data.draw(st.integers(0, 1)) for m in masks}
         report = analyze(link, arf_table)
         assert report.framings == natural_framings(link)
-        assert report.homology == homology(link)
+        # H1 from the oracles, not the Smith kernel: r and betti1 are the
+        # corank of Q mod 2 and over Q, the latter read mod a prime above
+        # Hadamard's bound (7.4^6 < 1e6 at n <= 6, entries in [-3, 3]); the
+        # torsion orders multiply to |det Q| when it is nonzero.
+        rows = link.matrix.to_lists()
+        n, hom = len(rows), report.homology
+        assert hom.r == n - oracles.rank_mod_p(rows, 2)
+        assert hom.betti1 == n - oracles.rank_mod_p(rows, 1_000_003)
+        assert hom.s == hom.r - hom.betti1
+        det = oracles.det_fraction_gauss(rows)
+        if det:
+            assert prod(hom.torsion) == abs(det)
         assert ([s.sublink for s in report.spin_structures]
                 == characteristic_sublinks(link, arf_table))
         for spin in report.spin_structures:
@@ -430,29 +448,7 @@ class TestNaturalFramings:
         nat = natural_framings(link)
         empty = sublink_of(link, [])
         mu = mu_invariant(link, empty)
-        assert lambda_class(nat.delta) == lambda_from_mu(homology(link).r, mu)
-
-
-class TestReverseOrientation:
-    def test_e8(self):
-        reversed_link = reverse_link_orientation(e8_link())
-        assert chi_sigma_tau(reversed_link)[1] == -8
-        assert natural_framings(reversed_link).delta == TotalDefect(9, 24)
-
-    def test_empty(self):
-        assert reverse_link_orientation(empty_link()) == empty_link()
-
-    def test_single_unknot(self):
-        link = unknot(2)
-        assert reverse_link_orientation(link).matrix.to_lists() == [[-2]]
-        assert natural_framings(link).delta == TotalDefect(2, -3)
-        assert natural_framings(reverse_link_orientation(link)).delta == TotalDefect(2, 3)
-
-    @given(even_framed_links(max_components=6))
-    def test_conjugates_the_boundary_framing(self, link):
-        chi, sigma, _ = chi_sigma_tau(link)
-        mirrored = natural_framings(reverse_link_orientation(link)).delta
-        assert mirrored == TotalDefect(chi, 3 * sigma)
+        assert lambda_class(nat.delta) == lambda_from_mu(analyze(link, None).homology.r, mu)
 
 
 class TestLensDoubleSplitting:
