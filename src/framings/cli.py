@@ -55,23 +55,18 @@ def load_link_document(path: str) -> LinkDocument:
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be an object")
     matrix = raw.get("matrix")
-    if (not isinstance(matrix, list)
-            or any(not isinstance(row, list) for row in matrix)
-            or any(not isinstance(x, int) or isinstance(x, bool)
-                   for row in matrix for x in row)):
+    if not isinstance(matrix, list):
         raise ParseError(f"{path}: 'matrix' must be a list of integer rows")
-    size = len(matrix)
-    if any(len(row) != size for row in matrix):
-        raise ParseError(f"{path}: matrix must be square")
+    try:  # IntMatrix checks the entries and row lengths, FramedLink the symmetry
+        link = links.FramedLink.from_rows(matrix)
+    except (TypeError, ValueError, NotSymmetric) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    size = link.components
     components = raw.get("components", size)
     if not isinstance(components, int) or isinstance(components, bool):
         raise ParseError(f"{path}: 'components' must be an integer")
     if components != size:
         raise ParseError(f"{path}: components = {components} but matrix is {size}x{size}")
-    try:
-        link = links.FramedLink.from_rows(matrix)
-    except NotSymmetric as exc:
-        raise ParseError(f"{path}: matrix must be symmetric") from exc
     name = raw.get("name", Path(path).stem)
     if not isinstance(name, str):
         raise ParseError(f"{path}: 'name' must be a string")

@@ -265,40 +265,40 @@ def solve_gf2(a: MatrixLike, b: Sequence[int]) -> Gf2Solution:
     """Solve a x = b over GF(2); entries of a and b are reduced mod 2.
 
     Raises Unsolvable when the system is inconsistent.  Rows are held as
-    integer bitmasks in reduced row echelon form, keyed by pivot column; a
-    new row is reduced by them, and its pivot cleared from them.
+    integer bitmasks in reduced row echelon form, keyed by pivot column,
+    the right-hand side as bit nc of the same int; a new row is reduced by
+    them, and its pivot cleared from them.  A row reduced to bit nc alone
+    reads 0 = 1.
     """
     mat = as_int_matrix(a)
     nc = mat.cols
     if len(b) != mat.rows:
         raise ValueError(f"right-hand side has length {len(b)}, expected {mat.rows}")
-    pivots: dict[int, tuple[int, int]] = {}  # pivot column -> (row bits, rhs bit)
+    pivots: dict[int, int] = {}  # pivot column -> row bits, rhs at bit nc
     for row, rhs in zip(mat.entries, b):
-        bits = sum(1 << j for j, x in enumerate(row) if x & 1)
-        rhs &= 1
-        for col, (pbits, prhs) in pivots.items():
+        bits = sum(1 << j for j, x in enumerate(row) if x & 1) | (rhs & 1) << nc
+        for col, pbits in pivots.items():
             if (bits >> col) & 1:
                 bits ^= pbits
-                rhs ^= prhs
+        if bits == 1 << nc:
+            raise Unsolvable("inconsistent linear system over GF(2)")
         if bits == 0:
-            if rhs:
-                raise Unsolvable("inconsistent linear system over GF(2)")
             continue
         col = (bits & -bits).bit_length() - 1
-        for pcol, (pbits, prhs) in pivots.items():
+        for pcol, pbits in pivots.items():
             if (pbits >> col) & 1:
-                pivots[pcol] = (pbits ^ bits, prhs ^ rhs)
-        pivots[col] = (bits, rhs)
+                pivots[pcol] = pbits ^ bits
+        pivots[col] = bits
     particular = [0] * nc
-    for col, (_, rhs) in pivots.items():
-        particular[col] = rhs
+    for col, pbits in pivots.items():
+        particular[col] = pbits >> nc
     kernel = []
     for free in range(nc):
         if free in pivots:
             continue
         v = [0] * nc
         v[free] = 1
-        for col, (pbits, _) in pivots.items():
+        for col, pbits in pivots.items():
             if (pbits >> free) & 1:
                 v[col] = 1
         kernel.append(tuple(v))

@@ -7,9 +7,9 @@ intersection form is Q, and everything computed here (homology, spin
 structures with their mu and lambda, the natural framings' defects) is a
 function of that matrix alone; each record stores each fact once.  The
 spin structures are walked once, in Gray-code order, each sublink carried
-as an int mask; an O(1) comparison of parity masks of Q x and diag(Q)
-checks that it is characteristic, and sorting the masks as ints puts the
-rows in bitmask order.
+as an int mask.  They form an affine space over GF(2), so one check of
+its basis before the walk shows every row characteristic; sorting the
+masks as ints puts the rows in bitmask order.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ class Sublink(NamedTuple("Sublink", [("bitmask", str), ("self_intersection", int
     __slots__ = ()
 
     def __new__(cls, bitmask: str, self_intersection: int, arf: int, arf_assumed: bool) -> Sublink:
-        if arf not in (0, 1):
+        if not isinstance(arf, int) or isinstance(arf, bool) or arf not in (0, 1):
             raise ValueError("arf must be 0 or 1")
         return super().__new__(cls, bitmask, self_intersection, arf, arf_assumed)
 
@@ -132,10 +132,12 @@ def characteristic_sublinks(link: FramedLink,
     zeros of the step count.  Setting x_i adds 2 y_i + Q_ii to C.C = x^T Q x
     and column i to y = Q x; clearing it subtracts 2 y_i - Q_ii and the
     column, y_i read before the update.  A step costs O(n) per component
-    toggled.  x is also an int mask (component 0 the leading bit) and the
-    parities of y another, XORed at each step with the parities of the
-    toggled columns' sum, so each sublink is checked characteristic in
-    O(1) against diag(Q) mod 2.  The masks sorted as ints give ascending
+    toggled.  Every x is characteristic once the basis is: Q times the
+    particular solution must be diag(Q), and Q times each kernel vector 0,
+    mod 2.  Both are checked before the walk, a failure naming the
+    particular sublink or the particular plus that kernel vector, so no
+    row can fail once the first is built.  x is also an int mask
+    (component 0 the leading bit); the masks sorted as ints give ascending
     bitmask order, each bitmask built once.  Arf invariants are looked up
     in arf_table by bitmask, defaulting to 0 with arf_assumed set.
     """
@@ -145,15 +147,18 @@ def characteristic_sublinks(link: FramedLink,
     solution = solve_gf2(q, list(diagonal))
     x = solution.particular
     y = _times_q(rows, x)
+    mask = _parity_mask(x)
+    if _parity_mask(y) != _parity_mask(diagonal):
+        raise _not_characteristic(_bitmask(mask, n))
+    for v in solution.kernel:
+        if _parity_mask(_times_q(rows, v)):
+            raise _not_characteristic(_bitmask(mask ^ _parity_mask(v), n))
     cc = sum(v for v, bit in zip(y, x) if bit)
-    target, y_parity, mask = _parity_mask(diagonal), _parity_mask(y), _parity_mask(x)
     toggles = [[(i, 1 << (n - 1 - i)) for i, b in enumerate(v) if b] for v in solution.kernel]
-    flips = [_parity_mask(_times_q(rows, v)) for v in solution.kernel]
     found = []
     for step in range(1 << len(toggles)):
         if step:
-            k = (step & -step).bit_length() - 1
-            for i, bit in toggles[k]:
+            for i, bit in toggles[(step & -step).bit_length() - 1]:
                 column = rows[i]
                 if mask & bit:
                     cc -= 2 * y[i] - column[i]
@@ -162,15 +167,12 @@ def characteristic_sublinks(link: FramedLink,
                     cc += 2 * y[i] + column[i]
                     y = [a + b for a, b in zip(y, column)]
                 mask ^= bit
-            y_parity ^= flips[k]
-        if y_parity != target:
-            raise _not_characteristic(_bitmask(mask, n))
         found.append((mask, cc))
     out = []
     for mask, cc in sorted(found):
         bits = _bitmask(mask, n)
         arf = None if arf_table is None else arf_table.get(bits)
-        out.append(Sublink(bits, cc, arf or 0, arf is None))
+        out.append(Sublink(bits, cc, 0 if arf is None else arf, arf is None))
     return out
 
 

@@ -46,6 +46,20 @@ class TestLoadLinkDocument:
         with pytest.raises(ParseError):
             load_link_document(path)
 
+    # IntMatrix refuses non-integer entries and ragged rows, FramedLink a
+    # matrix that is not square; the loader turns each refusal into one
+    # error line, and the loader's own list check catches what is not a list.
+    @pytest.mark.parametrize("doc", [
+        {"matrix": m} for m in ([[1.0]], [[True]], [[1, 2], [3]], [[1, 2]], [[]], "12",
+                                [{"0": 1}], [[[1]]], None)
+    ] + [{}], ids=["float", "bool", "ragged", "wide", "empty-row", "string", "object-row",
+                   "nested", "null", "missing"])
+    def test_malformed_matrix_exits_2_with_one_line(self, capsys, tmp_path, doc):
+        path = write_doc(tmp_path, doc)
+        code, out, err = run(capsys, "invariants", path)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("components", [3, True, 1.0], ids=["mismatch", "bool", "float"])
     def test_rejects_component_mismatch(self, tmp_path, components):
         path = write_doc(tmp_path, {"components": components, "matrix": [[0]]})

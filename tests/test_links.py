@@ -131,11 +131,16 @@ class TestHomology:
 
 
 class TestSublink:
-    @pytest.mark.parametrize("arf", [2, -1, None])
+    @pytest.mark.parametrize("arf", [2, -1, None, True, 1.0])
     def test_every_build_runs_the_checks(self, arf):
         good = sublink_of(chain_link(2), [1], arf=1)
         assert_rejected(good, {"arf": arf}, ValueError, "arf must be 0 or 1")
         assert_round_trips(good)
+
+    @pytest.mark.parametrize("arf", [1.0, 0.0])
+    def test_analyze_refuses_a_float_arf_table_value(self, arf):
+        with pytest.raises(ValueError, match="^arf must be 0 or 1$"):
+            analyze(unknot(-4), {"1": arf})
 
 
 class TestCharacteristicSublinks:
@@ -326,6 +331,13 @@ class TestAnalyze:
                 analyze(link, None)
             with pytest.raises(NotCharacteristic):
                 characteristic_sublinks(link)
+        # Q = diag(0, 0, 1): the particular (0, 0, 1) is right, but the
+        # second kernel vector (0, 1, 1) is not in ker Q mod 2, so the walk
+        # is refused before it starts, naming particular + v = {1}.
+        bad = Gf2Solution(particular=(0, 0, 1), kernel=((1, 0, 0), (0, 1, 1)))
+        monkeypatch.setattr(framings.links, "solve_gf2", lambda a, b: bad)
+        with pytest.raises(NotCharacteristic, match=r"^sublink \[1\] is not characteristic$"):
+            characteristic_sublinks(FramedLink.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 1]]))
 
     def test_is_frozen(self):
         report = analyze(unknot(2), {"1": 1})
