@@ -3,12 +3,15 @@
 Determinants, Smith normal forms, signatures of symmetric integer matrices
 and affine GF(2) systems, all with arbitrary-precision integers.  One
 fraction-free (Bareiss) step eliminates a shrinking block for determinants
-and signatures, its divisions exact; a zero pivot is repaired by adding a
-later row (and, for signatures, its column).  A symmetric nonsingular Q
-has its signature, det Q and a modulus t from one elimination of [Q | 1];
-every invariant factor but the last divides t, so the Smith form is
-reduced mod t (Cohen, A Course in Computational Algebraic Number Theory,
-section 2.4).  No rational or floating-point number enters any elimination.
+and signatures, its divisions exact; a symmetric block stays symmetric, so
+only its upper triangle is stored.  A zero pivot is repaired by adding a
+later row (for signatures, row k rebuilt whole from the triangle, and its
+column); a radical direction of a symmetric block drops its first row.
+A symmetric nonsingular Q has its signature, det Q and a modulus t from
+one elimination of [Q | 1]; every invariant factor but the last divides
+t, so the Smith form is reduced mod t (Cohen, A Course in Computational
+Algebraic Number Theory, section 2.4).  No rational or floating-point
+number enters any elimination.
 """
 
 from __future__ import annotations
@@ -31,14 +34,21 @@ class IntMatrix(NamedTuple("IntMatrix", [("entries", tuple[tuple[int, ...], ...]
     __slots__ = ()
 
     def __new__(cls, entries: Sequence[Sequence[int]]) -> IntMatrix:
-        entries = tuple(tuple(row) for row in entries)
-        if len({len(row) for row in entries}) > 1:
+        rows = []
+        for i, row in enumerate(entries):
+            try:
+                rows.append(tuple(row))
+            except TypeError:
+                raise TypeError(f"matrix row {i} is not a list of integers") from None
+        if len({len(row) for row in rows}) > 1:
             raise ValueError("matrix rows have unequal lengths")
-        for row in entries:
+        for row in rows:
             for x in row:
                 if not isinstance(x, int) or isinstance(x, bool):
-                    raise TypeError(f"non-integer matrix entry {x!r}")
-        return super().__new__(cls, entries)
+                    name = repr(x)  # a long one is named by its type: the message stays short
+                    name = name if len(name) <= 40 else f"of type {type(x).__name__}"
+                    raise TypeError(f"non-integer matrix entry {name}")
+        return super().__new__(cls, tuple(rows))
 
     # _replace builds through _make, which would otherwise skip __new__.
     _make = classmethod(lambda cls, fields: cls(*fields))
@@ -58,10 +68,7 @@ class IntMatrix(NamedTuple("IntMatrix", [("entries", tuple[tuple[int, ...], ...]
         return sum(self.diagonal())
 
     def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(self.entries[i][j] == self.entries[j][i]
-                   for i in range(self.rows) for j in range(i + 1, self.cols))
+        return self.rows == self.cols and self.entries == tuple(zip(*self.entries))
 
     def to_lists(self) -> list[list[int]]:
         return [list(row) for row in self.entries]
@@ -84,18 +91,19 @@ class IntMatrix(NamedTuple("IntMatrix", [("entries", tuple[tuple[int, ...], ...]
         return prev
 
 
-def _bareiss_block(a: list[list[int]], prev: int) -> list[list[int]]:
+def _bareiss_block(a: list[list[int]], prev: int, upper: bool = False) -> list[list[int]]:
     """One fraction-free step on the pivot a[0][0]: the block left to
     eliminate, (a[i][j] a[0][0] - a[i][0] a[0][j]) / prev for i, j >= 1,
     prev being the previous pivot (1 before the first step).  By Sylvester's
     identity each entry is the minor of the eliminated rows bordered by row
-    i and column j, so the division is exact and entries stay integers."""
-    p = a[0][0]
-    top = a[0][1:]
+    i and column j, so the division is exact and entries stay integers.
+    With upper, a is the upper triangle of a symmetric block, row i from
+    column i on (then any right-hand side), so a[i][0] is read as a[0][i]."""
+    p, top = a[0][0], a[0]
     block = []
-    for row in a[1:]:
-        f = row[0]
-        block.append([(x * p - f * y) // prev for x, y in zip(row[1:], top)])
+    for i, row in enumerate(a[1:], 1):
+        f, xs, ys = (top[i], row, top[i:]) if upper else (row[0], row[1:], top[1:])
+        block.append([(x * p - f * y) // prev for x, y in zip(xs, ys)])
     return block
 
 
@@ -198,18 +206,19 @@ def smith_normal_form(m: MatrixLike) -> SmithForm:
 
 def _symmetric_pass(mat: IntMatrix, rhs: list[int]) -> tuple[int, int, list[list[int]]]:
     """Signature, determinant and kept pivot rows of the symmetric Bareiss
-    elimination of [mat | rhs].  The pivots are nested principal minors
-    D_1, D_2, ... of a matrix Q' = E mat E^T congruent to mat, and by
-    Jacobi's rule each contributes the sign of D_k D_{k-1} (D_0 = 1).  A
-    zero pivot with b = a[0][k] != 0 is repaired by adding s times row and
-    column k, making the pivot 2sb + a[k][k]; one of s = 1, -1 makes that
-    nonzero.  The column operation also reaches the kept pivot rows, so
-    they stay the rows of the elimination of [Q' | E rhs].  A zero row and
-    column is skipped as a radical direction, the divisor unchanged; the
-    determinant is then 0."""
+    elimination of [mat | rhs], kept to its upper triangle: row i of the
+    block holds columns i, i + 1, ... and then rhs.  The pivots are nested
+    principal minors D_1, D_2, ... of a matrix Q' = E mat E^T congruent to
+    mat, and by Jacobi's rule each contributes the sign of D_k D_{k-1}
+    (D_0 = 1).  A zero pivot with b = a[0][k] != 0 is repaired by adding s
+    times row k, rebuilt whole from a[j][k - j] (j < k) and a[k], and
+    column k, which reaches row 0 and the kept pivot rows alone: the pivot
+    becomes 2sb + a[k][k], nonzero for one of s = 1, -1, and the kept rows
+    stay those of the elimination of [Q' | E rhs].  A zero row and column
+    is a radical direction: row 0 is dropped and the determinant is 0."""
     if not mat.is_symmetric():
         raise NotSymmetric("signature needs a symmetric matrix")
-    a = [list(row) + rhs for row in mat.entries]
+    a = [list(row[i:]) + rhs for i, row in enumerate(mat.entries)]
     kept: list[list[int]] = []
     signature, prev = 0, 1
     while a:
@@ -217,16 +226,17 @@ def _symmetric_pass(mat: IntMatrix, rhs: list[int]) -> tuple[int, int, list[list
         if top[0] == 0:
             k = next((k for k in range(1, len(a)) if top[k]), None)
             if k is None:
-                a = [row[1:] for row in a[1:]]  # a radical direction
+                a = a[1:]  # a radical direction
                 continue
-            s = 1 if 2 * top[k] + a[k][k] else -1
-            a[0] = [x + s * y for x, y in zip(top, a[k])]
-            for row in a + kept:  # column 0 of the block is len(top) from the end
+            s = 1 if 2 * top[k] + a[k][0] else -1
+            row_k = [row[k - j] for j, row in enumerate(a[:k])] + a[k]
+            a[0] = [x + s * y for x, y in zip(top, row_k)]
+            for row in a[:1] + kept:  # column 0 of the block is len(top) from the end
                 row[-len(top)] += s * row[k - len(top)]
         p = a[0][0]
         signature += 1 if (p > 0) == (prev > 0) else -1
         kept.append(a[0])
-        prev, a = p, _bareiss_block(a, prev)
+        prev, a = p, _bareiss_block(a, prev, upper=True)
     return signature, prev if len(kept) == mat.rows else 0, kept
 
 

@@ -188,6 +188,25 @@ class TestInvariantsCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    # A long entry is named by its type and a row that is no list by its
+    # index, so the error line stays short.  A process of its own meets the
+    # 984-deep list at the recursion depth of a real run.
+    @pytest.mark.parametrize("matrix, message", [
+        ('[["' + "x" * 10**5 + '"]]', "non-integer matrix entry of type str"),
+        ("[[" + "[" * 984 + "]" * 984 + "]]", "non-integer matrix entry of type list"),
+        ("[[1, 2], 3]", "matrix row 1 is not a list of integers"),
+    ], ids=["long-string", "deep-list", "number-row"])
+    def test_odd_entries_exit_2_with_one_short_line(self, tmp_path, matrix, message):
+        path = tmp_path / "m.json"
+        path.write_text('{"matrix": ' + matrix + "}")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-m", "framings.cli", "invariants", str(path)],
+                                capture_output=True, env=env, timeout=60)
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr == f"error: {path}: {message}\n".encode()
+        assert len(result.stderr) <= 200
+
     def test_a_closed_stdout_ends_quietly(self, tmp_path):
         # The 12-component 0-framed unlink has 4096 spin structures, about
         # 1 MB of JSON: the reader closes the pipe long before the write ends.

@@ -45,6 +45,20 @@ class TestIntMatrix:
         with pytest.raises(TypeError, match=f"^non-integer matrix entry {re.escape(repr(entry))}$"):
             IntMatrix([[entry]])
 
+    @pytest.mark.parametrize("entry, name", [
+        ("x" * 38, repr("x" * 38)), ("x" * 39, "of type str"),
+        ([[[[[[[[[[[[[[[[[[[[[]]]]]]]]]]]]]]]]]]]]], "of type list"),
+        (Fraction(10**40, 3), "of type Fraction"),
+    ], ids=["40-chars", "41-chars", "nested", "long-fraction"])
+    def test_a_long_entry_is_named_by_its_type(self, entry, name):
+        with pytest.raises(TypeError, match=f"^non-integer matrix entry {re.escape(name)}$"):
+            IntMatrix([[1, entry]])
+
+    @pytest.mark.parametrize("rows", [[[1], 2], [[1], None], [3]], ids=["int", "none", "first"])
+    def test_a_row_that_is_no_list_is_named_by_its_index(self, rows):
+        with pytest.raises(TypeError, match=f"^matrix row {len(rows) - 1} is not a list of integers$"):
+            IntMatrix(rows)
+
     @pytest.mark.parametrize("entry", [True, False])
     def test_rejects_bools(self, entry):
         # bool is a subclass of int; accepting it would hand True back from to_lists().
@@ -80,6 +94,13 @@ class TestIntMatrix:
         assert m.trace() == 5
         assert m.to_lists() == [[1, 2], [3, 4]]
         assert not m.is_symmetric()
+
+    @given(int_matrices(max_rows=5, max_cols=5, lo=-1, hi=1))
+    def test_is_symmetric_compares_every_mirrored_pair(self, rows):
+        n = len(rows)
+        expected = all(len(row) == n for row in rows) and all(
+            rows[i][j] == rows[j][i] for i in range(n) for j in range(n))
+        assert IntMatrix(rows).is_symmetric() == expected
 
     def test_determinant_with_zero_pivot(self):
         m = IntMatrix([[0, 1], [1, 0]])
@@ -299,6 +320,37 @@ class TestExactSignature:
         rows = [[1, m], [m, m * m - 1]]
         assert not oracles.signature_by_eigenvalues(rows)[1]
         assert exact_signature(rows) == oracles.signature_by_charpoly(rows) == 0
+
+
+@st.composite
+def _nonzero_leading_minors(draw, max_size=12):
+    """Dense symmetric Q = L D L^T, L unit lower triangular and D a nonzero
+    diagonal: its leading principal minors are the products of the first
+    entries of D, so none is zero and no pivot needs a repair."""
+    n = draw(st.integers(1, max_size))
+    d = [draw(st.integers(-3, 3).filter(bool)) for _ in range(n)]
+    low = [[draw(st.integers(-2, 2)) if j < i else int(i == j) for j in range(n)]
+           for i in range(n)]
+    return [[sum(low[i][k] * d[k] * low[j][k] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+class TestSymmetricPass:
+    @given(_nonzero_leading_minors())
+    @settings(max_examples=60)
+    def test_kept_rows_are_bordered_leading_minors(self, rows):
+        # By Sylvester's identity kept row k holds, for each column j >= k
+        # of [Q | 1], the minor of rows 0..k and columns 0..k-1, j; at j = k
+        # that is the leading (k + 1)-block, the k-th pivot.  The triangle
+        # stores only these entries, so each is checked by the rational oracle.
+        n = len(rows)
+        aug = [row + [1] for row in rows]
+        _, det, kept = exactmath._symmetric_pass(IntMatrix(rows), [1])
+        assert len(kept) == n
+        for k, row in enumerate(kept):
+            assert row == [oracles.det_fraction_gauss([r[:k] + [r[j]] for r in aug[:k + 1]])
+                           for j in range(k, n + 1)]
+        assert det == kept[-1][0] == oracles.det_fraction_gauss(rows)
 
 
 def _over_z(rows: list[list[int]]) -> SmithForm:
