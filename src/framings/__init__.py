@@ -25,7 +25,6 @@ from .defects import (
     splits_as_sum,
 )
 from .errors import (
-    DegenerateAngle,
     FramingError,
     LambdaMismatch,
     NonIntegralDefect,
@@ -69,7 +68,6 @@ from .quotients import (
     FiniteSubgroup,
     binary_dihedral,
     cyclic,
-    g_signature_local,
     parse_group,
     quotient_framing_defect,
     sigma_g,

@@ -29,10 +29,5 @@ class NotCharacteristic(FramingError):
     """The given sublink fails the characteristic condition mod 2."""
 
 
-class DegenerateAngle(FramingError):
-    """A rotation angle outside the open interval (0, 2 pi) was supplied; the
-    fixed-point formula needs rotations with no fixed direction."""
-
-
 class ParseError(FramingError):
     """A link document or command-line value failed to parse or validate."""

@@ -11,8 +11,7 @@ fixed-point cotangent sums, which serves as a numerical oracle.
 Angles are carried as exact rational multiples of pi, integer pairs
 (p, q) standing for p/q; they become floats only in the final evaluation
 of each cotangent term.  The brute-force sum streams them one element at
-a time and never holds the |G| angles at once.  g_signature_local takes
-the angle pairs of one diffeomorphism's fixed points directly.
+a time and never holds the |G| angles at once.
 """
 
 from __future__ import annotations
@@ -20,10 +19,10 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 from .defects import TotalDefect
-from .errors import DegenerateAngle, NonIntegralDefect
+from .errors import NonIntegralDefect
 
 _FAMILY_NAMES = {
     "C": "cyclic",
@@ -161,10 +160,6 @@ def _angle_pairs(group: FiniteSubgroup) -> Iterator[tuple[int, int]]:
                 yield from per_subgroup
 
 
-def _cot(x: float) -> float:
-    return math.cos(x) / math.sin(x)
-
-
 def sigma_g_bruteforce(group: FiniteSubgroup) -> float:
     """sigma(G) evaluated as 3 times the cotangent sum over the group:
     each element u != 1 contributes cot^2 of half its rotation angle.
@@ -192,28 +187,3 @@ def quotient_framing_defect(group: FiniteSubgroup) -> TotalDefect:
         raise NonIntegralDefect(
             f"2 - sigma({group.label}) is not divisible by the group order")
     return TotalDefect(0, h)
-
-
-def _check_angle(t: Fraction) -> None:
-    if not 0 < t < 2:
-        raise DegenerateAngle(f"angle multiplier {t} outside the open interval (0, 2)")
-
-
-def g_signature_local(points: Sequence[tuple[Fraction | int | str, Fraction | int | str]] = (),
-                      surfaces: Sequence[tuple[int, Fraction | int | str]] = ()) -> float:
-    """The fixed-point formula for the g-signature:
-    -sum cot(alpha/2) cot(beta/2) + sum F.F csc^2(gamma/2), over isolated
-    points rotating two planes through (alpha, beta) and fixed surfaces
-    (F.F, gamma) whose normal planes rotate through gamma.  Angles are
-    multiples of pi in (0, 2), each read through Fraction, e.g. "1/2"."""
-    total = 0.0
-    for alpha, beta in points:
-        alpha, beta = Fraction(alpha), Fraction(beta)
-        _check_angle(alpha)
-        _check_angle(beta)
-        total -= _cot(float(alpha) * math.pi / 2) * _cot(float(beta) * math.pi / 2)
-    for self_int, gamma in surfaces:
-        gamma = Fraction(gamma)
-        _check_angle(gamma)
-        total += self_int / math.sin(float(gamma) * math.pi / 2) ** 2
-    return total

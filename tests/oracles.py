@@ -7,8 +7,10 @@ larger sizes, their counts per prime from ranks over GF(p) instead of
 row/column reduction, signatures from floating eigenvalues and, exactly,
 from the sign changes of the integer characteristic polynomial instead of
 symmetric elimination, GF(2) systems and characteristic sublinks by
-exhaustive enumeration, and a sublink's C.C summed straight from the
-linking matrix's entries instead of by the Gray-code walk's updates.
+exhaustive enumeration, a sublink's C.C summed straight from the
+linking matrix's entries instead of by the Gray-code walk's updates, and
+Dedekind sums term by term from the sawtooth function instead of the
+closed forms they are compared with.
 """
 
 from __future__ import annotations
@@ -156,3 +158,16 @@ def sublink_of(link, members, arf: int = 0) -> Sublink:
     cc = sum(rows[i][j] for i in chosen for j in chosen)
     bits = "".join("1" if i in chosen else "0" for i in range(len(rows)))
     return Sublink(bits, cc, arf, False)
+
+
+def _sawtooth(x: Fraction) -> Fraction:
+    """((x)) = x - floor(x) - 1/2 off the integers, and 0 on them."""
+    if x.denominator == 1:
+        return Fraction(0)
+    return x - x.numerator // x.denominator - Fraction(1, 2)
+
+
+def dedekind_sum(h: int, k: int) -> Fraction:
+    """s(h, k) = sum over j mod k of ((j/k)) ((hj/k)), term by term, k >= 1."""
+    return sum((_sawtooth(Fraction(j, k)) * _sawtooth(Fraction(h * j, k)) for j in range(1, k)),
+               Fraction(0))

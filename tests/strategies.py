@@ -61,6 +61,49 @@ def degenerate_symmetric_matrices(draw, max_block=4, lo=-5, hi=5):
     return [[rows[i][j] for j in perm] for i in perm]
 
 
+def hyperbolic(b: list[list[int]]) -> list[list[int]]:
+    """The zero-diagonal block form [[0, B], [B^T, 0]]: Smith form that of
+    B twice over, signature 0."""
+    k = len(b)
+    return ([[0] * k + list(row) for row in b]
+            + [[b[j][i] for j in range(k)] + [0] * k for i in range(k)])
+
+
+@st.composite
+def hyperbolic_forms(draw):
+    """hyperbolic(B) for a random B of size 1-3, entries in [-3, 3], under a
+    random simultaneous permutation of rows and columns: even, with a zero
+    diagonal that a symmetric elimination pivots on only through its
+    zero-pivot repair."""
+    k = draw(st.integers(1, 3))
+    rows = hyperbolic([[draw(st.integers(-3, 3)) for _ in range(k)] for _ in range(k)])
+    perm = draw(st.permutations(range(2 * k)))
+    return [[rows[i][j] for j in perm] for i in perm]
+
+
+@st.composite
+def kirby_moves(draw, presentations):
+    """(Q, Q after 1-4 Kirby moves) for a linking matrix Q drawn from
+    presentations.  A move is a handle slide Q -> P^T Q P with
+    P = I + e E_ji (i != j, e = +-1), which adds e times column j to column
+    i and then e times row j to row i, or a blow-up Q -> Q + [e] by a new
+    component at a random index."""
+    rows = draw(presentations)
+    q = [list(row) for row in rows]
+    for _ in range(draw(st.integers(1, 4))):
+        n, e = len(q), draw(st.sampled_from([1, -1]))
+        if n >= 2 and draw(st.booleans()):
+            i, j = draw(st.permutations(range(n)))[:2]
+            for row in q:
+                row[i] += e * row[j]
+            q[i] = [x + e * y for x, y in zip(q[i], q[j])]
+        else:
+            k = draw(st.integers(0, n))
+            q = [row[:k] + [0] + row[k:] for row in q]
+            q.insert(k, [0] * k + [e] + [0] * (n - k))
+    return rows, q
+
+
 @st.composite
 def congruent_diagonal_forms(draw, max_size=4, bound=400_000):
     """(P^T D P, signature of D) for D diagonal in {-1, 0, 1} and P unit

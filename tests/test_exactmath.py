@@ -26,6 +26,7 @@ from records import assert_rejected, assert_round_trips
 from strategies import (
     congruent_diagonal_forms,
     degenerate_symmetric_matrices,
+    hyperbolic,
     int_matrices,
     symmetric_int_matrices,
 )
@@ -375,14 +376,6 @@ def _modulus(monkeypatch, rows: list[list[int]]) -> int:
     return t
 
 
-def _hyperbolic(b: list[list[int]]) -> list[list[int]]:
-    """The zero-diagonal block form [[0, B], [B^T, 0]]: Smith form that of
-    B twice over, signature 0."""
-    k = len(b)
-    return ([[0] * k + list(row) for row in b]
-            + [[b[j][i] for j in range(k)] + [0] * k for i in range(k)])
-
-
 class TestSignatureAndSmith:
     """One symmetric elimination of [Q | 1] gives the signature, det Q and
     a modulus t with s_1 ... s_{n-1} | t | det Q; the Smith form is then
@@ -413,9 +406,9 @@ class TestSignatureAndSmith:
         assert signature_and_smith(rows)[1].invariant_factors == (1, 4, 4)
 
     @pytest.mark.parametrize("rows, form", [
-        (_hyperbolic([[3]]), (0, (3, 3))),
-        (_hyperbolic([[-1, 2], [3, -1]]), (0, (1, 1, 5, 5))),
-        (_hyperbolic([[1, 1, 0], [0, 2, 1], [1, 0, 3]]), (0, (1, 1, 1, 1, 7, 7))),
+        (hyperbolic([[3]]), (0, (3, 3))),
+        (hyperbolic([[-1, 2], [3, -1]]), (0, (1, 1, 5, 5))),
+        (hyperbolic([[1, 1, 0], [0, 2, 1], [1, 0, 3]]), (0, (1, 1, 1, 1, 7, 7))),
         ([[2, 2, 3], [2, 2, 0], [3, 0, 0]], (1, (1, 3, 6))),
     ], ids=["plane", "B2", "B3", "after-a-pivot"])
     def test_zero_pivot_repairs_reach_the_kept_pivot_rows(self, monkeypatch, rows, form):

@@ -1,5 +1,6 @@
 """Framed-link surgery calculus."""
 
+from collections import Counter
 from math import prod
 
 import pytest
@@ -36,7 +37,15 @@ import framings.links
 import oracles
 from oracles import sublink_of
 from records import assert_rejected, assert_round_trips
-from strategies import even_framed_links, framed_links, spin_test_links
+from strategies import (
+    degenerate_symmetric_matrices,
+    even_framed_links,
+    framed_links,
+    hyperbolic_forms,
+    kirby_moves,
+    spin_test_links,
+    symmetric_int_matrices,
+)
 
 
 def chi_sigma_tau(link: FramedLink) -> tuple[int, int, int]:
@@ -370,6 +379,48 @@ class TestAnalyze:
         for spin in report.spin_structures:
             assert spin.mu == mu_invariant(link, spin.sublink)
             assert spin.lam == lambda_from_mu(report.homology.r, spin.mu)
+
+
+def _manifold_invariants(rows: list[list[int]]) -> tuple[tuple, Counter, dict[str, int]]:
+    """((b1, torsion, r), the multiset of (mu mod 8, lambda), mu by
+    bitmask) of the surgery on rows, the homology read both through
+    signature_and_smith (in analyze) and the over-Z Smith loop."""
+    report = analyze(FramedLink.from_rows(rows), None)
+    factors = framings.exactmath._smith_factors([list(row) for row in rows], 0)
+    b1, torsion = factors.count(0), tuple(f for f in factors if f > 1)
+    homology = (b1, torsion, b1 + sum(f % 2 == 0 for f in torsion))
+    hom = report.homology
+    assert (hom.betti1, hom.torsion, hom.r) == homology
+    spins = report.spin_structures
+    assert len(spins) == 2 ** hom.r
+    if report.framings.even:
+        # Q mod 2 is alternating, so r = n (mod 2) and the empty sublink's
+        # lambda, 2(1 + r) + sigma, is that of canonical's delta = (chi, -3 sigma).
+        [empty] = [x for x in spins if "1" not in x.sublink.bitmask]
+        assert empty.lam == lambda_class(report.framings.delta)
+    mus = {x.sublink.bitmask: x.mu for x in spins}
+    return homology, Counter((x.mu % 8, x.lam) for x in spins), mus
+
+
+class TestKirbyMoves:
+    """Surgery on a link and on any presentation reached from it by handle
+    slides and +-1 blow-ups is one manifold M, so b1, the torsion, r and
+    the multiset of (mu mod 8, lambda) over the spin structures agree; mu
+    mod 16 is left out, as a slide can change an Arf invariant that Q does
+    not record.  Negating Q presents -M."""
+
+    @given(kirby_moves(st.one_of(hyperbolic_forms(),
+                                 degenerate_symmetric_matrices(max_block=3, lo=-3, hi=3),
+                                 symmetric_int_matrices(max_size=5, lo=-3, hi=3))))
+    @settings(max_examples=150)
+    def test_invariants_survive_moves_and_negation_mirrors_mu(self, presentations):
+        q, moved = presentations
+        homology, spins, mus = _manifold_invariants(q)
+        moved_homology, moved_spins, _ = _manifold_invariants(moved)
+        assert (moved_homology, moved_spins) == (homology, spins)
+        mirror_homology, _, mirror_mus = _manifold_invariants([[-x for x in row] for row in q])
+        assert mirror_homology == homology
+        assert mirror_mus == {bits: -mu % 16 for bits, mu in mus.items()}
 
 
 class TestLambdaFromMu:

@@ -1,7 +1,6 @@
 """Quotients of the 3-sphere by finite subgroups."""
 
 import json
-import math
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -14,14 +13,12 @@ from framings import (
     ICOSAHEDRAL,
     OCTAHEDRAL,
     TETRAHEDRAL,
-    DegenerateAngle,
     FramingOffset,
     TotalDefect,
     act,
     binary_dihedral,
     cyclic,
     canonical_offset,
-    g_signature_local,
     lambda_class,
     parse_group,
     pullback_cover,
@@ -32,6 +29,7 @@ from framings import (
 )
 from framings.quotients import _angle_pairs
 
+from oracles import dedekind_sum
 from records import assert_rejected, assert_round_trips
 
 COTANGENT_SUMS = Path(__file__).resolve().parent / "golden" / "cotangent_sums.json"
@@ -128,6 +126,21 @@ class TestCotangentSums:
         assert computed == pinned
 
 
+class TestDedekindSums:
+    """The cotangent sums exactly: sum_{k<n} cot^2(pi k / n) = 4n s(1, n)
+    (Hirzebruch-Zagier), with s(h, k) the Dedekind sum."""
+
+    def test_cyclic_closed_form(self):
+        for m in range(1, 201):
+            assert 12 * m * dedekind_sum(1, m) == sigma_g(cyclic(m)), m
+
+    def test_binary_dihedral_closed_form(self):
+        # The cyclic subgroup of order 2m, plus the 2m elements of order 4,
+        # each adding 3 cot^2(pi/4) = 3.
+        for m in range(2, 101):
+            assert 24 * m * dedekind_sum(1, 2 * m) + 6 * m == sigma_g(binary_dihedral(m)), m
+
+
 class TestQuotientFramingDefect:
     @pytest.mark.parametrize("m", range(1, 13))
     def test_lens_spaces(self, m):
@@ -183,44 +196,3 @@ class TestLensSignatureDefect:
     @given(st.integers(1, 200))
     def test_is_sigma_over_three(self, m):
         assert signature_defect(cyclic(m)) == Fraction((m - 1) * (m - 2), 3)
-
-
-class TestGSignatureLocal:
-    @pytest.mark.parametrize("m,k", [(5, 1), (5, 2), (7, 3), (12, 5)])
-    def test_equal_angle_point_gives_minus_cot_squared(self, m, k):
-        angle = Fraction(2 * k, m)
-        value = g_signature_local(points=[(angle, angle)])
-        expected = -(math.cos(k * math.pi / m) / math.sin(k * math.pi / m)) ** 2
-        assert value == pytest.approx(expected, abs=1e-9)
-
-    def test_zero_self_intersection_surface(self):
-        assert g_signature_local(surfaces=[(0, Fraction(1, 3))]) == 0.0
-
-    def test_half_turn_contributes_nothing(self):
-        value = g_signature_local(points=[(1, 1)])
-        assert value == pytest.approx(0.0, abs=1e-12)
-
-    def test_surface_term(self):
-        # csc^2(pi/2) = 1, so the term is just the self-intersection.
-        value = g_signature_local(surfaces=[(3, 1)])
-        assert value == pytest.approx(3.0, abs=1e-12)
-
-    def test_angles_may_be_strings(self):
-        assert g_signature_local(points=[("1/2", "3/2")]) == pytest.approx(1.0, abs=1e-12)
-        assert g_signature_local(surfaces=[(2, "1")]) == pytest.approx(2.0, abs=1e-12)
-
-    def test_degenerate_angles_are_rejected(self):
-        with pytest.raises(DegenerateAngle):
-            g_signature_local(points=[(0, 1)])
-        with pytest.raises(DegenerateAngle):
-            g_signature_local(surfaces=[(1, 2)])
-
-    @pytest.mark.parametrize("m", range(2, 30))
-    def test_cyclic_defect_assembly(self, m):
-        # The cone on the lens space has vanishing signatures upstairs and
-        # down, so the signature defect is minus the sum of the local
-        # g-signatures over the non-identity rotations.
-        total = sum(
-            g_signature_local(points=[(Fraction(2 * k, m),) * 2])
-            for k in range(1, m))
-        assert -total == pytest.approx(float(signature_defect(cyclic(m))), abs=1e-6)
