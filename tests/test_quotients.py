@@ -1,6 +1,7 @@
 """Quotients of the 3-sphere by finite subgroups."""
 
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -139,6 +140,43 @@ class TestDedekindSums:
         # each adding 3 cot^2(pi/4) = 3.
         for m in range(2, 101):
             assert 24 * m * dedekind_sum(1, 2 * m) + 6 * m == sigma_g(binary_dihedral(m)), m
+
+    @pytest.mark.parametrize("m", range(2, 30))
+    def test_cyclic_defect_assembly(self, m):
+        # The cone on the lens space has vanishing signatures upstairs and
+        # down, so the signature defect is the sum of the local terms
+        # cot^2(theta / 2) over the non-identity rotations, here streamed
+        # by the library's own enumeration; their exact sum is 4m s(1, m).
+        exact = 4 * m * dedekind_sum(1, m)
+        assert exact == signature_defect(cyclic(m))
+        total = 0.0
+        for p, q in _angle_pairs(cyclic(m)):
+            x = math.pi * p / (2 * q)
+            total += (math.cos(x) / math.sin(x)) ** 2
+        assert total == pytest.approx(float(exact), rel=1e-12, abs=1e-12)
+
+    # The oracle for a general h, against which an exact library Dedekind
+    # sum is to be checked (ROADMAP item 3).
+    @pytest.mark.parametrize("h, k", [(1, 1), (2, 3), (3, 5), (5, 8), (7, 12),
+                                      (11, 30), (13, 21), (17, 100)])
+    def test_reciprocity(self, h, k):
+        assert dedekind_sum(h, k) + dedekind_sum(k, h) == (
+            Fraction(h, k) + Fraction(k, h) + Fraction(1, h * k)) / 12 - Fraction(1, 4)
+
+    @pytest.mark.parametrize("h, k", [(1, 2), (2, 5), (3, 7), (5, 12), (7, 30), (31, 64)])
+    def test_cotangent_form(self, h, k):
+        # s(h, k) = (1 / 4k) sum_{j<k} cot(pi j / k) cot(pi h j / k).
+        value = sum(1 / (math.tan(math.pi * j / k) * math.tan(math.pi * h * j / k))
+                    for j in range(1, k)) / (4 * k)
+        assert value == pytest.approx(float(dedekind_sum(h, k)), abs=1e-9)
+
+    @given(st.integers(-200, 200), st.integers(1, 60))
+    def test_odd_periodic_and_invariant_under_inverses(self, h, k):
+        s = dedekind_sum(h, k)
+        assert dedekind_sum(-h, k) == -s
+        assert dedekind_sum(h + k, k) == s
+        if math.gcd(h, k) == 1:
+            assert dedekind_sum(pow(h, -1, k), k) == s
 
 
 class TestQuotientFramingDefect:
