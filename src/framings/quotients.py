@@ -10,8 +10,8 @@ fixed-point cotangent sums, which serves as a numerical oracle.
 
 Angles are carried as exact rational multiples of pi, integer pairs
 (p, q) standing for p/q; they become floats only in the final evaluation
-of each cotangent term.  The brute-force sum streams them one element at
-a time and never holds the |G| angles at once.
+of each cotangent term.  The brute-force sum takes them in runs of a
+cyclic subgroup's rotations and never holds the |G| angles at once.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .defects import TotalDefect
 from .errors import NonIntegralDefect
@@ -128,9 +128,11 @@ def signature_defect(group: FiniteSubgroup) -> Fraction:
     return Fraction(sigma_g(group), 3)
 
 
-def _angle_pairs(group: FiniteSubgroup) -> Iterator[tuple[int, int]]:
-    """Rotation angle of every non-identity element, as the multiple p/q
-    of pi given by the integer pair (p, q), not necessarily in lowest terms.
+def _angle_runs(group: FiniteSubgroup) -> Iterator[tuple[Sequence[int], int, int]]:
+    """Rotation angle of every non-identity element, in runs
+    (numerators, q, times): each p in numerators stands for the multiple
+    p/q of pi, not necessarily in lowest terms, and the whole run of
+    numerators occurs `times` times in a row.
 
     Left multiplication by a unit quaternion u rotates two orthogonal
     planes through the same angle theta with cos(theta) = Re(u); the
@@ -145,36 +147,43 @@ def _angle_pairs(group: FiniteSubgroup) -> Iterator[tuple[int, int]]:
     """
     family, m = group.family, group.m
     if family == "C":
-        for k in range(1, m):
-            yield 2 * k, m
+        yield range(2, 2 * m, 2), m, 1
     elif family == "D":
-        for k in range(1, 2 * m):
-            yield k, m
-        for _ in range(2 * m):
-            yield 1, 2
+        yield range(1, 2 * m), m, 1
+        yield (1,), 2, 2 * m
     else:
-        yield 1, 1  # the central element -1, shared by all subgroups
+        yield (1,), 1, 1  # the central element -1, shared by all subgroups
         for count, order in _POLYHEDRAL_CYCLIC[family]:
-            per_subgroup = [(2 * k, order) for k in range(1, order) if 2 * k != order]
-            for _ in range(count):
-                yield from per_subgroup
+            yield tuple(2 * k for k in range(1, order) if 2 * k != order), order, count
 
 
 def sigma_g_bruteforce(group: FiniteSubgroup) -> float:
     """sigma(G) evaluated as 3 times the cotangent sum over the group:
     each element u != 1 contributes cot^2 of half its rotation angle.
 
-    The angles are streamed as exact integer ratios; each becomes a float
-    only in its own term, as the correctly rounded p / q, so no list of the
-    |G| angles is built.  The terms are added one by one in enumeration
-    order, which fixes the resulting double whatever algorithm the
-    interpreter's sum() uses.
+    The angles come as exact integer ratios, in runs; each becomes a float
+    only in its own term, as the correctly rounded p / q times pi/2, so no
+    list of the |G| angles is built.  A run that occurs once is streamed;
+    a repeated run has its few distinct terms evaluated once and added
+    again on each repetition.  The terms are added one by one in
+    enumeration order, which fixes the resulting double whatever algorithm
+    the interpreter's sum() uses.
     """
+    # Halving is exact, so p / q * half_pi is the double p / q * math.pi / 2.
+    cos, sin, half_pi = math.cos, math.sin, math.pi / 2
     count, total = 0, 0.0
-    for p, q in _angle_pairs(group):
-        x = p / q * math.pi / 2
-        total += (math.cos(x) / math.sin(x)) ** 2
-        count += 1
+    for numerators, q, times in _angle_runs(group):
+        count += len(numerators) * times
+        if times == 1:
+            for p in numerators:
+                x = p / q * half_pi
+                total += (cos(x) / sin(x)) ** 2
+        else:
+            angles = [p / q * half_pi for p in numerators]
+            terms = [(cos(x) / sin(x)) ** 2 for x in angles]
+            for _ in range(times):
+                for term in terms:
+                    total += term
     assert count + 1 == group.order
     return 3.0 * total
 

@@ -8,16 +8,19 @@ row/column reduction, signatures from floating eigenvalues and, exactly,
 from the sign changes of the integer characteristic polynomial instead of
 symmetric elimination, GF(2) systems and characteristic sublinks by
 exhaustive enumeration, a sublink's C.C summed straight from the
-linking matrix's entries instead of by the Gray-code walk's updates, and
+linking matrix's entries instead of by the Gray-code walk's updates,
 Dedekind sums term by term from the sawtooth function instead of the
-closed forms they are compared with.
+closed forms they are compared with, and the float cotangent sum one
+element at a time instead of by runs of repeated rotations.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from typing import Iterator
 
 import numpy as np
 
@@ -171,3 +174,44 @@ def dedekind_sum(h: int, k: int) -> Fraction:
     """s(h, k) = sum over j mod k of ((j/k)) ((hj/k)), term by term, k >= 1."""
     return sum((_sawtooth(Fraction(j, k)) * _sawtooth(Fraction(h * j, k)) for j in range(1, k)),
                Fraction(0))
+
+
+# Each binary polyhedral group as maximal cyclic subgroups meeting
+# pairwise in {1, -1}: (number of subgroups, their order).
+_POLYHEDRAL_SUBGROUPS = {"T": ((4, 6), (3, 4)),
+                         "O": ((3, 8), (4, 6), (6, 4)),
+                         "I": ((15, 4), (10, 6), (6, 10))}
+
+
+def _element_angles(group) -> Iterator[tuple[int, int]]:
+    """The rotation angle p/q of pi of each element u != 1, one pair per
+    element, in the library's documented order: C_m its m-th roots of
+    unity; D_m the cyclic group of order 2m, then its 2m quarter turns;
+    T, O, I the central -1, then each cyclic subgroup without 1 and -1."""
+    family, m = group.family, group.m
+    if family == "C":
+        for k in range(1, m):
+            yield 2 * k, m
+    elif family == "D":
+        for k in range(1, 2 * m):
+            yield k, m
+        for _ in range(2 * m):
+            yield 1, 2
+    else:
+        yield 1, 1
+        for count, order in _POLYHEDRAL_SUBGROUPS[family]:
+            for _ in range(count):
+                for k in range(1, order):
+                    if 2 * k != order:
+                        yield 2 * k, order
+
+
+def cotangent_sum(group) -> float:
+    """3 times the sum of cot^2 of half of each rotation angle, as a float:
+    one term per element, each added on its own in enumeration order, so
+    the result is bit for bit the double the library's sweep must give."""
+    total = 0.0
+    for p, q in _element_angles(group):
+        x = p / q * math.pi / 2
+        total += (math.cos(x) / math.sin(x)) ** 2
+    return 3.0 * total

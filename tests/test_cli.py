@@ -29,6 +29,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def source_env():
+    """The environment of a fresh interpreter that imports framings from this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 def write_doc(tmp_path, payload, name="link.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -199,8 +206,7 @@ class TestInvariantsCommand:
     def test_odd_entries_exit_2_with_one_short_line(self, tmp_path, matrix, message):
         path = tmp_path / "m.json"
         path.write_text('{"matrix": ' + matrix + "}")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        env = source_env()
         result = subprocess.run([sys.executable, "-m", "framings.cli", "invariants", str(path)],
                                 capture_output=True, env=env, timeout=60)
         assert (result.returncode, result.stdout) == (2, b"")
@@ -211,8 +217,7 @@ class TestInvariantsCommand:
         # The 12-component 0-framed unlink has 4096 spin structures, about
         # 1 MB of JSON: the reader closes the pipe long before the write ends.
         path = write_doc(tmp_path, {"matrix": [[0] * 12] * 12}, name="u12.json")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        env = source_env()
         with subprocess.Popen([sys.executable, "-m", "framings.cli", "invariants", path, "--json"],
                               stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
             assert proc.stdout.readline() == b"{\n"
@@ -316,6 +321,25 @@ class TestQuotientCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
         assert str(MAX_QUOTIENT_ORDER) in err
+
+    # 4000 digits parse but would be echoed twice; 5000 pass the interpreter's
+    # integer-parse limit.  Either is named by its digit count, in one short
+    # line, as a fresh process meets it.
+    @pytest.mark.parametrize("digits", [4000, 5000])
+    def test_a_huge_parameter_exits_2_with_one_short_line(self, digits):
+        result = subprocess.run([sys.executable, "-m", "framings.cli", "quotient",
+                                 "C" + "9" * digits], capture_output=True, env=source_env(),
+                                timeout=60)
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr == (f"error: group C has a parameter of {digits} digits, "
+                                 f"past the order limit of {MAX_QUOTIENT_ORDER}\n").encode()
+        assert len(result.stderr) <= 200
+
+    @pytest.mark.parametrize("group, order", [("C05", 5), ("C0000000000000000000007", 7),
+                                              ("D0000000000000000000000000003", 12)])
+    def test_leading_zeros_still_answer(self, capsys, group, order):
+        code, out, _ = run(capsys, "quotient", group, "--json")
+        assert code == 0 and json.loads(out)["order"] == order
 
     def test_order_at_the_limit_still_answers(self, capsys):
         code, out, _ = run(capsys, "quotient", "C1000000", "--json")
@@ -622,8 +646,7 @@ def test_bundle_checks_the_genus_and_the_divisibility_once(capsys, monkeypatch, 
 
 def test_importing_the_cli_loads_no_dataclasses_inspect_or_ast():
     # Each of these modules costs a fresh process milliseconds to import.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env = source_env()
     check = ("import sys, framings.cli; "
              "print(sorted({'dataclasses', 'inspect', 'ast'} & set(sys.modules)))")
     result = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,

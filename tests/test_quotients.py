@@ -28,12 +28,20 @@ from framings import (
     sigma_g_bruteforce,
     signature_defect,
 )
-from framings.quotients import _angle_pairs
+from framings.quotients import _angle_runs
 
-from oracles import dedekind_sum
+from oracles import cotangent_sum, dedekind_sum
 from records import assert_rejected, assert_round_trips
 
 COTANGENT_SUMS = Path(__file__).resolve().parent / "golden" / "cotangent_sums.json"
+
+
+def angle_pairs(group):
+    """The library's runs of rotation angles, flattened to one pair (p, q)
+    per non-identity element."""
+    return [(p, q) for numerators, q, times in _angle_runs(group)
+            for _ in range(times) for p in numerators]
+
 
 ALL_FAMILIES = ([cyclic(m) for m in range(1, 9)]
                 + [binary_dihedral(m) for m in range(2, 7)]
@@ -89,7 +97,7 @@ class TestCotangentSums:
     def test_every_non_identity_element_is_enumerated(self, group):
         # One angle p/q (a multiple of pi) per element u != 1, each strictly
         # between 0 and 2: the identity, angle 0, is left out.
-        pairs = list(_angle_pairs(group))
+        pairs = angle_pairs(group)
         assert len(pairs) == group.order - 1
         assert all(q > 0 and 0 < p < 2 * q for p, q in pairs)
 
@@ -116,6 +124,14 @@ class TestCotangentSums:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024, f"peak {peak} bytes"
+
+    @given(st.one_of(st.integers(1, 20000).map(cyclic),
+                     st.integers(2, 5000).map(binary_dihedral),
+                     st.sampled_from([TETRAHEDRAL, OCTAHEDRAL, ICOSAHEDRAL])))
+    def test_sums_match_the_element_by_element_oracle_bit_for_bit(self, group):
+        # Beyond the pins: the runs, evaluated once per distinct angle, give
+        # the double of one term per element added in enumeration order.
+        assert repr(sigma_g_bruteforce(group)) == repr(cotangent_sum(group))
 
     def test_sums_match_the_pinned_doubles_bit_for_bit(self):
         # repr of every sum as computed when the file was written: C1-C400,
@@ -150,7 +166,7 @@ class TestDedekindSums:
         exact = 4 * m * dedekind_sum(1, m)
         assert exact == signature_defect(cyclic(m))
         total = 0.0
-        for p, q in _angle_pairs(cyclic(m)):
+        for p, q in angle_pairs(cyclic(m)):
             x = math.pi * p / (2 * q)
             total += (math.cos(x) / math.sin(x)) ** 2
         assert total == pytest.approx(float(exact), rel=1e-12, abs=1e-12)
