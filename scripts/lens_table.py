@@ -33,7 +33,7 @@ def main() -> None:
         defect = quotient_framing_defect(cyclic(m))
         offset = canonical_offset(defect, lambda_class(defect).representative)
         landed = act(defect, offset)
-        spins = [f"[{s.sublink.bitmask}] mu={mu_representative(s.mu):>2} "
+        spins = [f"[{s.bitmask}] mu={mu_representative(s.mu):>2} "
                  f"lam={s.lam.representative:>2}"
                  for s in analyze(unknot(-m), None).spin_structures]
         print(f"{m:>3}  {defect.h:>8}  {offset.m_rho:>7}  {landed.h:>7}  "

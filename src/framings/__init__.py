@@ -49,14 +49,11 @@ from .links import (
     LinkAnalysis,
     NaturalFramings,
     SpinStructureData,
-    Sublink,
     analyze,
     chain_link,
-    characteristic_sublinks,
     e8_link,
     empty_link,
     lambda_from_mu,
-    mu_invariant,
     mu_representative,
     natural_framings,
     unknot,

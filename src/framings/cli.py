@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, NoReturn
 
 from . import __version__, bundles, catalog, defects, links, quotients
 from .defects import LambdaClass, TotalDefect
-from .errors import FramingError, NotSymmetric, ParseError
+from .errors import FramingError, NotSymmetric, ParseError, _shown
 
 
 class LinkDocument(NamedTuple):
@@ -89,7 +89,7 @@ def _pair_text(pair: list[int]) -> str:
 
 
 def _spin_json(spin: links.SpinStructureData) -> dict:
-    (bitmask, cc, arf, assumed), mu, lam = spin
+    bitmask, cc, arf, assumed, mu, lam = spin
     return {"bitmask": bitmask, "members": links._members(bitmask), "self_intersection": cc,
             "arf": arf, "arf_assumed": assumed, "mu": links.mu_representative(mu),
             "mu_mod16": mu, "lambda": lam.representative, "lambda_mod4": lam.value}
@@ -293,21 +293,22 @@ _RATIONAL = re.compile(r"\s*[-+]?[0-9]+(/[0-9]+)?\s*")
 
 
 def _integer(text: str) -> int:
-    """int(text) for text in the integer grammar, else ValueError."""
-    if not _INTEGER.fullmatch(text):
-        raise ValueError(f"invalid integer value: {text!r}")
-    return int(text)
-
-
-_integer.__name__ = "integer"  # argparse names the type so: "invalid integer value"
+    """int(text) for text in the integer grammar, else ArgumentTypeError,
+    whose message argparse prints as it is."""
+    if _INTEGER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            pass
+    raise argparse.ArgumentTypeError(f"invalid integer value: {_shown(text)}")
 
 
 def cmd_cover(args: argparse.Namespace) -> dict:
     try:
         d_text, h_text = args.defect.split(",")
         start = TotalDefect(_integer(d_text), _integer(h_text))
-    except ValueError as exc:
-        raise ParseError(f"--defect must look like 'd,h', got {args.defect!r}") from exc
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ParseError(f"--defect must look like 'd,h', got {_shown(args.defect)}") from exc
     if args.degree < 1:
         raise ParseError("--degree must be at least 1")
     try:
@@ -315,7 +316,8 @@ def cmd_cover(args: argparse.Namespace) -> dict:
             raise ValueError("not an integer or p/q")
         sigma_pi = Fraction(args.sigma_pi)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"--sigma-pi must be an integer or p/q, got {args.sigma_pi!r}") from exc
+        raise ParseError(f"--sigma-pi must be an integer or p/q, "
+                         f"got {_shown(args.sigma_pi)}") from exc
     result = defects.pullback_cover(start, args.degree, sigma_pi)
     return {"defect": list(start), "degree": args.degree, "sigma_pi": str(sigma_pi),
             "result": list(result)}

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared by every module in the library."""
+"""Exception hierarchy shared by every module in the library, and the way
+their messages name a value."""
+
+
+def _shown(text: str) -> str:
+    """repr(text), or its length once the repr passes 40 characters."""
+    return repr(text) if len(repr(text)) <= 40 else f"<{len(text)} characters>"
 
 
 class FramingError(Exception):

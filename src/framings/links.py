@@ -6,10 +6,8 @@ produces a closed oriented 3-manifold bounding the 2-handlebody whose
 intersection form is Q, and everything computed here (homology, spin
 structures with their mu and lambda, the natural framings' defects) is a
 function of that matrix alone; each record stores each fact once.  The
-spin structures are walked once, in Gray-code order, each sublink carried
-as an int mask.  They form an affine space over GF(2), so one check of
-its basis before the walk shows every row characteristic; sorting the
-masks as ints puts the rows in bitmask order.
+spin structures are walked once, in Gray-code order, and each becomes one
+flat row of analyze's result.
 """
 
 from __future__ import annotations
@@ -79,25 +77,6 @@ def e8_link() -> FramedLink:
     return _plumbing([2] * 8, [(i, i + 1) for i in range(6)] + [(4, 7)])
 
 
-class Sublink(NamedTuple("Sublink", [("bitmask", str), ("self_intersection", int),
-                                      ("arf", int), ("arf_assumed", bool)])):
-    """A sublink C by its bitmask (1 at each member), C.C and Arf invariant.
-
-    Arf is a knot-theoretic invariant of the embedded sublink that the
-    linking matrix does not determine; it is caller-supplied data and
-    arf_assumed records whether the default 0 was silently used.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, bitmask: str, self_intersection: int, arf: int, arf_assumed: bool) -> Sublink:
-        if not isinstance(arf, int) or isinstance(arf, bool) or arf not in (0, 1):
-            raise ValueError("arf must be 0 or 1")
-        return super().__new__(cls, bitmask, self_intersection, arf, arf_assumed)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))
-
-
 def _members(bitmask: str) -> list[int]:
     return [i for i, bit in enumerate(bitmask) if bit == "1"]
 
@@ -113,33 +92,37 @@ class HomologyProfile(NamedTuple):
 
 
 class SpinStructureData(NamedTuple):
-    """A spin structure of the surgered manifold, indexed by its
-    characteristic sublink, with its mu (mod 16) and lambda (mod 4)."""
+    """A spin structure of the surgered manifold, by its characteristic
+    sublink C: C's bitmask (1 at each member), C.C, Arf(C), mu (mod 16) and
+    lambda (mod 4).  The linking matrix does not determine Arf, a knot
+    invariant of C: the caller supplies it, else arf_assumed marks a 0."""
 
-    sublink: Sublink
+    bitmask: str
+    self_intersection: int
+    arf: int
+    arf_assumed: bool
     mu: int
     lam: LambdaClass
 
 
-def characteristic_sublinks(link: FramedLink,
-                            arf_table: Mapping[str, int] | None = None) -> list[Sublink]:
-    """All sublinks C with lk(C, K_i) = Q_ii mod 2 for every component i.
+def _spin_structures(link: FramedLink, sigma: int, r: int,
+                     arf_table: Mapping[str, int]) -> tuple[SpinStructureData, ...]:
+    """One row per spin structure, in ascending bitmask order.
 
-    These index the spin structures of the surgered manifold; there are
-    exactly 2**r of them, the solutions x = particular + span(kernel) of
-    Q x = diag(Q) over GF(2).  One Gray-code walk visits them: consecutive
-    x differ by the kernel vector whose index is the number of trailing
-    zeros of the step count.  Setting x_i adds 2 y_i + Q_ii to C.C = x^T Q x
-    and column i to y = Q x; clearing it subtracts 2 y_i - Q_ii and the
-    column, y_i read before the update.  A step costs O(n) per component
-    toggled.  Every x is characteristic once the basis is: Q times the
-    particular solution must be diag(Q), and Q times each kernel vector 0,
-    mod 2.  Both are checked before the walk, a failure naming the
-    particular sublink or the particular plus that kernel vector, so no
-    row can fail once the first is built.  x is also an int mask
-    (component 0 the leading bit); the masks sorted as ints give ascending
-    bitmask order, each bitmask built once.  Arf invariants are looked up
-    in arf_table by bitmask, defaulting to 0 with arf_assumed set.
+    The spin structures are indexed by the characteristic sublinks C,
+    lk(C, K_i) = Q_ii mod 2 for every component i: the 2**r solutions
+    x = particular + span(kernel) of Q x = diag(Q) over GF(2).  A Gray-code
+    walk visits them, step k toggling the kernel vector indexed by the
+    trailing zeros of k.  Setting x_i adds 2 y_i + Q_ii to C.C = x^T Q x and
+    column i to y = Q x; clearing it subtracts 2 y_i - Q_ii and the column,
+    y_i read before the update: O(n) per component toggled.  Before the
+    walk the basis is checked once (Q times the particular solution is
+    diag(Q), Q times each kernel vector 0, mod 2), a failure naming the
+    particular sublink or the particular plus that kernel vector; then
+    every row is characteristic.  Each x is an int mask, component 0 the
+    leading bit, so sorting the masks puts the rows in bitmask order.  Arf
+    is looked up in arf_table by bitmask, 0 with arf_assumed set when
+    absent, and lambda is computed once per mu residue.
     """
     q = link.matrix
     n, rows = q.rows, q.entries  # Q is symmetric: column i is row i
@@ -168,12 +151,15 @@ def characteristic_sublinks(link: FramedLink,
                     y = [a + b for a, b in zip(y, column)]
                 mask ^= bit
         found.append((mask, cc))
+    lams: dict[int, LambdaClass] = {}
     out = []
     for mask, cc in sorted(found):
         bits = _bitmask(mask, n)
-        arf = None if arf_table is None else arf_table.get(bits)
-        out.append(Sublink(bits, cc, 0 if arf is None else arf, arf is None))
-    return out
+        arf = arf_table.get(bits)
+        mu = (sigma - cc + 8 * (arf or 0)) % 16
+        lam = lams.get(mu) or lams.setdefault(mu, lambda_from_mu(r, mu))
+        out.append(SpinStructureData(bits, cc, arf or 0, arf is None, mu, lam))
+    return tuple(out)
 
 
 def _times_q(rows: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
@@ -193,28 +179,6 @@ def _bitmask(mask: int, n: int) -> str:
 
 def _not_characteristic(bitmask: str) -> NotCharacteristic:
     return NotCharacteristic(f"sublink {_members(bitmask)} is not characteristic")
-
-
-def _mu(sigma: int, c: Sublink) -> int:
-    return (sigma - c.self_intersection + 8 * c.arf) % 16
-
-
-def mu_invariant(link: FramedLink, c: Sublink) -> int:
-    """mu of the spin structure named by the characteristic sublink c:
-    sigma - C.C + 8 Arf(C), as a residue mod 16.  A c that is not a
-    sublink of this link (its bitmask is not n bits of 0 and 1, or its C.C
-    is not x^T Q x) raises ValueError."""
-    q = link.matrix
-    if len(c.bitmask) != q.rows or not set(c.bitmask) <= {"0", "1"}:
-        raise ValueError(f"bitmask {c.bitmask!r} is not a {q.rows}-bit mask of 0 and 1")
-    x = [int(bit) for bit in c.bitmask]
-    y = _times_q(q.entries, x)
-    if c.self_intersection != sum(v for v, bit in zip(y, x) if bit):
-        raise ValueError(f"C.C = {c.self_intersection} is not that of sublink "
-                         f"{_members(c.bitmask)} of this link")
-    if _parity_mask(y) != _parity_mask(q.diagonal()):
-        raise _not_characteristic(c.bitmask)
-    return _mu(exact_signature(q), c)
 
 
 def lambda_from_mu(r: int, mu: int) -> LambdaClass:
@@ -301,16 +265,16 @@ class LinkAnalysis(NamedTuple):
 
 def analyze(link: FramedLink, arf_table: Mapping[str, int] | None) -> LinkAnalysis:
     """Natural framings (hence chi, sigma, tau), homology and spin
-    structures (Arf invariants looked up in arf_table as in
-    characteristic_sublinks) of a link, in one pass."""
+    structures of a link, in one pass.  arf_table maps sublink bitmasks to
+    Arf invariants and may be None; each of its values must be 0 or 1."""
+    table = {} if arf_table is None else arf_table
+    if not all(isinstance(arf, int) and not isinstance(arf, bool) and arf in (0, 1)
+               for arf in table.values()):
+        raise ValueError("arf must be 0 or 1")
     sigma, form = signature_and_smith(link.matrix)
     torsion = tuple(f for f in form.invariant_factors if f > 1)
     s = sum(1 for f in torsion if f % 2 == 0)
     profile = HomologyProfile(betti1=form.kernel_rank, torsion=torsion,
                               r=form.kernel_rank + s, s=s)
-    sublinks = characteristic_sublinks(link, arf_table)
-    mus = [_mu(sigma, c) for c in sublinks]
-    lams = {mu: lambda_from_mu(profile.r, mu) for mu in set(mus)}  # one per residue
-    spins = tuple(SpinStructureData(c, mu, lams[mu]) for c, mu in zip(sublinks, mus))
     return LinkAnalysis(framings=_framings(link, sigma), homology=profile,
-                        spin_structures=spins)
+                        spin_structures=_spin_structures(link, sigma, profile.r, table))

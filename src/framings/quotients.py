@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .defects import TotalDefect
-from .errors import NonIntegralDefect
+from .errors import NonIntegralDefect, _shown
 
 _FAMILY_NAMES = {
     "C": "cyclic",
@@ -102,7 +102,7 @@ def parse_group(spec: str) -> FiniteSubgroup:
     """Parse a group spec: C<m>, D<m>, T, O or I."""
     match = re.fullmatch(r"([CDTOI])(\d+)?", spec.strip(), re.ASCII)
     if not match:
-        raise ValueError(f"bad group spec {spec!r}; expected C<m>, D<m>, T, O or I")
+        raise ValueError(f"bad group spec {_shown(spec)}; expected C<m>, D<m>, T, O or I")
     family, digits = match.groups()
     if family in "CD":
         if digits is None:

@@ -7,8 +7,9 @@ larger sizes, their counts per prime from ranks over GF(p) instead of
 row/column reduction, signatures from floating eigenvalues and, exactly,
 from the sign changes of the integer characteristic polynomial instead of
 symmetric elimination, GF(2) systems and characteristic sublinks by
-exhaustive enumeration, a sublink's C.C summed straight from the
-linking matrix's entries instead of by the Gray-code walk's updates,
+exhaustive enumeration, a spin structure's mu (`mu_of`) from a C.C summed
+straight from the linking matrix's entries instead of by the Gray-code
+walk's updates and from the characteristic polynomial's signature,
 Dedekind sums term by term from the sawtooth function instead of the
 closed forms they are compared with, and the float cotangent sum one
 element at a time instead of by runs of repeated rotations.
@@ -18,13 +19,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import gcd
 from typing import Iterator
 
 import numpy as np
-
-from framings import Sublink
 
 
 def det_fraction_gauss(rows: list[list[int]]) -> Fraction:
@@ -151,16 +151,20 @@ def characteristic_subsets_bruteforce(rows: list[list[int]]) -> set[frozenset[in
     return out
 
 
-def sublink_of(link, members, arf: int = 0) -> Sublink:
-    """The Sublink of link with the given members: its bitmask, and C.C as
-    the sum of the linking matrix's entries over pairs of members."""
+def mu_of(rows, members, arf: int) -> int:
+    """mu = sigma - C.C + 8 Arf(C) mod 16 of the sublink C with the given
+    members: C.C the sum of the linking matrix's entries over pairs of
+    members, sigma by signature_by_charpoly (once per matrix)."""
     chosen = frozenset(members)
-    rows = link.matrix.entries
     if any(i < 0 or i >= len(rows) for i in chosen):
         raise ValueError("sublink member out of range")
     cc = sum(rows[i][j] for i in chosen for j in chosen)
-    bits = "".join("1" if i in chosen else "0" for i in range(len(rows)))
-    return Sublink(bits, cc, arf, False)
+    return (_charpoly_signature(tuple(map(tuple, rows))) - cc + 8 * arf) % 16
+
+
+@lru_cache(maxsize=32)
+def _charpoly_signature(rows: tuple[tuple[int, ...], ...]) -> int:
+    return signature_by_charpoly(rows)
 
 
 def _sawtooth(x: Fraction) -> Fraction:

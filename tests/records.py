@@ -1,5 +1,5 @@
 """Checks shared by the tests of the validated records: IntMatrix,
-SmithForm, FramedLink, Sublink, LambdaClass and FiniteSubgroup."""
+SmithForm, FramedLink, LambdaClass and FiniteSubgroup."""
 
 import copy
 import pickle

@@ -25,14 +25,12 @@ from framings import (
     canonical_offset,
     canonical_set,
     chain_link,
-    characteristic_sublinks,
     cyclic,
     e8_link,
     exact_signature,
     fiber_framing,
     lambda_class,
     lambda_from_mu,
-    mu_invariant,
     natural_framings,
     pullback_cover,
     quotient_framing_defect,
@@ -44,7 +42,7 @@ from framings import (
 )
 
 import oracles
-from oracles import sublink_of
+from oracles import mu_of
 
 
 def _random_even_link(rng: random.Random) -> FramedLink:
@@ -95,13 +93,14 @@ def test_criterion_1_paper_fixture_suite():
     for m in range(2, 13, 2):
         k = unknot(-m)
         assert natural_framings(k).delta == TotalDefect(2, 3)
-        mus = {c.bitmask: mu_invariant(k, c) for c in characteristic_sublinks(k)}
+        mus = {c.bitmask: c.mu for c in analyze(k, None).spin_structures}
         assert mus["0"] == (-1) % 16               # mu_K
         assert mus["1"] == (m - 1) % 16            # mu_L
     for m in range(1, 13):
         chain = chain_link(m - 1)
         assert natural_framings(chain).delta == TotalDefect(m, 3 - 3 * m)
-        assert mu_invariant(chain, sublink_of(chain, [])) == (m - 1) % 16
+        empty = analyze(chain, None).spin_structures[0]
+        assert empty.bitmask == "0" * (m - 1) and empty.mu == (m - 1) % 16
 
     # The Poincare sphere from the E8 plumbing.
     e8_delta = natural_framings(e8_link()).delta
@@ -152,16 +151,19 @@ def test_criterion_3_random_even_link_properties():
         assert (natural_framings(link).honest_plus_h(tau // 2)
                 + natural_framings(link).honest_minus_h(0)) == 2 * tau - 6 * sigma
         # (b) lambda of the boundary framing matches the mu formula at C = {}
+        report = analyze(link, None)
         delta = natural_framings(link).delta
-        mu = mu_invariant(link, sublink_of(link, []))
-        assert lambda_class(delta) == lambda_from_mu(analyze(link, None).homology.r, mu)
+        mu = mu_of(link.matrix.entries, [], 0)
+        assert report.spin_structures[0].mu == mu
+        assert lambda_class(delta) == lambda_from_mu(report.homology.r, mu)
         # (c) epsilon sits chi sigmas past delta
         assert act(delta, FramingOffset(0, chi)) == TotalDefect(0, natural_framings(link).epsilon_h)
         # (d) orientation reversal conjugates the boundary framing
         mirror = FramedLink.from_rows([[-x for x in row] for row in link.matrix.entries])
         assert natural_framings(mirror).delta == TotalDefect(chi, 3 * sigma)
         # (e) spin structures are counted by 2**r
-        assert len(characteristic_sublinks(link)) == 2 ** analyze(link, None).homology.r
+        assert (len(oracles.characteristic_subsets_bruteforce(link.matrix.entries))
+                == len(report.spin_structures) == 2 ** report.homology.r)
         checked += 1
     assert checked == 500
     print("ACCEPTANCE 3 (500 random even links): PASS")

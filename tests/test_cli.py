@@ -566,6 +566,69 @@ def test_usage_errors_exit_2_with_one_line(capsys, argv):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+_PARSE_LIMIT = pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                                  reason="this Python parses integers of any length")
+
+
+# A value whose repr passes 40 characters is named by its length, not
+# echoed.  5000 digits pass the interpreter's integer-parse limit; values
+# that end in "x" fail the grammar on any Python.
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["cover", "--defect", "0,1", "--degree", "9" * 5000],
+                 "argument --degree: invalid integer value: <5000 characters>",
+                 marks=_PARSE_LIMIT, id="degree"),
+    pytest.param(["bundle", "--genus", "9" * 5000, "--euler", "1"],
+                 "argument --genus: invalid integer value: <5000 characters>",
+                 marks=_PARSE_LIMIT, id="genus"),
+    pytest.param(["bundle", "--genus", "0", "--euler", "-" + "9" * 5000],
+                 "argument --euler: invalid integer value: <5001 characters>",
+                 marks=_PARSE_LIMIT, id="euler"),
+    pytest.param(["canonical", "--lambda", "9" * 5000],
+                 "argument --lambda: invalid integer value: <5000 characters>",
+                 marks=_PARSE_LIMIT, id="lambda"),
+    pytest.param(["cover", "--defect", "0," + "9" * 5000, "--degree", "1"],
+                 "--defect must look like 'd,h', got <5002 characters>",
+                 marks=_PARSE_LIMIT, id="defect"),
+    pytest.param(["cover", "--defect", "0,0", "--degree", "1", "--sigma-pi", "9" * 5000],
+                 "--sigma-pi must be an integer or p/q, got <5000 characters>",
+                 marks=_PARSE_LIMIT, id="sigma-pi"),
+    pytest.param(["cover", "--defect", "0,0", "--degree", "9" * 4999 + "x"],
+                 "argument --degree: invalid integer value: <5000 characters>",
+                 id="degree-not-an-integer"),
+    pytest.param(["cover", "--defect", "x" * 5000, "--degree", "1"],
+                 "--defect must look like 'd,h', got <5000 characters>",
+                 id="defect-not-a-pair"),
+    pytest.param(["cover", "--defect", "0,0", "--degree", "1", "--sigma-pi", "9" * 4999 + "x"],
+                 "--sigma-pi must be an integer or p/q, got <5000 characters>",
+                 id="sigma-pi-not-a-ratio"),
+    pytest.param(["quotient", "C" + "x" * 5000],
+                 "bad group spec <5001 characters>; expected C<m>, D<m>, T, O or I",
+                 id="group"),
+])
+def test_an_over_long_value_exits_2_with_one_short_line(argv, named):
+    result = subprocess.run([sys.executable, "-m", "framings.cli", *argv],
+                            capture_output=True, env=source_env(), timeout=60)
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr == f"error: {named}\n".encode()
+    assert len(result.stderr) <= 200
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["cover", "--defect", "0,0", "--degree", "9" * 37 + "x"],
+     "argument --degree: invalid integer value: '" + "9" * 37 + "x'"),
+    (["cover", "--defect", "0,0", "--degree", "9" * 38 + "x"],
+     "argument --degree: invalid integer value: <39 characters>"),
+    (["cover", "--defect", "0," + "x" * 36, "--degree", "1"],
+     "--defect must look like 'd,h', got '0," + "x" * 36 + "'"),
+    (["cover", "--defect", "0," + "x" * 37, "--degree", "1"],
+     "--defect must look like 'd,h', got <39 characters>"),
+    (["quotient", "Q" * 38], "bad group spec '" + "Q" * 38 + "'; expected C<m>, D<m>, T, O or I"),
+    (["quotient", "Q" * 39], "bad group spec <39 characters>; expected C<m>, D<m>, T, O or I"),
+], ids=["degree-40", "degree-41", "defect-40", "defect-41", "group-40", "group-41"])
+def test_a_value_is_echoed_while_its_repr_fits_40_characters(capsys, argv, named):
+    assert outcome(capsys, argv) == (2, "", f"error: {named}\n")
+
+
 @pytest.mark.parametrize("argv", [[], ["quotient"]], ids=["top", "quotient"])
 def test_help_still_prints_the_usage(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:

@@ -419,6 +419,19 @@ class TestSignatureAndSmith:
         _modulus(monkeypatch, rows)
         assert signature_and_smith(rows) == (form[0], SmithForm(form[1]))
 
+    # A zero pivot with b = a[0][k] and c = a[k][k] is repaired to 2sb + c,
+    # and here 2b + c = 0: only s = -1 gives a nonzero pivot.
+    @pytest.mark.parametrize("rows, factors, det", [
+        ([[0, 1], [1, -2]], (1, 1), -1),
+        ([[0, 2], [2, -4]], (2, 2), -4),
+        ([[0, -1], [-1, 2]], (1, 1), -1),
+    ], ids=["b1", "b2", "b-1"])
+    def test_a_zero_pivot_that_needs_s_minus_1(self, rows, factors, det):
+        assert exact_signature(rows) == oracles.signature_by_charpoly(rows) == 0
+        assert signature_and_smith(rows) == (0, SmithForm(factors))
+        assert factors == oracles.invariant_factors_by_minors(rows)
+        assert IntMatrix(rows).det() == oracles.det_fraction_gauss(rows) == det
+
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetric):
             signature_and_smith([[0, 1], [2, 0]])

@@ -20,8 +20,6 @@ UNCALLED = {
     # into a command (ROADMAP item 10).
     "splits_as_double",
     "splits_as_sum",
-    # The one-sublink mu entry point, documented in the README.
-    "mu_invariant",
     # A kernel operation of the north star, timed on its own.
     "smith_normal_form",
 }

@@ -15,18 +15,16 @@ from framings import (
     NotCharacteristic,
     NotSymmetric,
     OddFraming,
-    Sublink,
+    SpinStructureData,
     TotalDefect,
     act,
     analyze,
     chain_link,
-    characteristic_sublinks,
     e8_link,
     empty_link,
     lambda_class,
     lambda_from_mu,
     lens_double_splits,
-    mu_invariant,
     mu_representative,
     natural_framings,
     unknot,
@@ -35,7 +33,7 @@ from framings import (
 import framings.exactmath
 import framings.links
 import oracles
-from oracles import sublink_of
+from oracles import mu_of
 from records import assert_rejected, assert_round_trips
 from strategies import (
     degenerate_symmetric_matrices,
@@ -53,9 +51,17 @@ def chi_sigma_tau(link: FramedLink) -> tuple[int, int, int]:
     return nat.chi, nat.sigma, nat.tau
 
 
-def members_of(c: Sublink) -> frozenset[int]:
+def members_of(c: SpinStructureData) -> frozenset[int]:
     """The components of the sublink c, read off its bitmask."""
     return frozenset(i for i, bit in enumerate(c.bitmask) if bit == "1")
+
+
+def spins_of(link: FramedLink, arf_table=None) -> tuple[SpinStructureData, ...]:
+    return analyze(link, arf_table).spin_structures
+
+
+def rows_of(link: FramedLink) -> list[list[int]]:
+    return link.matrix.to_lists()
 
 
 class TestFramedLink:
@@ -139,35 +145,39 @@ class TestHomology:
         assert profile.r == profile.s + profile.betti1
 
 
-class TestSublink:
-    @pytest.mark.parametrize("arf", [2, -1, None, True, 1.0])
-    def test_every_build_runs_the_checks(self, arf):
-        good = sublink_of(chain_link(2), [1], arf=1)
-        assert_rejected(good, {"arf": arf}, ValueError, "arf must be 0 or 1")
-        assert_round_trips(good)
-
-    @pytest.mark.parametrize("arf", [1.0, 0.0])
-    def test_analyze_refuses_a_float_arf_table_value(self, arf):
+class TestArfTable:
+    @pytest.mark.parametrize("arf", [2, -1, None, True, 1.0, 0.0])
+    def test_analyze_refuses_a_value_other_than_0_or_1(self, arf):
         with pytest.raises(ValueError, match="^arf must be 0 or 1$"):
             analyze(unknot(-4), {"1": arf})
+
+    def test_every_value_is_checked_not_only_those_read(self):
+        # "0" is not characteristic for the -5 framed unknot, so the walk
+        # never looks it up; the check at analyze's entry still sees it.
+        with pytest.raises(ValueError, match="^arf must be 0 or 1$"):
+            analyze(unknot(-5), {"0": 2})
+
+    def test_rows_round_trip(self):
+        for row in spins_of(unknot(-4), {"1": 1}):
+            assert_round_trips(row)
 
 
 class TestCharacteristicSublinks:
     def test_empty_sublink_is_characteristic_for_even_links(self):
-        subs = characteristic_sublinks(chain_link(4))
+        subs = spins_of(chain_link(4))
         assert members_of(subs[0]) == frozenset()
         assert subs[0].bitmask == "0000"
 
     def test_even_surgery_on_an_unknot_has_two(self):
-        subs = characteristic_sublinks(unknot(-4))
+        subs = spins_of(unknot(-4))
         assert [c.bitmask for c in subs] == ["0", "1"]
 
     def test_odd_surgery_on_an_unknot_has_one(self):
-        subs = characteristic_sublinks(unknot(-5))
+        subs = spins_of(unknot(-5))
         assert [c.bitmask for c in subs] == ["1"]
 
     def test_arf_table_lookup(self):
-        subs = characteristic_sublinks(unknot(-4), {"1": 1})
+        subs = spins_of(unknot(-4), {"1": 1})
         assert [(c.bitmask, c.arf, c.arf_assumed) for c in subs] == [
             ("0", 0, True), ("1", 1, False)]
 
@@ -177,55 +187,43 @@ class TestCharacteristicSublinks:
                              ids=["unknot-4", "empty"])
     def test_refuses_arf_one_for_the_empty_sublink(self, link, key):
         with pytest.raises(ValueError):
-            characteristic_sublinks(link, {key: 1})
+            analyze(link, {key: 1})
 
     @given(framed_links(max_components=6))
     def test_matches_bruteforce_enumeration(self, link):
         rows = link.matrix.to_lists()
         expected = oracles.characteristic_subsets_bruteforce(rows)
-        got = {members_of(c) for c in characteristic_sublinks(link)}
+        got = {members_of(c) for c in spins_of(link)}
         assert got == expected
 
     @given(framed_links(max_components=6))
     def test_count_is_two_to_the_r(self, link):
-        assert len(characteristic_sublinks(link)) == 2 ** analyze(link, None).homology.r
+        report = analyze(link, None)
+        assert len(report.spin_structures) == 2 ** report.homology.r
+        assert 2 ** report.homology.r == len(oracles.characteristic_subsets_bruteforce(
+            rows_of(link)))
 
 
 class TestMuInvariant:
     def test_even_unknot_surgery_empty_sublink(self):
         link = unknot(-4)
-        empty = characteristic_sublinks(link)[0]
-        assert mu_invariant(link, empty) == (-1) % 16
-        assert mu_representative(mu_invariant(link, empty)) == -1
+        empty = spins_of(link)[0]
+        assert empty.bitmask == "0"
+        assert empty.mu == mu_of(rows_of(link), [], 0) == (-1) % 16
+        assert mu_representative(empty.mu) == -1
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_unknot_surgery_full_sublink(self, m):
         link = unknot(-m)
-        full = sublink_of(link, [0])
-        assert mu_invariant(link, full) == (m - 1) % 16
+        [full] = [c for c in spins_of(link) if c.bitmask == "1"]
+        assert full.mu == mu_of(rows_of(link), [0], 0) == (m - 1) % 16
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_chain_presentation_agrees(self, m):
         link = chain_link(m - 1)
-        empty = sublink_of(link, [])
-        assert mu_invariant(link, empty) == (m - 1) % 16
-
-    def test_not_characteristic(self):
-        with pytest.raises(NotCharacteristic):
-            mu_invariant(unknot(-5), sublink_of(unknot(-5), []))
-        link = chain_link(2)
-        with pytest.raises(NotCharacteristic, match=r"^sublink \[0\] is not characteristic$"):
-            mu_invariant(link, sublink_of(link, [0]))
-
-    @pytest.mark.parametrize("bitmask, cc", [("10", 7), ("1x", 7), ("x", -5), ("1", 7), ("", 0)],
-                             ids=["too-long", "bad-character", "not-a-bit", "wrong-cc", "empty"])
-    def test_rejects_a_sublink_of_another_link(self, bitmask, cc):
-        # unknot(-5) has one component and C.C = -5 for its only nonempty
-        # sublink; mu of that sublink is (-1 + 5) mod 16 = 4.
-        link = unknot(-5)
-        with pytest.raises(ValueError):
-            mu_invariant(link, framings.links.Sublink(bitmask, cc, 0, False))
-        assert mu_invariant(link, framings.links.Sublink("1", -5, 0, False)) == 4
+        empty = spins_of(link)[0]
+        assert empty.bitmask == "0" * (m - 1)
+        assert empty.mu == mu_of(rows_of(link), [], 0) == (m - 1) % 16
 
     @pytest.mark.parametrize("m", range(2, 13, 2))
     def test_both_presentations_carry_the_same_mu_multiset(self, m):
@@ -235,11 +233,13 @@ class TestMuInvariant:
 
     @given(framed_links(max_components=5), st.integers(0, 31))
     def test_arf_bit_shifts_mu_by_eight(self, link, pick):
-        subs = characteristic_sublinks(link)
+        subs = spins_of(link)
         c = subs[pick % len(subs)]
-        flipped = sublink_of(link, members_of(c), arf=1 - c.arf)
-        assert (mu_invariant(link, flipped) - mu_invariant(link, c)) % 16 == 8
-        assert mu_invariant(link, flipped) % 8 == mu_invariant(link, c) % 8
+        [flipped] = [f for f in spins_of(link, {c.bitmask: 1 - c.arf})
+                     if f.bitmask == c.bitmask]
+        assert flipped.arf == 1 - c.arf
+        assert (flipped.mu - c.mu) % 16 == 8
+        assert flipped.mu == mu_of(rows_of(link), members_of(c), flipped.arf)
 
 
 class TestGrayCodeWalk:
@@ -251,7 +251,7 @@ class TestGrayCodeWalk:
         expected = oracles.characteristic_subsets_bruteforce(rows)
         masks = sorted("".join("1" if i in c else "0" for i in range(n)) for c in expected)
         arf_table = {m: data.draw(st.integers(0, 1)) for m in masks if data.draw(st.booleans())}
-        subs = characteristic_sublinks(link, arf_table)
+        subs = spins_of(link, arf_table)
         assert [c.bitmask for c in subs] == masks
         assert all(a < b for a, b in zip(masks, masks[1:]))
         assert {members_of(c) for c in subs} == expected
@@ -260,13 +260,9 @@ class TestGrayCodeWalk:
             assert c.self_intersection == sum(rows[i][j] for i in members for j in members)
             if c.bitmask in arf_table:
                 assert (c.arf, c.arf_assumed) == (arf_table[c.bitmask], False)
-                assert sublink_of(link, members, c.arf) == c
             else:
                 assert (c.arf, c.arf_assumed) == (0, True)
-        spins = analyze(link, arf_table).spin_structures
-        assert [s.sublink for s in spins] == subs
-        for spin in spins:
-            assert spin.mu == mu_invariant(link, spin.sublink)
+            assert c.mu == mu_of(rows, members, c.arf)
 
     @pytest.mark.parametrize("link, rows", [
         (empty_link(), [("", 0)]),
@@ -278,7 +274,7 @@ class TestGrayCodeWalk:
     def test_edges(self, link, rows):
         # Whole (bitmask, C.C) lists in ascending order; test_matches_bruteforce
         # holds random links to the same.  The identity's mask is 70 bits wide.
-        assert [(c.bitmask, c.self_intersection) for c in characteristic_sublinks(link)] == rows
+        assert [(c.bitmask, c.self_intersection) for c in spins_of(link)] == rows
 
 
 def _count_kernel_calls(monkeypatch) -> dict[str, int]:
@@ -304,10 +300,10 @@ def _count_kernel_calls(monkeypatch) -> dict[str, int]:
 class TestSpinStructures:
     @given(framed_links())
     @settings(max_examples=50)
-    def test_agrees_with_mu_invariant(self, link):
+    def test_agrees_with_the_mu_oracle(self, link):
         report = analyze(link, None)
         for spin in report.spin_structures:
-            assert spin.mu == mu_invariant(link, spin.sublink)
+            assert spin.mu == mu_of(rows_of(link), members_of(spin), 0)
             assert spin.lam == lambda_from_mu(report.homology.r, spin.mu)
 
 
@@ -336,17 +332,15 @@ class TestAnalyze:
         for bad in (Gf2Solution(particular=(0,), kernel=()),
                     Gf2Solution(particular=(1,), kernel=((1,),))):
             monkeypatch.setattr(framings.links, "solve_gf2", lambda a, b, _bad=bad: _bad)
-            with pytest.raises(NotCharacteristic):
+            with pytest.raises(NotCharacteristic, match=r"^sublink \[\] is not characteristic$"):
                 analyze(link, None)
-            with pytest.raises(NotCharacteristic):
-                characteristic_sublinks(link)
         # Q = diag(0, 0, 1): the particular (0, 0, 1) is right, but the
         # second kernel vector (0, 1, 1) is not in ker Q mod 2, so the walk
         # is refused before it starts, naming particular + v = {1}.
         bad = Gf2Solution(particular=(0, 0, 1), kernel=((1, 0, 0), (0, 1, 1)))
         monkeypatch.setattr(framings.links, "solve_gf2", lambda a, b: bad)
         with pytest.raises(NotCharacteristic, match=r"^sublink \[1\] is not characteristic$"):
-            characteristic_sublinks(FramedLink.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 1]]))
+            analyze(FramedLink.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 1]]), None)
 
     def test_is_frozen(self):
         report = analyze(unknot(2), {"1": 1})
@@ -358,7 +352,7 @@ class TestAnalyze:
     @given(framed_links(), st.data())
     @settings(max_examples=80)
     def test_matches_the_separate_functions(self, link, data):
-        masks = [c.bitmask for c in characteristic_sublinks(link)]
+        masks = [c.bitmask for c in spins_of(link)]
         arf_table = {m: data.draw(st.integers(0, 1)) for m in masks}
         report = analyze(link, arf_table)
         assert report.framings == natural_framings(link)
@@ -374,10 +368,11 @@ class TestAnalyze:
         det = oracles.det_fraction_gauss(rows)
         if det:
             assert prod(hom.torsion) == abs(det)
-        assert ([s.sublink for s in report.spin_structures]
-                == characteristic_sublinks(link, arf_table))
+        assert ([(s.bitmask, s.self_intersection) for s in report.spin_structures]
+                == [(s.bitmask, s.self_intersection) for s in spins_of(link)])
         for spin in report.spin_structures:
-            assert spin.mu == mu_invariant(link, spin.sublink)
+            assert (spin.arf, spin.arf_assumed) == (arf_table[spin.bitmask], False)
+            assert spin.mu == mu_of(rows, members_of(spin), spin.arf)
             assert spin.lam == lambda_from_mu(report.homology.r, spin.mu)
 
 
@@ -396,9 +391,9 @@ def _manifold_invariants(rows: list[list[int]]) -> tuple[tuple, Counter, dict[st
     if report.framings.even:
         # Q mod 2 is alternating, so r = n (mod 2) and the empty sublink's
         # lambda, 2(1 + r) + sigma, is that of canonical's delta = (chi, -3 sigma).
-        [empty] = [x for x in spins if "1" not in x.sublink.bitmask]
+        [empty] = [x for x in spins if "1" not in x.bitmask]
         assert empty.lam == lambda_class(report.framings.delta)
-    mus = {x.sublink.bitmask: x.mu for x in spins}
+    mus = {x.bitmask: x.mu for x in spins}
     return homology, Counter((x.mu % 8, x.lam) for x in spins), mus
 
 
@@ -509,8 +504,7 @@ class TestNaturalFramings:
     @settings(max_examples=120)
     def test_lambda_of_delta_agrees_with_mu_formula(self, link):
         nat = natural_framings(link)
-        empty = sublink_of(link, [])
-        mu = mu_invariant(link, empty)
+        mu = mu_of(rows_of(link), [], 0)
         assert lambda_class(nat.delta) == lambda_from_mu(analyze(link, None).homology.r, mu)
 
 
