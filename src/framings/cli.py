@@ -42,44 +42,46 @@ class LinkDocument(NamedTuple):
 
 def load_link_document(path: str) -> LinkDocument:
     """Read and validate a link file; any defect raises ParseError."""
+    # A path whose repr passes 40 characters is named by its length (_shown).
+    where = path if _shown(path) == repr(path) else _shown(path)
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except OSError as exc:  # strerror, as str(exc) repeats the path
+        raise ParseError(f"cannot read {where}: {exc.strerror or type(exc).__name__}") from exc
     except json.JSONDecodeError as exc:
-        raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+        raise ParseError(f"{where} is not valid JSON: {exc}") from exc
     except ValueError as exc:  # undecodable bytes, or an integer too long to parse
-        raise ParseError(f"cannot parse {path}: {exc}") from exc
+        raise ParseError(f"cannot parse {where}: {exc}") from exc
     except RecursionError as exc:  # nesting deeper than the decoder's recursion limit
-        raise ParseError(f"cannot parse {path}: nested too deeply") from exc
+        raise ParseError(f"cannot parse {where}: nested too deeply") from exc
     if not isinstance(raw, dict):
-        raise ParseError(f"{path}: top level must be an object")
+        raise ParseError(f"{where}: top level must be an object")
     matrix = raw.get("matrix")
     if not isinstance(matrix, list):
-        raise ParseError(f"{path}: 'matrix' must be a list of integer rows")
+        raise ParseError(f"{where}: 'matrix' must be a list of integer rows")
     try:  # IntMatrix checks the entries and row lengths, FramedLink the symmetry
         link = links.FramedLink.from_rows(matrix)
     except (TypeError, ValueError, NotSymmetric) as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{where}: {exc}") from exc
     size = link.components
     components = raw.get("components", size)
     if not isinstance(components, int) or isinstance(components, bool):
-        raise ParseError(f"{path}: 'components' must be an integer")
+        raise ParseError(f"{where}: 'components' must be an integer")
     if components != size:
-        raise ParseError(f"{path}: components = {components} but matrix is {size}x{size}")
+        raise ParseError(f"{where}: components = {components} but matrix is {size}x{size}")
     name = raw.get("name", Path(path).stem)
     if not isinstance(name, str):
-        raise ParseError(f"{path}: 'name' must be a string")
+        raise ParseError(f"{where}: 'name' must be a string")
     raw_table = {} if raw.get("arf_table") is None else raw["arf_table"]
     if not isinstance(raw_table, dict):
-        raise ParseError(f"{path}: 'arf_table' must be an object")
+        raise ParseError(f"{where}: 'arf_table' must be an object")
     arf_table: dict[str, int] = {}
     for key, value in raw_table.items():
         if (not isinstance(key, str) or len(key) != size
                 or any(c not in "01" for c in key)):
-            raise ParseError(f"{path}: arf_table key {key!r} is not a {size}-bit mask")
+            raise ParseError(f"{where}: arf_table key {_shown(key)} is not a {size}-bit mask")
         if not isinstance(value, int) or isinstance(value, bool) or value not in (0, 1):
-            raise ParseError(f"{path}: arf_table[{key!r}] must be 0 or 1")
+            raise ParseError(f"{where}: arf_table[{_shown(key)}] must be 0 or 1")
         arf_table[key] = value
     return LinkDocument(name=name, link=link, arf_table=arf_table)
 

@@ -9,13 +9,16 @@ later row (for signatures, row k rebuilt whole from the triangle, and its
 column); a radical direction of a symmetric block drops its first row.
 A symmetric nonsingular Q has its signature, det Q and a modulus t from
 one elimination of [Q | 1]; every invariant factor but the last divides
-t, so the Smith form is reduced mod t (Cohen, A Course in Computational
-Algebraic Number Theory, section 2.4).  No rational or floating-point
-number enters any elimination.
+t (Cohen, A Course in Computational Algebraic Number Theory, section 2.4)
+and the three (n-1)-minors of the last 2x2 block of the elimination, so
+divides their gcd g with t.  The Smith form is read off that block when
+g = 1 or the minor D_{n-2} is a unit mod g, and reduced mod g otherwise.
+No rational or floating-point number enters any elimination.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, lcm, prod
 from typing import NamedTuple, Sequence, Union
 
@@ -42,8 +45,8 @@ class IntMatrix(NamedTuple("IntMatrix", [("entries", tuple[tuple[int, ...], ...]
                 raise TypeError(f"matrix row {i} is not a list of integers") from None
         if len({len(row) for row in rows}) > 1:
             raise ValueError("matrix rows have unequal lengths")
-        for row in rows:
-            for x in row:
+        if not {int}.issuperset(map(type, chain.from_iterable(rows))):  # one C-level scan
+            for x in chain.from_iterable(rows):
                 if not isinstance(x, int) or isinstance(x, bool):
                     name = repr(x)  # a long one is named by its type: the message stays short
                     name = name if len(name) <= 40 else f"of type {type(x).__name__}"
@@ -192,12 +195,14 @@ def smith_normal_form(m: MatrixLike) -> SmithForm:
     """Invariant factors s_1 | ... | s_n of an integer matrix m: there are
     unimodular U, V with U m V diagonal and the returned chain on it.
 
-    A symmetric m with det m != 0 is reduced mod t = |det m| / den, den the
-    denominator of m^-1 b for an integer b (signature_and_smith).  den | s_n,
-    as s_n m^-1 is integral, so s_1 ... s_{n-1} | t: mod t the loop gives
-    gcd(s_i, t) = s_i for i < n, and s_n = |det m| / (s_1 ... s_{n-1}).
-    Entries stay below t (Cohen, A Course in Computational Algebraic Number
-    Theory, section 2.4).  Any other matrix is reduced over Z."""
+    A symmetric m with det m != 0 has s_1 ... s_{n-1} | t = |det m| / den,
+    den the denominator of m^-1 b for an integer b, as den | s_n and
+    s_n m^-1 is integral.  signature_and_smith reads the head off the last
+    2x2 block or reduces m mod a divisor g of t that s_1 ... s_{n-1} still
+    divide: mod g the loop gives gcd(s_i, g) = s_i for i < n, and
+    s_n = |det m| / (s_1 ... s_{n-1}).  Entries stay below g (Cohen, A
+    Course in Computational Algebraic Number Theory, section 2.4).  Any
+    other matrix is reduced over Z."""
     mat = as_int_matrix(m)
     if mat.is_symmetric():
         return signature_and_smith(mat)[1]
@@ -249,9 +254,19 @@ def signature_and_smith(q: MatrixLike) -> tuple[int, SmithForm]:
     """Signature and Smith form of a symmetric integer matrix from one
     symmetric elimination of [q | 1].  For det q != 0, back-substitution on
     the kept pivot rows gives y = det Q'^-1 E 1, an integer vector, and
-    t = gcd(det, y) is |det| over the denominator of Q'^-1 E 1; the Smith
-    form is reduced mod t as smith_normal_form says.  A singular or empty q
-    is reduced over Z."""
+    t = gcd(det, y) is |det| over the denominator of Q'^-1 E 1, a multiple
+    of s_1 ... s_{n-1} (smith_normal_form).
+
+    The last 2x2 block then bounds the head further.  With D = D_{n-2}
+    (1 when n = 2), the kept rows give the (n-1)-minors alpha = D_{n-1}
+    and beta (row n - 2 at column n - 1) of Q', and Sylvester's identity
+    det D = alpha gamma - beta^2 the third, gamma, exactly.  Each of
+    s_1 ... s_{n-1} divides every (n-1)-minor, so divides
+    g = gcd(t, alpha, beta, gamma): g = 1 makes the head all ones.  When D
+    is a unit mod g, Q' = I (+) S over Z/g with S the Schur complement,
+    whose entries alpha/D, beta/D, gamma/D are 0 mod g, so the head is
+    1, ..., 1, g.  Otherwise the Smith form is reduced mod g.  A singular
+    or empty q is reduced over Z."""
     mat = as_int_matrix(q)
     signature, det, kept = _symmetric_pass(mat, [1])
     if not det or not kept:
@@ -259,8 +274,17 @@ def signature_and_smith(q: MatrixLike) -> tuple[int, SmithForm]:
     y: list[int] = []
     for row in reversed(kept):  # [pivot, entries right of it, rhs]; y integral: exact
         y.append((det * row[-1] - sum(u * v for u, v in zip(row[1:-1], reversed(y)))) // row[0])
-    t = gcd(det, *y)
-    head = _smith_factors([[x % t for x in row] for row in mat.entries], t)[:-1]
+    n, t = len(kept), gcd(det, *y)
+    g = d = 1
+    if t > 1:  # n = 1 gives y = [1], so t = 1
+        (alpha, beta, _), d = kept[-2], kept[-3][0] if n > 2 else 1
+        g = gcd(t, alpha, beta, (det * d + beta * beta) // alpha)
+    if g == 1:
+        head = [1] * (n - 1)
+    elif gcd(d, g) == 1:
+        head = [1] * (n - 2) + [g]
+    else:
+        head = _smith_factors([[x % g for x in row] for row in mat.entries], g)[:-1]
     return signature, SmithForm((*head, abs(det) // prod(head)))
 
 

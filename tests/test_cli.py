@@ -61,8 +61,9 @@ class TestLoadLinkDocument:
                                 [{"0": 1}], [[[1]]], None)
     ] + [{}], ids=["float", "bool", "ragged", "wide", "empty-row", "string", "object-row",
                    "nested", "null", "missing"])
-    def test_malformed_matrix_exits_2_with_one_line(self, capsys, tmp_path, doc):
-        path = write_doc(tmp_path, doc)
+    def test_malformed_matrix_exits_2_with_one_line(self, capsys, monkeypatch, tmp_path, doc):
+        monkeypatch.chdir(tmp_path)  # a short path is echoed as it is
+        path = Path(write_doc(tmp_path, doc)).name
         code, out, err = run(capsys, "invariants", path)
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
@@ -197,7 +198,8 @@ class TestInvariantsCommand:
 
     # A long entry is named by its type and a row that is no list by its
     # index, so the error line stays short.  A process of its own meets the
-    # 984-deep list at the recursion depth of a real run.
+    # 984-deep list at the recursion depth of a real run; it runs in the
+    # file's directory, so the short path is echoed as it is.
     @pytest.mark.parametrize("matrix, message", [
         ('[["' + "x" * 10**5 + '"]]', "non-integer matrix entry of type str"),
         ("[[" + "[" * 984 + "]" * 984 + "]]", "non-integer matrix entry of type list"),
@@ -207,11 +209,46 @@ class TestInvariantsCommand:
         path = tmp_path / "m.json"
         path.write_text('{"matrix": ' + matrix + "}")
         env = source_env()
-        result = subprocess.run([sys.executable, "-m", "framings.cli", "invariants", str(path)],
-                                capture_output=True, env=env, timeout=60)
+        result = subprocess.run([sys.executable, "-m", "framings.cli", "invariants", path.name],
+                                capture_output=True, env=env, cwd=tmp_path, timeout=60)
         assert (result.returncode, result.stdout) == (2, b"")
-        assert result.stderr == f"error: {path}: {message}\n".encode()
+        assert result.stderr == f"error: {path.name}: {message}\n".encode()
         assert len(result.stderr) <= 200
+
+    # A path whose repr passes 40 characters is named by its length in every
+    # loader message, and a file that cannot be read by the OS's reason
+    # alone, which does not repeat the path.
+    @pytest.mark.parametrize("name, text, message", [
+        ("x" * 5000 + ".json", None, "cannot read <{n} characters>: File name too long"),
+        ("missing.json", None, "cannot read <{n} characters>: No such file or directory"),
+        ("bad.json", "{ not json", "<{n} characters> is not valid JSON: "
+                                   "Expecting property name enclosed in double quotes: "
+                                   "line 1 column 3 (char 2)"),
+        ("m.json", '{"matrix": [[1.0]]}', "<{n} characters>: non-integer matrix entry 1.0"),
+        ("k.json", '{"matrix": [[2]], "arf_table": {"' + "1" * 5000 + '": 0}}',
+         "<{n} characters>: arf_table key <5000 characters> is not a 1-bit mask"),
+    ], ids=["too-long-to-open", "missing", "not-json", "float-entry", "long-arf-key"])
+    def test_a_long_path_is_named_by_its_length(self, tmp_path, name, text, message):
+        directory = tmp_path / ("d" * 50)
+        directory.mkdir()
+        path = directory / name
+        if text is not None:
+            path.write_text(text)
+        result = subprocess.run([sys.executable, "-m", "framings.cli", "invariants", str(path)],
+                                capture_output=True, env=source_env(), timeout=60)
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr == f"error: {message.format(n=len(str(path)))}\n".encode()
+        assert len(result.stderr) <= 200
+
+    @pytest.mark.parametrize("length, named", [(38, "{path}"), (39, "<39 characters>")],
+                             ids=["repr-40", "repr-41"])
+    def test_a_path_is_echoed_while_its_repr_fits_40_characters(self, capsys, monkeypatch,
+                                                               tmp_path, length, named):
+        monkeypatch.chdir(tmp_path)
+        path = "p" * (length - 5) + ".json"
+        code, out, err = run(capsys, "invariants", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {named.format(path=path)}: No such file or directory\n"
 
     def test_a_closed_stdout_ends_quietly(self, tmp_path):
         # The 12-component 0-framed unlink has 4096 spin structures, about

@@ -2,7 +2,9 @@
 
 import random
 import re
+from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
@@ -359,9 +361,11 @@ def _over_z(rows: list[list[int]]) -> SmithForm:
     return SmithForm(tuple(exactmath._smith_factors([list(row) for row in rows], 0)))
 
 
-def _modulus(monkeypatch, rows: list[list[int]]) -> int:
-    """The modulus t that signature_and_smith reduces rows by, 0 when it
-    reduces them over Z; its answer is checked against the over-Z loop."""
+def _modulus(monkeypatch, rows: list[list[int]]) -> int | None:
+    """The modulus g that signature_and_smith runs the loop with, 0 when it
+    reduces rows over Z, None when it runs no loop (the head all ones, or
+    read off the last 2x2 block); its answer is checked against the over-Z
+    loop."""
     expected = (exact_signature(rows), _over_z(rows))
     loop, seen = exactmath._smith_factors, []
 
@@ -372,51 +376,96 @@ def _modulus(monkeypatch, rows: list[list[int]]) -> int:
     with monkeypatch.context() as patch:
         patch.setattr(exactmath, "_smith_factors", recorded)
         assert signature_and_smith(rows) == expected
-    [t] = seen
-    return t
+    assert len(seen) <= 1
+    return seen[0] if seen else None
+
+
+def _route(monkeypatch, rows: list[list[int]]) -> str:
+    """How signature_and_smith finds the Smith form of rows: "over Z",
+    "loop" (mod g), "block" (a head 1, ..., 1, g > 1 off the last 2x2
+    block) or "ones" (g = 1); checked against the over-Z loop."""
+    t = _modulus(monkeypatch, rows)
+    if t is not None:
+        return "loop" if t else "over Z"
+    head = signature_and_smith(rows)[1].invariant_factors[:-1]
+    return "block" if head and head[-1] > 1 else "ones"
+
+
+@st.composite
+def _prescribed_smith_forms(draw, max_size=10):
+    """(U^T D U, s): U unimodular, a product of row additions, and D
+    diagonal with entries +-s_1, ..., +-s_n, so the Smith form is s.  The
+    last k factors are running products of small multipliers, the rest 1,
+    so each count of factors past 1, and each route, is drawn."""
+    n = draw(st.integers(1, max_size))
+    k = draw(st.integers(0, n))
+    factors, s = [1] * (n - k), 1
+    for _ in range(k):
+        s *= draw(st.sampled_from((1, 2, 3, 4, 6)))
+        factors.append(s)
+    d = [draw(st.sampled_from((1, -1))) * f for f in factors]
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3 * n)) if n > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(-2, 2))
+        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    rows = [[sum(u[m][i] * d[m] * u[m][j] for m in range(n)) for j in range(n)]
+            for i in range(n)]
+    return rows, tuple(factors)
 
 
 class TestSignatureAndSmith:
     """One symmetric elimination of [Q | 1] gives the signature, det Q and
-    a modulus t with s_1 ... s_{n-1} | t | det Q; the Smith form is then
-    reduced mod t.  Every case is checked against the over-Z loop."""
+    a modulus t with s_1 ... s_{n-1} | t | det Q, and g, the gcd of t and
+    three (n-1)-minors of its last 2x2 block.  The head of the Smith form
+    is then all ones (g = 1), 1, ..., 1, g (D_{n-2} a unit mod g) or
+    reduced mod g.  Every case is checked against the over-Z loop."""
 
     @pytest.mark.parametrize("rows, factors, t", [
-        ([], (), 0), ([[7]], (7,), 1), ([[-7]], (7,), 1), ([[0]], (0,), 0),
+        ([], (), 0), ([[7]], (7,), None), ([[-7]], (7,), None), ([[0]], (0,), 0),
     ], ids=["empty", "positive", "negative", "zero"])
     def test_small_forms(self, monkeypatch, rows, factors, t):
         assert _modulus(monkeypatch, rows) == t
         assert signature_and_smith(rows)[1].invariant_factors == factors
 
     def test_e8_needs_no_reduction_at_all(self, monkeypatch):
-        assert _modulus(monkeypatch, E8_ROWS) == 1
+        assert _modulus(monkeypatch, E8_ROWS) is None
         assert signature_and_smith(E8_ROWS) == (8, SmithForm((1,) * 8))
 
-    @pytest.mark.parametrize("d, n", [(2, 2), (6, 3), (-5, 4)])
-    def test_scalar_matrix_modulus_is_d_to_the_n_minus_1(self, monkeypatch, d, n):
+    # t = g = |d|^(n-1).  At n = 2, D_0 = 1 is a unit, so the head (g,) is
+    # read off the block; past it D_{n-2} = d^(n-2) shares g's factors.
+    @pytest.mark.parametrize("d, n, route", [(2, 2, "block"), (6, 3, "loop"), (-5, 4, "loop")])
+    def test_scalar_matrix_modulus_is_d_to_the_n_minus_1(self, monkeypatch, d, n, route):
         rows = [[d if i == j else 0 for j in range(n)] for i in range(n)]
-        assert _modulus(monkeypatch, rows) == abs(d) ** (n - 1)
+        assert _modulus(monkeypatch, rows) == (abs(d) ** (n - 1) if route == "loop" else None)
+        assert _route(monkeypatch, rows) == route
         assert signature_and_smith(rows) == (n if d > 0 else -n, SmithForm((abs(d),) * n))
 
     def test_integral_inverse_image_of_ones_is_the_worst_case(self, monkeypatch):
         # 4 I - J has row sums 1, so Q^-1 1 = 1 is integral and t = |det|.
+        # The last block's minors alpha = 8, beta = 4 and gamma = 8 cut
+        # t = 16 to g = 4, and D_1 = 3 is a unit mod 4: the head (1, 4) is
+        # read off the block, with no loop.
         rows = [[3, -1, -1], [-1, 3, -1], [-1, -1, 3]]
         assert oracles.det_fraction_gauss(rows) == 16
-        assert _modulus(monkeypatch, rows) == 16
+        assert _modulus(monkeypatch, rows) is None
+        assert _route(monkeypatch, rows) == "block"
         assert signature_and_smith(rows)[1].invariant_factors == (1, 4, 4)
 
-    @pytest.mark.parametrize("rows, form", [
-        (hyperbolic([[3]]), (0, (3, 3))),
-        (hyperbolic([[-1, 2], [3, -1]]), (0, (1, 1, 5, 5))),
-        (hyperbolic([[1, 1, 0], [0, 2, 1], [1, 0, 3]]), (0, (1, 1, 1, 1, 7, 7))),
-        ([[2, 2, 3], [2, 2, 0], [3, 0, 0]], (1, (1, 3, 6))),
-    ], ids=["plane", "B2", "B3", "after-a-pivot"])
-    def test_zero_pivot_repairs_reach_the_kept_pivot_rows(self, monkeypatch, rows, form):
+    @pytest.mark.parametrize("rows, form, route", [
+        (hyperbolic([[3]]), (0, (3, 3)), "block"),
+        (hyperbolic([[-1, 2], [3, -1]]), (0, (1, 1, 5, 5)), "block"),
+        (hyperbolic([[1, 1, 0], [0, 2, 1], [1, 0, 3]]), (0, (1, 1, 1, 1, 7, 7)), "block"),
+        ([[2, 2, 3], [2, 2, 0], [3, 0, 0]], (1, (1, 3, 6)), "block"),
+        (hyperbolic([[2, 0], [0, 6]]), (0, (2, 2, 6, 6)), "loop"),
+    ], ids=["plane", "B2", "B3", "after-a-pivot", "B2-even"])
+    def test_zero_pivot_repairs_reach_the_kept_pivot_rows(self, monkeypatch, rows, form, route):
         # The plane is repaired at its first pivot.  Every other elimination
         # meets a zero pivot after a kept pivot row with nonzero entries in
         # the repaired columns; without the repair on that row, the
-        # back-substitution gives a t that loses a factor.
-        _modulus(monkeypatch, rows)
+        # back-substitution gives a t, and the block minors a g, that lose
+        # a factor.
+        assert _route(monkeypatch, rows) == route
         assert signature_and_smith(rows) == (form[0], SmithForm(form[1]))
 
     # A zero pivot with b = a[0][k] and c = a[k][k] is repaired to 2sb + c,
@@ -449,6 +498,40 @@ class TestSignatureAndSmith:
     def test_matches_minor_gcd_oracle(self, rows):
         assert (signature_and_smith(rows)[1].invariant_factors
                 == oracles.invariant_factors_by_minors(rows))
+
+    def test_prescribed_smith_forms_take_every_route(self, monkeypatch):
+        # U^T D U has the Smith form of D, whichever route reads it.  The
+        # draws are derandomized, so the routes they reach do not vary by run.
+        routes = Counter()
+
+        @given(_prescribed_smith_forms())
+        @settings(max_examples=300, derandomize=True)
+        def check(case):
+            rows, factors = case
+            routes[_route(monkeypatch, rows)] += 1
+            assert signature_and_smith(rows)[1].invariant_factors == factors
+
+        check()
+        assert set(routes) == {"ones", "block", "loop"}, routes
+
+    def test_sizes_to_30_against_ranks_mod_p(self, monkeypatch):
+        # Each prime p pins how many factors it divides, n - rank over GF(p),
+        # so a head read off the block as (1, 4) is told from one of (2, 2)
+        # that the product alone would pass.  Dense forms, dense ones with
+        # an even diagonal and sparse ones rich in 2 and 3 at n = 2-30.
+        rng, routes = random.Random("smith-routes"), Counter()
+        for n in range(2, 31):
+            even = _symmetric(n, range(-3, 4), rng)
+            for i in range(n):
+                even[i][i] *= 2
+            for rows in (_symmetric(n, range(-3, 4), rng), even,
+                         _symmetric(n, (0, 0, 0, 2, 4, 6, 9, 12), rng)):
+                routes[_route(monkeypatch, rows)] += 1
+                factors = signature_and_smith(rows)[1].invariant_factors
+                for p in (2, 3, 5, 7):
+                    assert sum(1 for f in factors if f % p == 0) == n - oracles.rank_mod_p(rows, p)
+                assert prod(factors) == abs(IntMatrix(rows).det())
+        assert {"ones", "block", "loop"} <= set(routes), routes
 
 
 def _expand(sol) -> list[tuple[int, ...]]:
