@@ -9,9 +9,10 @@ Link files are JSON documents with a symmetric integer linking matrix and
 an optional table of Arf invariants keyed by sublink bitmask.  Every
 command validates its input and returns one payload dict; `main` prints its
 renderer's text, or under --json ASCII-escaped JSON byte-identical to
-`json.dumps(payload, indent=2, sort_keys=True)`, joined by `_dumps` in one pass;
-a table of dict shapes local to that call sorts and quotes the keys of
-like rows, such as the 2^r spin structures, once.
+`json.dumps(payload, indent=2, sort_keys=True)`, joined by `_dumps` in one pass.
+`_dumps` renders the items of a long array as one column: like rows, such as
+the 2^r spin structures, sort and quote their keys once per call, and each
+of their fields renders with one converter mapped over the column.
 
 Exit codes: 0 success, 1 `catalog` with a FAIL row, 2 parse or validation
 error, 3 mathematical precondition violation.
@@ -25,9 +26,11 @@ import os
 import re
 import sys
 from fractions import Fraction
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from pathlib import Path
-from typing import Callable, NamedTuple, NoReturn
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from . import __version__, bundles, catalog, defects, links, quotients
 from .defects import LambdaClass, TotalDefect
@@ -67,8 +70,10 @@ def load_link_document(path: str) -> LinkDocument:
     components = raw.get("components", size)
     if not isinstance(components, int) or isinstance(components, bool):
         raise ParseError(f"{where}: 'components' must be an integer")
-    if components != size:
-        raise ParseError(f"{where}: components = {components} but matrix is {size}x{size}")
+    if components != size:  # an integer whose repr passes 40 characters is named by its digits
+        text = repr(components)
+        shown = text if len(text) <= 40 else f"<{len(text.lstrip('-'))} digits>"
+        raise ParseError(f"{where}: components = {shown} but matrix is {size}x{size}")
     name = raw.get("name", Path(path).stem)
     if not isinstance(name, str):
         raise ParseError(f"{where}: 'name' must be a string")
@@ -90,18 +95,12 @@ def _pair_text(pair: list[int]) -> str:
     return f"({pair[0]}, {pair[1]})"
 
 
-def _spin_json(spin: links.SpinStructureData) -> dict:
-    bitmask, cc, arf, assumed, mu, lam = spin
-    return {"bitmask": bitmask, "members": links._members(bitmask), "self_intersection": cc,
-            "arf": arf, "arf_assumed": assumed, "mu": links.mu_representative(mu),
-            "mu_mod16": mu, "lambda": lam.representative, "lambda_mod4": lam.value}
-
-
 def cmd_invariants(args: argparse.Namespace) -> dict:
     doc = load_link_document(args.file)
     link = doc.link
     report = links.analyze(link, doc.arf_table)
-    nat, profile = report.framings, report.homology
+    nat, profile, spins = report.framings, report.homology, report.spin_structures
+    mu_shown = {mu: links.mu_representative(mu) for mu in {s.mu for s in spins}}
     warnings: list[str] = []
     framings_json: dict = {"freed_gompf_h": nat.freed_gompf_h}
     if nat.even:
@@ -120,7 +119,11 @@ def cmd_invariants(args: argparse.Namespace) -> dict:
         "tau": nat.tau,
         "homology": {"betti1": profile.betti1, "torsion": list(profile.torsion),
                      "r": profile.r, "s": profile.s},
-        "spin_structures": [_spin_json(s) for s in report.spin_structures],
+        "spin_structures": [
+            {"bitmask": bits, "members": [i for i, bit in enumerate(bits) if bit == "1"],
+             "self_intersection": cc, "arf": arf, "arf_assumed": assumed, "mu": mu_shown[mu],
+             "mu_mod16": mu, "lambda": lam.representative, "lambda_mod4": lam.value}
+            for bits, cc, arf, assumed, mu, lam in spins],
         "framings": framings_json,
         "warnings": warnings,
     }
@@ -410,38 +413,80 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_LITERALS = {None: "null", True: "true", False: "false"}
+# Shorter arrays render item by item: there, sorting out a column's types
+# costs more than mapping one converter saves (2 ints: about 0.7 us item
+# by item, 1.2 us as a column; even near 16; Python 3.11, 2-vCPU VM).
+_COLUMN_MIN = 8
+
+
 def _dumps(obj: object) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)` byte for byte, for obj with str keys.
 
-    A table local to the call maps each dict shape (its key tuple and
+    An array of _COLUMN_MIN items or more renders as one column.  A column
+    of exact ints, of strs, or of bools and None maps one converter over
+    it (repr, _quote, a dict lookup).  A column of lists and tuples renders
+    all their items as one column, then cuts it back into arrays.  A
+    column of dicts with one nonempty key tuple renders each key's values
+    as a column and fills the shape's %-template row by row.  Other
+    columns, shorter arrays and a lone dict's values render item by item:
+    exact ints, strs, bools and None inline, lists and nonempty dicts
+    recurse, and json.dumps renders the rest (floats, subclasses, {}).  A
+    table local to the call maps each dict shape (its key tuple and
     indent) to its sorted keys and a %-template of their `,\n  "key": `
-    heads, so like rows sort and quote their keys once.  Int, str, bool
-    and None values render inline, lists and nonempty dicts recurse, and
-    json.dumps renders the rest: floats, subclasses and {}.
+    heads, so like dicts sort and quote their keys once.
     """
     shapes: dict[tuple[tuple, str], tuple[list, str]] = {}
 
+    def shape(keys: tuple, pad: str) -> tuple[list, str]:
+        found = shapes.get((keys, pad))
+        if found is None:
+            order, inner = sorted(keys), pad + "  "
+            found = shapes[keys, pad] = order, "{" + inner + ("," + inner).join(
+                _quote(k).replace("%", "%%") + ": %s" for k in order) + pad + "}"
+        return found
+
+    def items(values: Sequence, pad: str) -> list[str]:
+        return [repr(v) if type(v) is int  # ValueError past sys.get_int_max_str_digits()
+                else _quote(v) if type(v) is str else "null" if v is None
+                else "true" if v is True else "false" if v is False
+                else render(v, pad) for v in values]
+
+    def column(values: Sequence, pad: str) -> list[str]:
+        kinds = set(map(type, values))
+        if kinds == {int}:
+            return list(map(repr, values))
+        if kinds == {str}:
+            return list(map(_quote, values))
+        if kinds <= {bool, type(None)}:
+            return list(map(_LITERALS.__getitem__, values))
+        inner = pad + "  "
+        if kinds <= {list, tuple}:
+            flat = list(chain.from_iterable(values))
+            texts = iter(column(flat, inner) if len(flat) >= _COLUMN_MIN else items(flat, inner))
+            comma = "," + inner
+            return ["[" + inner + comma.join(islice(texts, len(v))) + pad + "]" if v else "[]"
+                    for v in values]
+        if kinds == {dict}:
+            keys = set(map(tuple, values))
+            if len(keys) == 1 and () not in keys:  # like dicts, and not all {}
+                order, template = shape(keys.pop(), pad)
+                return list(map(template.__mod__, zip(*[
+                    column(list(map(itemgetter(k), values)), inner) for k in order])))
+        return items(values, pad)
+
     def render(obj: object, pad: str) -> str:
-        inner, values, template = pad + "  ", obj, None
+        inner = pad + "  "
         if isinstance(obj, dict) and obj:
-            keys = tuple(obj)
-            shape = shapes.get((keys, pad))
-            if shape is None:
-                order = sorted(keys)
-                shape = shapes[keys, pad] = order, "{" + inner + ("," + inner).join(
-                    _quote(k).replace("%", "%%") + ": %s" for k in order) + pad + "}"
-            order, template = shape
-            values = [obj[k] for k in order]
-        elif not isinstance(obj, (list, tuple)):
+            order, template = shape(tuple(obj), pad)
+            return template % tuple(items([obj[k] for k in order], inner))
+        if not isinstance(obj, (list, tuple)):
             return json.dumps(obj)  # TypeError for what JSON cannot hold
-        elif not obj:
+        if not obj:
             return "[]"
-        texts = tuple([repr(v) if type(v) is int  # ValueError past sys.get_int_max_str_digits()
-                       else _quote(v) if type(v) is str else "null" if v is None
-                       else "true" if v is True else "false" if v is False
-                       else render(v, inner) for v in values])
-        return template % texts if template else (
-            "[" + inner + ("," + inner).join(texts) + pad + "]")
+        # No name holds the item texts, so they are freed before the copies of their join.
+        return "[" + inner + ("," + inner).join(
+            column(obj, inner) if len(obj) >= _COLUMN_MIN else items(obj, inner)) + pad + "]"
 
     return render(obj, "\n")
 

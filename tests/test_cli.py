@@ -6,8 +6,10 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import hypothesis.strategies as st
 import pytest
@@ -73,6 +75,28 @@ class TestLoadLinkDocument:
         path = write_doc(tmp_path, {"components": components, "matrix": [[0]]})
         with pytest.raises(ParseError):
             load_link_document(path)
+
+    # A components value whose repr passes 40 characters is named by its
+    # digit count, a shorter one echoed as it is.  Each runs as a process,
+    # in the file's directory, so the short path is echoed as it is.
+    @pytest.mark.parametrize("components, shown", [
+        ("9" * 4000, "<4000 digits>"),
+        ("-" + "9" * 4000, "<4000 digits>"),
+        ("9" * 40, "9" * 40),
+        ("9" * 41, "<41 digits>"),
+        ("-" + "9" * 39, "-" + "9" * 39),
+        ("-" + "9" * 40, "<40 digits>"),
+        ("3", "3"),
+    ], ids=["4000-digits", "minus-4000-digits", "repr-40", "repr-41", "minus-repr-40",
+            "minus-repr-41", "short"])
+    def test_a_long_components_value_is_named_by_its_digits(self, tmp_path, components, shown):
+        path = tmp_path / "c.json"
+        path.write_text('{"matrix": [[1]], "components": ' + components + "}")
+        result = subprocess.run([sys.executable, "-m", "framings.cli", "invariants", path.name],
+                                capture_output=True, env=source_env(), cwd=tmp_path, timeout=60)
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr == f"error: c.json: components = {shown} but matrix is 1x1\n".encode()
+        assert len(result.stderr) <= 200
 
     def test_rejects_bad_arf_keys(self, tmp_path):
         path = write_doc(tmp_path, {"matrix": [[2]], "arf_table": {"11": 0}})
@@ -268,19 +292,25 @@ class TestInvariantsCommand:
         assert first == second
 
     # A 0-framed 10-component unlink (r = 10), and an even link with framings
-    # 0, +-2, 4, -4, 6 whose one odd linking number leaves r = 6.
-    @pytest.mark.parametrize("matrix, r", [
-        ([[0] * 10] * 10, 10),
+    # 0, +-2, 4, -4, 6 whose one odd linking number leaves r = 6.  Each has
+    # an Arf table, so the arf, arf_assumed and mu columns vary.
+    @pytest.mark.parametrize("matrix, arf_table, r", [
+        ([[0] * 10] * 10, {"1000000000": 1, "0000000011": 0, "1111111111": 1}, 10),
         ([[0, 1, 2, 0, 0, 0, 0, 0], [1, 2, 0, 0, 0, 0, 0, 0], [2, 0, -2, 0, 0, 0, 0, 0],
           [0, 0, 0, 4, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 0, -4, 0, 0],
-          [0, 0, 0, 0, 0, 0, 2, 0], [0, 0, 0, 0, 0, 0, 0, 6]], 6),
+          [0, 0, 0, 0, 0, 0, 2, 0], [0, 0, 0, 0, 0, 0, 0, 6]],
+         {"00000001": 1, "00000011": 0, "00000111": 1}, 6),
     ], ids=["unlink10", "mixed-even"])
-    def test_many_spin_rows_render_as_json_dumps_indent_2(self, capsys, tmp_path, matrix, r):
-        path = write_doc(tmp_path, {"name": "snowman \u2603 \"q\"", "matrix": matrix})
+    def test_many_spin_rows_render_as_json_dumps_indent_2(self, capsys, tmp_path, matrix,
+                                                          arf_table, r):
+        path = write_doc(tmp_path, {"name": "snowman \u2603 \"q\"", "matrix": matrix,
+                                    "arf_table": arf_table})
         code, out, _ = run(capsys, "invariants", path, "--json")
         payload = json.loads(out)
+        rows = payload["spin_structures"]
         assert code == 0 and payload["homology"]["r"] == r
-        assert len(payload["spin_structures"]) == 2 ** r
+        assert len(rows) == 2 ** r
+        assert all(len({row[key] for row in rows}) > 1 for key in ("arf", "arf_assumed", "mu"))
         assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
@@ -540,8 +570,9 @@ def test_json_renderer_reuses_dict_shapes_byte_for_byte(value):
     assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}, {"rows": [{"x": Fraction(1, 3)}]}],
-                         ids=["fraction", "set", "nested"])
+@pytest.mark.parametrize("value", [Fraction(1, 2), {1, 2}, {"rows": [{"x": Fraction(1, 3)}]},
+                                   {"rows": [{"x": 1}] * 8 + [{"x": Fraction(1, 3)}]}],
+                         ids=["fraction", "set", "nested", "like-dicts"])
 def test_json_renderer_refuses_what_json_dumps_refuses(value):
     with pytest.raises(TypeError):
         json.dumps(value, indent=2, sort_keys=True)
@@ -551,12 +582,93 @@ def test_json_renderer_refuses_what_json_dumps_refuses(value):
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
                     reason="this Python has no integer-to-text limit")
-@pytest.mark.parametrize("wrap", [lambda n: n, lambda n: [0, -n], lambda n: {"k": {"n": n}}],
-                         ids=["bare", "list", "dict"])
+@pytest.mark.parametrize("wrap", [lambda n: n, lambda n: [0, -n], lambda n: {"k": {"n": n}},
+                                  lambda n: {"rows": [{"n": 1, "s": "a"}] * 8 + [{"n": n, "s": "b"}]}],
+                         ids=["bare", "list", "dict", "like-dicts"])
 def test_json_renderer_raises_value_error_past_the_print_limit(wrap):
     # main turns this ValueError into exit 2 with one line on stderr.
     with pytest.raises(ValueError):
         cli._dumps(wrap(10 ** sys.get_int_max_str_digits()))
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+class _Pair(NamedTuple):
+    left: object
+    right: object
+
+
+class _Small(IntEnum):
+    ZERO = 0
+    ONE = 1
+
+
+class _Str(str):
+    pass
+
+
+_subclassed = (st.builds(_Dict, st.dictionaries(_text, st.integers(), max_size=2))
+               | st.builds(_List, st.lists(st.integers(), max_size=2))
+               | st.builds(_Pair, st.integers(), _text)
+               | st.sampled_from(_Small) | st.builds(_Str, _text))
+# What one column may hold: one exact type, bools beside ints, subclasses
+# beside their bases, several types at once, arrays, and like dicts.
+_cells = st.sampled_from([
+    st.integers(), _text, st.none() | st.booleans(), st.integers(-2, 2) | st.booleans(),
+    st.none() | st.integers() | st.floats() | _text, _subclassed, st.integers() | _subclassed,
+    _text | _subclassed, st.lists(st.integers(), max_size=3) | st.tuples(st.integers()),
+    st.fixed_dictionaries({"a": st.integers(), "b": st.booleans() | st.integers()}),
+    st.just({}) | st.just([]) | st.just(()),
+])
+
+
+_COLUMN = st.integers(cli._COLUMN_MIN - 1, cli._COLUMN_MIN + 2)  # short of a column, and long enough
+
+
+@st.composite
+def _columns(draw):
+    """Arrays whose items render as one column: like dicts (a column of
+    each key's values), arrays of arrays with empty ones and tuples among
+    them, arrays of {} and loose items of several types."""
+    keys = draw(st.lists(_text | st.sampled_from(["%", "a"]), min_size=1, max_size=4, unique=True))
+    row = st.fixed_dictionaries({k: draw(_cells) for k in keys})
+    cell = draw(_cells)
+    array = (st.lists(cell, max_size=2) | st.tuples(cell, cell)
+             | st.builds(_List, st.lists(cell, max_size=2)) | st.sampled_from([[], ()]))
+
+    def column(items):
+        size = draw(_COLUMN)
+        return draw(st.lists(items, min_size=size, max_size=size))
+
+    return {"like": column(row), "arrays": column(array), "deeper": column(st.lists(array, max_size=2)),
+            "empty_dicts": column(st.just({})),
+            "loose": column(_cells.flatmap(lambda cells: cells))}
+
+
+@settings(max_examples=100)
+@given(_columns())
+def test_json_renderer_renders_columns_byte_for_byte(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+# Each array is cli._COLUMN_MIN items or more, so it renders as one column.
+@pytest.mark.parametrize("value", [
+    [{}] * 8, [[], [1, 2], [], (3,), ()] * 2, [[[], [0]], [[]]] * 4, [1, True, False, 0, None] * 2,
+    [{"a": 1}, {"a": True}] * 4, [_Small.ONE, 1] * 4, [_Str("x"), "y"] * 4,
+    [_List([1]), [2]] * 4, [_Pair(1, 2), (3, 4)] * 4, [_Dict(a=1), {"a": 2}] * 4,
+    [{"k": _Dict()}, {"k": {}}] * 4, {"a": True, "b": _Small.ONE, "c": [0, 1]},
+], ids=["empty-dicts", "empty-arrays", "nested-empty-arrays", "bool-beside-int",
+        "bool-beside-int-in-like-dicts", "int-enum", "str-subclass", "list-subclass",
+        "named-tuple", "dict-subclass", "empty-dict-subclass", "lone-dict"])
+def test_json_renderer_renders_edge_columns_byte_for_byte(value):
+    assert isinstance(value, dict) or len(value) >= cli._COLUMN_MIN
+    assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 @pytest.mark.parametrize("argv, golden", _golden_cases())
