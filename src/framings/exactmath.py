@@ -7,12 +7,14 @@ and signatures, its divisions exact; a symmetric block stays symmetric, so
 only its upper triangle is stored.  A zero pivot is repaired by adding a
 later row (for signatures, row k rebuilt whole from the triangle, and its
 column); a radical direction of a symmetric block drops its first row.
-A symmetric nonsingular Q has its signature, det Q and a modulus t from
-one elimination of [Q | 1]; every invariant factor but the last divides
-t (Cohen, A Course in Computational Algebraic Number Theory, section 2.4)
-and the three (n-1)-minors of the last 2x2 block of the elimination, so
-divides their gcd g with t.  The Smith form is read off that block when
-g = 1 or the minor D_{n-2} is a unit mod g, and reduced mod g otherwise.
+A symmetric nonsingular Q has its signature, det Q and the kept pivot
+rows from one elimination of Q alone.  Every invariant factor but the
+last divides g, the gcd of det Q and the three (n-1)-minors in the last
+2x2 block of the elimination.  Over Z/g the leading block up to the last
+pivot D_m that is a unit mod g splits off as an identity, and what is
+left is the step-m Bareiss block, rebuilt from the kept rows by running
+the steps backwards: the head of the Smith form is all ones when g = 1,
+read off at once when that block is 0 mod g, and reduced mod g otherwise.
 No rational or floating-point number enters any elimination.
 """
 
@@ -101,7 +103,7 @@ def _bareiss_block(a: list[list[int]], prev: int, upper: bool = False) -> list[l
     identity each entry is the minor of the eliminated rows bordered by row
     i and column j, so the division is exact and entries stay integers.
     With upper, a is the upper triangle of a symmetric block, row i from
-    column i on (then any right-hand side), so a[i][0] is read as a[0][i]."""
+    column i on, so a[i][0] is read as a[0][i]."""
     p, top = a[0][0], a[0]
     block = []
     for i, row in enumerate(a[1:], 1):
@@ -154,13 +156,17 @@ def _smallest_pivot(a: list[list[int]]) -> tuple[int, int] | None:
 
 def _smith_factors(a: list[list[int]], t: int) -> list[int]:
     """Invariant factors s_i of a over Z when t = 0, else gcd(s_i, t), with
-    every row the loop makes reduced mod t.  Row/column reduction with the
-    smallest-absolute-value pivot rule, which keeps coefficient growth
-    tame.  A pivot is split off, and the block left to reduce shrinks, once
-    its row and column are clear; a remainder smaller than the pivot means
-    a new pivot.  One pass of gcd/lcm swaps then turns the diagonal into
-    the divisibility chain, which the block left over pads with t."""
+    a and every row the loop makes reduced into [0, t): a negative entry
+    would let a remainder mod t outgrow its pivot, and the loop would not
+    end.  Row/column reduction with the smallest-absolute-value pivot rule,
+    which keeps coefficient growth tame.  A pivot is split off, and the
+    block left to reduce shrinks, once its row and column are clear; a
+    remainder smaller than the pivot means a new pivot.  One pass of
+    gcd/lcm swaps then turns the diagonal into the divisibility chain,
+    which the block left over pads with t."""
     size = min(len(a), len(a[0])) if a else 0
+    if t:
+        a = [[x % t for x in row] for row in a]
     d: list[int] = []
     while (pos := _smallest_pivot(a)) is not None:
         pi, pj = pos
@@ -195,35 +201,33 @@ def smith_normal_form(m: MatrixLike) -> SmithForm:
     """Invariant factors s_1 | ... | s_n of an integer matrix m: there are
     unimodular U, V with U m V diagonal and the returned chain on it.
 
-    A symmetric m with det m != 0 has s_1 ... s_{n-1} | t = |det m| / den,
-    den the denominator of m^-1 b for an integer b, as den | s_n and
-    s_n m^-1 is integral.  signature_and_smith reads the head off the last
-    2x2 block or reduces m mod a divisor g of t that s_1 ... s_{n-1} still
-    divide: mod g the loop gives gcd(s_i, g) = s_i for i < n, and
-    s_n = |det m| / (s_1 ... s_{n-1}).  Entries stay below g (Cohen, A
-    Course in Computational Algebraic Number Theory, section 2.4).  Any
-    other matrix is reduced over Z."""
+    s_1 ... s_{n-1} is the gcd of the (n-1)-minors of m, so for det m != 0
+    it divides any g that divides det m and some (n-1)-minors: mod g the
+    loop gives gcd(s_i, g) = s_i for i < n, with entries kept below g, and
+    s_n = |det m| / (s_1 ... s_{n-1}).  signature_and_smith takes g from
+    the last 2x2 block of its elimination of a symmetric m.  Any other
+    matrix is reduced over Z."""
     mat = as_int_matrix(m)
     if mat.is_symmetric():
         return signature_and_smith(mat)[1]
     return SmithForm(tuple(_smith_factors(mat.to_lists(), 0)))
 
 
-def _symmetric_pass(mat: IntMatrix, rhs: list[int]) -> tuple[int, int, list[list[int]]]:
+def _symmetric_pass(mat: IntMatrix) -> tuple[int, int, list[list[int]]]:
     """Signature, determinant and kept pivot rows of the symmetric Bareiss
-    elimination of [mat | rhs], kept to its upper triangle: row i of the
-    block holds columns i, i + 1, ... and then rhs.  The pivots are nested
-    principal minors D_1, D_2, ... of a matrix Q' = E mat E^T congruent to
-    mat, and by Jacobi's rule each contributes the sign of D_k D_{k-1}
-    (D_0 = 1).  A zero pivot with b = a[0][k] != 0 is repaired by adding s
-    times row k, rebuilt whole from a[j][k - j] (j < k) and a[k], and
-    column k, which reaches row 0 and the kept pivot rows alone: the pivot
-    becomes 2sb + a[k][k], nonzero for one of s = 1, -1, and the kept rows
-    stay those of the elimination of [Q' | E rhs].  A zero row and column
-    is a radical direction: row 0 is dropped and the determinant is 0."""
+    elimination of mat, kept to its upper triangle: row i of the block
+    holds columns i, i + 1, ....  The pivots are nested principal minors
+    D_1, D_2, ... of a matrix Q' = E mat E^T congruent to mat, and by
+    Jacobi's rule each contributes the sign of D_k D_{k-1} (D_0 = 1).  A
+    zero pivot with b = a[0][k] != 0 is repaired by adding s times row k,
+    rebuilt whole from a[j][k - j] (j < k) and a[k], and column k, which
+    reaches row 0 and the kept pivot rows alone: the pivot becomes
+    2sb + a[k][k], nonzero for one of s = 1, -1, and the kept rows stay
+    those of the elimination of Q'.  A zero row and column is a radical
+    direction: row 0 is dropped and the determinant is 0."""
     if not mat.is_symmetric():
         raise NotSymmetric("signature needs a symmetric matrix")
-    a = [list(row[i:]) + rhs for i, row in enumerate(mat.entries)]
+    a = [list(row[i:]) for i, row in enumerate(mat.entries)]
     kept: list[list[int]] = []
     signature, prev = 0, 1
     while a:
@@ -245,46 +249,66 @@ def _symmetric_pass(mat: IntMatrix, rhs: list[int]) -> tuple[int, int, list[list
     return signature, prev if len(kept) == mat.rows else 0, kept
 
 
+def _rebuilt_block(kept: list[list[int]], m: int) -> list[list[int]]:
+    """Upper triangle of the block left to eliminate at step m of a pass
+    that kept every pivot row, rebuilt from kept rows m, ..., n - 1 alone.
+    Entry (i, j) is the minor of Q' on rows and columns 0, ..., m - 1 plus
+    i and j, D_m S for the Schur complement S of the leading m x m block.
+    The steps are inverted last first: with top = kept[s], the step-s block
+    has a[0] = top and a[i][j] = (b[i-1][j-1] D_s + top[i] top[j]) / D_{s+1}
+    from the step-(s + 1) block b, exact by Sylvester's identity."""
+    block = [kept[-1]]
+    for s in range(len(kept) - 2, m - 1, -1):
+        top, prev = kept[s], kept[s - 1][0] if s else 1
+        p = top[0]
+        block = [top] + [[(x * prev + f * y) // p for x, y in zip(row, top[i:])]
+                         for i, (f, row) in enumerate(zip(top[1:], block), 1)]
+    return block
+
+
 def exact_signature(q: MatrixLike) -> int:
     """Signature of a symmetric integer matrix, exactly (_symmetric_pass)."""
-    return _symmetric_pass(as_int_matrix(q), [])[0]
+    return _symmetric_pass(as_int_matrix(q))[0]
 
 
 def signature_and_smith(q: MatrixLike) -> tuple[int, SmithForm]:
     """Signature and Smith form of a symmetric integer matrix from one
-    symmetric elimination of [q | 1].  For det q != 0, back-substitution on
-    the kept pivot rows gives y = det Q'^-1 E 1, an integer vector, and
-    t = gcd(det, y) is |det| over the denominator of Q'^-1 E 1, a multiple
-    of s_1 ... s_{n-1} (smith_normal_form).
+    symmetric elimination of q.  For det q != 0 the last 2x2 block,
+    rebuilt from the kept pivot rows, holds alpha = D_{n-1}, beta and
+    gamma, three (n-1)-minors of Q', so s_1 ... s_{n-1} divides
+    g = gcd(det, alpha, beta, gamma) (smith_normal_form), and g = 1 makes
+    the head all ones.
 
-    The last 2x2 block then bounds the head further.  With D = D_{n-2}
-    (1 when n = 2), the kept rows give the (n-1)-minors alpha = D_{n-1}
-    and beta (row n - 2 at column n - 1) of Q', and Sylvester's identity
-    det D = alpha gamma - beta^2 the third, gamma, exactly.  Each of
-    s_1 ... s_{n-1} divides every (n-1)-minor, so divides
-    g = gcd(t, alpha, beta, gamma): g = 1 makes the head all ones.  When D
-    is a unit mod g, Q' = I (+) S over Z/g with S the Schur complement,
-    whose entries alpha/D, beta/D, gamma/D are 0 mod g, so the head is
-    1, ..., 1, g.  Otherwise the Smith form is reduced mod g.  A singular
-    or empty q is reduced over Z."""
+    Otherwise let m <= n - 2 be the last step whose previous pivot D_m is a
+    unit mod g (D_0 = 1).  Over Z/g the leading m x m block of Q' is then
+    invertible, so Q' = I_m (+) S with S its Schur complement, and the
+    step-m block is D_m S, a unit times S: the head is m ones and the
+    first k - 1 factors of that k x k block mod g (k = n - m).  A block
+    that is 0 mod g gives k copies of g with no loop, as the last 2x2
+    block always does.  The block is rebuilt only when k = 2 or k <= m,
+    where the rebuild costs less than the loop it shortens; otherwise the
+    loop runs on q mod g.  A singular or empty q is reduced over Z."""
     mat = as_int_matrix(q)
-    signature, det, kept = _symmetric_pass(mat, [1])
+    signature, det, kept = _symmetric_pass(mat)
     if not det or not kept:
         return signature, SmithForm(tuple(_smith_factors(mat.to_lists(), 0)))
-    y: list[int] = []
-    for row in reversed(kept):  # [pivot, entries right of it, rhs]; y integral: exact
-        y.append((det * row[-1] - sum(u * v for u, v in zip(row[1:-1], reversed(y)))) // row[0])
-    n, t = len(kept), gcd(det, *y)
-    g = d = 1
-    if t > 1:  # n = 1 gives y = [1], so t = 1
-        (alpha, beta, _), d = kept[-2], kept[-3][0] if n > 2 else 1
-        g = gcd(t, alpha, beta, (det * d + beta * beta) // alpha)
+    n = len(kept)
+    g = gcd(det, *chain.from_iterable(_rebuilt_block(kept, n - 2))) if n > 1 else 1
     if g == 1:
         head = [1] * (n - 1)
-    elif gcd(d, g) == 1:
-        head = [1] * (n - 2) + [g]
     else:
-        head = _smith_factors([[x % g for x in row] for row in mat.entries], g)[:-1]
+        m = next((m for m in range(n - 2, 0, -1) if gcd(kept[m - 1][0], g) == 1), 0)
+        k = n - m
+        if k == 2 or k <= m:
+            block = _rebuilt_block(kept, m)
+            if any(x % g for row in block for x in row):
+                full = [[block[j][i - j] for j in range(i)] + block[i] for i in range(k)]
+                tail = _smith_factors(full, g)
+            else:
+                tail = [g] * k
+            head = [1] * m + tail[:-1]
+        else:
+            head = _smith_factors(mat.to_lists(), g)[:-1]
     return signature, SmithForm((*head, abs(det) // prod(head)))
 
 

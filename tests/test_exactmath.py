@@ -1,10 +1,14 @@
 """The exact linear-algebra kernel."""
 
+import os
 import random
 import re
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,8 @@ from strategies import (
     int_matrices,
     symmetric_int_matrices,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestIntMatrix:
@@ -151,6 +157,22 @@ class TestSmithNormalForm:
         form = smith_normal_form([[2, 0, 0], [0, 0, 0], [0, 0, 6]])
         assert form.invariant_factors == (2, 6, 0)
         assert form.kernel_rank == 1
+
+    @pytest.mark.parametrize("rows, t", [
+        ([[-3, -3], [-3, -2]], 4),
+        ([[12, 0, -2, -2, -1, 0], [0, 4, 6, 9, 1, 4], [-2, 6, 12, 5, 0, 1],
+          [-2, 9, 5, 6, 0, 0], [-1, 1, 0, 0, 3, 1], [0, 4, 1, 0, 1, 6]], 16),
+    ], ids=["2x2-mod-4", "6x6-mod-16"])
+    def test_loop_mod_t_ends_on_entries_outside_0_to_t(self, rows, t):
+        # A negative entry lets a remainder mod t outgrow its pivot, and an
+        # unreduced loop never ends; a child process turns a hang into a failure.
+        code = f"from framings import exactmath; print(exactmath._smith_factors({rows!r}, {t}))"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
+                                timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.decode() == f"{[gcd(s, t) for s in _over_z(rows).invariant_factors]}\n"
 
     @given(int_matrices(max_rows=4, max_cols=4))
     def test_matches_minor_gcd_oracle(self, rows):
@@ -342,18 +364,31 @@ class TestSymmetricPass:
     @given(_nonzero_leading_minors())
     @settings(max_examples=60)
     def test_kept_rows_are_bordered_leading_minors(self, rows):
-        # By Sylvester's identity kept row k holds, for each column j >= k
-        # of [Q | 1], the minor of rows 0..k and columns 0..k-1, j; at j = k
-        # that is the leading (k + 1)-block, the k-th pivot.  The triangle
-        # stores only these entries, so each is checked by the rational oracle.
+        # By Sylvester's identity kept row k holds, for each column j >= k,
+        # the minor of rows 0..k and columns 0..k-1, j; at j = k that is the
+        # leading (k + 1)-block, the k-th pivot.  The triangle stores only
+        # these entries, so each is checked by the rational oracle.
         n = len(rows)
-        aug = [row + [1] for row in rows]
-        _, det, kept = exactmath._symmetric_pass(IntMatrix(rows), [1])
+        _, det, kept = exactmath._symmetric_pass(IntMatrix(rows))
         assert len(kept) == n
         for k, row in enumerate(kept):
-            assert row == [oracles.det_fraction_gauss([r[:k] + [r[j]] for r in aug[:k + 1]])
-                           for j in range(k, n + 1)]
+            assert row == [oracles.det_fraction_gauss([r[:k] + [r[j]] for r in rows[:k + 1]])
+                           for j in range(k, n)]
         assert det == kept[-1][0] == oracles.det_fraction_gauss(rows)
+
+    @given(_nonzero_leading_minors(max_size=10))
+    @settings(max_examples=40)
+    def test_rebuilt_block_is_the_bordered_minors(self, rows):
+        # The step-m block, run backwards out of the kept rows m..n-1, holds
+        # at (i, j) the minor of Q on rows and columns 0..m-1 plus i and j.
+        n = len(rows)
+        kept = exactmath._symmetric_pass(IntMatrix(rows))[2]
+        for m in range(n):
+            lead = list(range(m))
+            assert exactmath._rebuilt_block(kept, m) == [
+                [oracles.det_fraction_gauss([[rows[r][c] for c in lead + [j]] for r in lead + [i]])
+                 for j in range(i, n)]
+                for i in range(m, n)]
 
 
 def _over_z(rows: list[list[int]]) -> SmithForm:
@@ -361,16 +396,16 @@ def _over_z(rows: list[list[int]]) -> SmithForm:
     return SmithForm(tuple(exactmath._smith_factors([list(row) for row in rows], 0)))
 
 
-def _modulus(monkeypatch, rows: list[list[int]]) -> int | None:
-    """The modulus g that signature_and_smith runs the loop with, 0 when it
-    reduces rows over Z, None when it runs no loop (the head all ones, or
-    read off the last 2x2 block); its answer is checked against the over-Z
-    loop."""
+def _modulus(monkeypatch, rows: list[list[int]]) -> tuple[int, int] | None:
+    """The modulus g that signature_and_smith runs the loop with (0 when it
+    reduces rows over Z) and the size of the matrix the loop receives, or
+    None when it runs no loop (the head all ones, or read off a block that
+    is 0 mod g); its answer is checked against the over-Z loop."""
     expected = (exact_signature(rows), _over_z(rows))
     loop, seen = exactmath._smith_factors, []
 
     def recorded(a, t):
-        seen.append(t)
+        seen.append((t, len(a)))
         return loop(a, t)
 
     with monkeypatch.context() as patch:
@@ -382,11 +417,14 @@ def _modulus(monkeypatch, rows: list[list[int]]) -> int | None:
 
 def _route(monkeypatch, rows: list[list[int]]) -> str:
     """How signature_and_smith finds the Smith form of rows: "over Z",
-    "loop" (mod g), "block" (a head 1, ..., 1, g > 1 off the last 2x2
-    block) or "ones" (g = 1); checked against the over-Z loop."""
-    t = _modulus(monkeypatch, rows)
-    if t is not None:
-        return "loop" if t else "over Z"
+    "loop" (q mod g), "trailing" (the loop mod g on a block after the
+    last unit pivot, smaller than q), "block" (a head ending in g > 1, read
+    off a block that is 0 mod g) or "ones" (g = 1); checked against the
+    over-Z loop."""
+    seen = _modulus(monkeypatch, rows)
+    if seen is not None:
+        g, size = seen
+        return "over Z" if not g else "loop" if size == len(rows) else "trailing"
     head = signature_and_smith(rows)[1].invariant_factors[:-1]
     return "block" if head and head[-1] > 1 else "ones"
 
@@ -415,37 +453,40 @@ def _prescribed_smith_forms(draw, max_size=10):
 
 
 class TestSignatureAndSmith:
-    """One symmetric elimination of [Q | 1] gives the signature, det Q and
-    a modulus t with s_1 ... s_{n-1} | t | det Q, and g, the gcd of t and
+    """One symmetric elimination of Q gives the signature, det Q and the
+    modulus g with s_1 ... s_{n-1} | g | det Q, the gcd of det Q and the
     three (n-1)-minors of its last 2x2 block.  The head of the Smith form
-    is then all ones (g = 1), 1, ..., 1, g (D_{n-2} a unit mod g) or
-    reduced mod g.  Every case is checked against the over-Z loop."""
+    is then all ones (g = 1), m ones and the head of the block after D_m,
+    the last pivot that is a unit mod g, or the head of Q mod g.  The
+    block gives k copies of g when it is 0 mod g, as the last 2x2 block
+    always is, and is reduced mod g otherwise.  Every case is checked
+    against the over-Z loop."""
 
-    @pytest.mark.parametrize("rows, factors, t", [
-        ([], (), 0), ([[7]], (7,), None), ([[-7]], (7,), None), ([[0]], (0,), 0),
+    @pytest.mark.parametrize("rows, factors, loop", [
+        ([], (), (0, 0)), ([[7]], (7,), None), ([[-7]], (7,), None), ([[0]], (0,), (0, 1)),
     ], ids=["empty", "positive", "negative", "zero"])
-    def test_small_forms(self, monkeypatch, rows, factors, t):
-        assert _modulus(monkeypatch, rows) == t
+    def test_small_forms(self, monkeypatch, rows, factors, loop):
+        assert _modulus(monkeypatch, rows) == loop
         assert signature_and_smith(rows)[1].invariant_factors == factors
 
     def test_e8_needs_no_reduction_at_all(self, monkeypatch):
         assert _modulus(monkeypatch, E8_ROWS) is None
         assert signature_and_smith(E8_ROWS) == (8, SmithForm((1,) * 8))
 
-    # t = g = |d|^(n-1).  At n = 2, D_0 = 1 is a unit, so the head (g,) is
-    # read off the block; past it D_{n-2} = d^(n-2) shares g's factors.
+    # g = gcd(d^n, d^(n-1), 0, d^(n-1)) = |d|^(n-1).  Every D_m = d^m past
+    # D_0 = 1 shares g's factors, so m = 0 and the block is Q: at n = 2 the
+    # head (g,) is read off it, and past it the loop runs on all of Q.
     @pytest.mark.parametrize("d, n, route", [(2, 2, "block"), (6, 3, "loop"), (-5, 4, "loop")])
     def test_scalar_matrix_modulus_is_d_to_the_n_minus_1(self, monkeypatch, d, n, route):
         rows = [[d if i == j else 0 for j in range(n)] for i in range(n)]
-        assert _modulus(monkeypatch, rows) == (abs(d) ** (n - 1) if route == "loop" else None)
+        assert _modulus(monkeypatch, rows) == ((abs(d) ** (n - 1), n) if route == "loop" else None)
         assert _route(monkeypatch, rows) == route
         assert signature_and_smith(rows) == (n if d > 0 else -n, SmithForm((abs(d),) * n))
 
-    def test_integral_inverse_image_of_ones_is_the_worst_case(self, monkeypatch):
-        # 4 I - J has row sums 1, so Q^-1 1 = 1 is integral and t = |det|.
-        # The last block's minors alpha = 8, beta = 4 and gamma = 8 cut
-        # t = 16 to g = 4, and D_1 = 3 is a unit mod 4: the head (1, 4) is
-        # read off the block, with no loop.
+    def test_last_block_minors_cut_det_16_to_g_4(self, monkeypatch):
+        # 4 I - J: the last block's minors alpha = 8, beta = 4 and gamma = 8
+        # cut det = 16 to g = 4, and D_1 = 3 is a unit mod 4: the head
+        # (1, 4) is read off the block, with no loop.
         rows = [[3, -1, -1], [-1, 3, -1], [-1, -1, 3]]
         assert oracles.det_fraction_gauss(rows) == 16
         assert _modulus(monkeypatch, rows) is None
@@ -462,9 +503,9 @@ class TestSignatureAndSmith:
     def test_zero_pivot_repairs_reach_the_kept_pivot_rows(self, monkeypatch, rows, form, route):
         # The plane is repaired at its first pivot.  Every other elimination
         # meets a zero pivot after a kept pivot row with nonzero entries in
-        # the repaired columns; without the repair on that row, the
-        # back-substitution gives a t, and the block minors a g, that lose
-        # a factor.
+        # the repaired columns; without the repair on that row, the block
+        # minors give a g that loses a factor, and the rebuilt blocks are not
+        # those of Q'.
         assert _route(monkeypatch, rows) == route
         assert signature_and_smith(rows) == (form[0], SmithForm(form[1]))
 
@@ -512,7 +553,7 @@ class TestSignatureAndSmith:
             assert signature_and_smith(rows)[1].invariant_factors == factors
 
         check()
-        assert set(routes) == {"ones", "block", "loop"}, routes
+        assert set(routes) == {"ones", "block", "loop", "trailing"}, routes
 
     def test_sizes_to_30_against_ranks_mod_p(self, monkeypatch):
         # Each prime p pins how many factors it divides, n - rank over GF(p),
@@ -531,7 +572,7 @@ class TestSignatureAndSmith:
                 for p in (2, 3, 5, 7):
                     assert sum(1 for f in factors if f % p == 0) == n - oracles.rank_mod_p(rows, p)
                 assert prod(factors) == abs(IntMatrix(rows).det())
-        assert {"ones", "block", "loop"} <= set(routes), routes
+        assert {"ones", "block", "loop", "trailing"} <= set(routes), routes
 
 
 def _expand(sol) -> list[tuple[int, ...]]:
