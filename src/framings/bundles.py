@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .errors import _require_int
+
 
 class CircleBundle(NamedTuple):
     genus: int
@@ -32,8 +34,8 @@ class FiberFraming(NamedTuple):
 
 def fiber_framing(bundle: CircleBundle) -> FiberFraming | None:
     """The fiber-preserving framing, or None when the Euler class does not
-    divide chi of the base (0 divides only 0).  A negative genus raises
-    ValueError.
+    divide chi of the base (0 divides only 0).  A non-int genus or Euler
+    class raises TypeError, a negative genus ValueError.
 
     For nonzero Euler class n, p1 = (1 + chi/n)^2 n - 2 chi, and h is p1
     minus three times the disk bundle's signature sign(n).  The
@@ -41,6 +43,8 @@ def fiber_framing(bundle: CircleBundle) -> FiberFraming | None:
     bounds in a punctured elliptic surface with -2 chi - 3 sigma = 0; we
     return h = 0 directly.
     """
+    _require_int("genus", bundle.genus)
+    _require_int("Euler class", bundle.euler)
     if bundle.genus < 0:
         raise ValueError("genus must be nonnegative")
     n, chi = bundle.euler, bundle.chi

@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import LambdaMismatch, NonIntegralDefect
+from .errors import LambdaMismatch, NonIntegralDefect, _require_int
 
 
 class TotalDefect(NamedTuple):
@@ -112,6 +112,7 @@ def pullback_cover(p: TotalDefect, r: int, sigma_pi: Fraction | int = 0) -> Tota
     defect of the covering.  sigma_pi may be a rational; the corrected
     defect must come out an integer or the inputs are inconsistent.
     """
+    _require_int("cover degree", r)
     if r < 1:
         raise ValueError("cover degree must be at least 1")
     corrected = r * Fraction(p.h) + 3 * Fraction(sigma_pi)

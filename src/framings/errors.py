@@ -1,10 +1,16 @@
-"""Exception hierarchy shared by every module in the library, and the way
-their messages name a value."""
+"""Exception hierarchy shared by every module in the library, the way
+their messages name a value, and the check that an argument is an int."""
 
 
 def _shown(text: str) -> str:
     """repr(text), or its length once the repr passes 40 characters."""
     return repr(text) if len(repr(text)) <= 40 else f"<{len(text)} characters>"
+
+
+def _require_int(name: str, value: object) -> None:
+    """TypeError unless value is an int and, like an IntMatrix entry, no bool."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, not {type(value).__name__}")
 
 
 class FramingError(Exception):

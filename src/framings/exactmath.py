@@ -11,11 +11,11 @@ A symmetric nonsingular Q has its signature, det Q and the kept pivot
 rows from one elimination of Q alone.  Every invariant factor but the
 last divides g, the gcd of det Q and the three (n-1)-minors in the last
 2x2 block of the elimination.  Over Z/g the leading block up to the last
-pivot D_m that is a unit mod g splits off as an identity, and what is
-left is the step-m Bareiss block, rebuilt from the kept rows by running
-the steps backwards: the head of the Smith form is all ones when g = 1,
-read off at once when that block is 0 mod g, and reduced mod g otherwise.
-No rational or floating-point number enters any elimination.
+pivot D_m that is a unit mod g splits off as an identity; one Smith loop
+mod g, on the step-m Bareiss block rebuilt from the kept rows by running
+the steps backwards when it is small and on Q otherwise, gives the head
+of the Smith form.  No rational or floating-point number enters any
+elimination.
 """
 
 from __future__ import annotations
@@ -204,8 +204,8 @@ def smith_normal_form(m: MatrixLike) -> SmithForm:
     s_1 ... s_{n-1} is the gcd of the (n-1)-minors of m, so for det m != 0
     it divides any g that divides det m and some (n-1)-minors: mod g the
     loop gives gcd(s_i, g) = s_i for i < n, with entries kept below g, and
-    s_n = |det m| / (s_1 ... s_{n-1}).  signature_and_smith takes g from
-    the last 2x2 block of its elimination of a symmetric m.  Any other
+    s_n = |det m| / (s_1 ... s_{n-1}).  A symmetric m goes through
+    signature_and_smith, whose one loop runs mod such a g; any other
     matrix is reduced over Z."""
     mat = as_int_matrix(m)
     if mat.is_symmetric():
@@ -276,39 +276,30 @@ def signature_and_smith(q: MatrixLike) -> tuple[int, SmithForm]:
     symmetric elimination of q.  For det q != 0 the last 2x2 block,
     rebuilt from the kept pivot rows, holds alpha = D_{n-1}, beta and
     gamma, three (n-1)-minors of Q', so s_1 ... s_{n-1} divides
-    g = gcd(det, alpha, beta, gamma) (smith_normal_form), and g = 1 makes
-    the head all ones.
+    g = gcd(det, alpha, beta, gamma) (smith_normal_form).
 
-    Otherwise let m <= n - 2 be the last step whose previous pivot D_m is a
-    unit mod g (D_0 = 1).  Over Z/g the leading m x m block of Q' is then
-    invertible, so Q' = I_m (+) S with S its Schur complement, and the
-    step-m block is D_m S, a unit times S: the head is m ones and the
-    first k - 1 factors of that k x k block mod g (k = n - m).  A block
-    that is 0 mod g gives k copies of g with no loop, as the last 2x2
-    block always does.  The block is rebuilt only when k = 2 or k <= m,
-    where the rebuild costs less than the loop it shortens; otherwise the
-    loop runs on q mod g.  A singular or empty q is reduced over Z."""
+    Let m, 1 <= m <= n - 2, be the last step whose pivot D_m is a unit
+    mod g, or 0 if there is none.  Over Z/g, Q' = I_m (+) S with S the
+    Schur complement of its leading m x m block, and the step-m block is
+    D_m S, a unit times S: the head is m ones and the first k - 1 factors
+    of that k x k block mod g (k = n - m).  The block is rebuilt only when
+    k <= max(m, 2), where that costs less than the loop it shortens;
+    otherwise m = 0 and the block is q.  A singular or empty q is reduced
+    over Z."""
     mat = as_int_matrix(q)
     signature, det, kept = _symmetric_pass(mat)
     if not det or not kept:
         return signature, SmithForm(tuple(_smith_factors(mat.to_lists(), 0)))
     n = len(kept)
     g = gcd(det, *chain.from_iterable(_rebuilt_block(kept, n - 2))) if n > 1 else 1
-    if g == 1:
-        head = [1] * (n - 1)
+    m = next((m for m in range(n - 2, 0, -1) if gcd(kept[m - 1][0], g) == 1), 0)
+    k = n - m
+    if k <= max(m, 2):
+        block = _rebuilt_block(kept, m)
+        block = [[block[j][i - j] for j in range(i)] + block[i] for i in range(k)]
     else:
-        m = next((m for m in range(n - 2, 0, -1) if gcd(kept[m - 1][0], g) == 1), 0)
-        k = n - m
-        if k == 2 or k <= m:
-            block = _rebuilt_block(kept, m)
-            if any(x % g for row in block for x in row):
-                full = [[block[j][i - j] for j in range(i)] + block[i] for i in range(k)]
-                tail = _smith_factors(full, g)
-            else:
-                tail = [g] * k
-            head = [1] * m + tail[:-1]
-        else:
-            head = _smith_factors(mat.to_lists(), g)[:-1]
+        m, block = 0, mat.to_lists()
+    head = [1] * m + _smith_factors(block, g)[:-1]
     return signature, SmithForm((*head, abs(det) // prod(head)))
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .defects import TotalDefect
-from .errors import NonIntegralDefect, _shown
+from .errors import NonIntegralDefect, _require_int, _shown
 
 _FAMILY_NAMES = {
     "C": "cyclic",
@@ -56,6 +56,7 @@ class FiniteSubgroup(NamedTuple("FiniteSubgroup", [("family", str), ("m", int)])
     def __new__(cls, family: str, m: int = 0) -> FiniteSubgroup:
         if family not in _FAMILY_NAMES:
             raise ValueError(f"unknown family {family!r}")
+        _require_int("group parameter", m)
         if family == "C" and m < 1:
             raise ValueError("cyclic groups need m >= 1")
         if family == "D" and m < 2:

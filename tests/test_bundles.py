@@ -33,6 +33,17 @@ class TestExistence:
             with pytest.raises(ValueError, match="^genus must be nonnegative$"):
                 fiber_framing(CircleBundle(-1, euler))
 
+    # A float genus or Euler class once gave FiberFraming(p1=2.0, h=-1.0).
+    @pytest.mark.parametrize("bundle, message", [
+        (CircleBundle(0.5, 1), "genus must be an int, not float"),
+        (CircleBundle(True, 1), "genus must be an int, not bool"),
+        (CircleBundle(0, 1.0), "Euler class must be an int, not float"),
+        (CircleBundle(0, True), "Euler class must be an int, not bool"),
+    ], ids=["float-genus", "bool-genus", "float-euler", "bool-euler"])
+    def test_a_genus_or_euler_class_that_is_no_int_is_refused(self, bundle, message):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            fiber_framing(bundle)
+
 
 class TestDefect:
     def test_hopf_framing(self):

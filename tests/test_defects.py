@@ -203,6 +203,12 @@ class TestPullbackCover:
         with pytest.raises(ValueError):
             pullback_cover(TotalDefect(0, 0), 0, 0)
 
+    # A float degree once raised AttributeError.
+    @pytest.mark.parametrize("r, name", [(2.5, "float"), (True, "bool"), (Fraction(2), "Fraction")])
+    def test_degree_must_be_an_int(self, r, name):
+        with pytest.raises(TypeError, match=f"^cover degree must be an int, not {name}$"):
+            pullback_cover(TotalDefect(1, 2), r)
+
     @pytest.mark.parametrize("m", range(1, 13))
     def test_lens_lattice_embeds_into_scaled_lattice(self, m):
         # Any point of the lens lattice pulls back into m * Lambda_0 + (0, 2).

@@ -396,11 +396,10 @@ def _over_z(rows: list[list[int]]) -> SmithForm:
     return SmithForm(tuple(exactmath._smith_factors([list(row) for row in rows], 0)))
 
 
-def _modulus(monkeypatch, rows: list[list[int]]) -> tuple[int, int] | None:
-    """The modulus g that signature_and_smith runs the loop with (0 when it
-    reduces rows over Z) and the size of the matrix the loop receives, or
-    None when it runs no loop (the head all ones, or read off a block that
-    is 0 mod g); its answer is checked against the over-Z loop."""
+def _modulus(monkeypatch, rows: list[list[int]]) -> tuple[int, int]:
+    """The modulus g of the one loop signature_and_smith runs (0 when it
+    reduces rows over Z) and the size of the matrix the loop receives; its
+    answer is checked against the over-Z loop."""
     expected = (exact_signature(rows), _over_z(rows))
     loop, seen = exactmath._smith_factors, []
 
@@ -411,22 +410,16 @@ def _modulus(monkeypatch, rows: list[list[int]]) -> tuple[int, int] | None:
     with monkeypatch.context() as patch:
         patch.setattr(exactmath, "_smith_factors", recorded)
         assert signature_and_smith(rows) == expected
-    assert len(seen) <= 1
-    return seen[0] if seen else None
+    assert len(seen) == 1
+    return seen[0]
 
 
 def _route(monkeypatch, rows: list[list[int]]) -> str:
-    """How signature_and_smith finds the Smith form of rows: "over Z",
-    "loop" (q mod g), "trailing" (the loop mod g on a block after the
-    last unit pivot, smaller than q), "block" (a head ending in g > 1, read
-    off a block that is 0 mod g) or "ones" (g = 1); checked against the
-    over-Z loop."""
-    seen = _modulus(monkeypatch, rows)
-    if seen is not None:
-        g, size = seen
-        return "over Z" if not g else "loop" if size == len(rows) else "trailing"
-    head = signature_and_smith(rows)[1].invariant_factors[:-1]
-    return "block" if head and head[-1] > 1 else "ones"
+    """Where signature_and_smith runs its loop on rows: "over Z", "loop"
+    (q mod g) or "trailing" (mod g on the block after the last unit pivot,
+    smaller than q); checked against the over-Z loop."""
+    g, size = _modulus(monkeypatch, rows)
+    return "over Z" if not g else "loop" if size == len(rows) else "trailing"
 
 
 @st.composite
@@ -456,48 +449,45 @@ class TestSignatureAndSmith:
     """One symmetric elimination of Q gives the signature, det Q and the
     modulus g with s_1 ... s_{n-1} | g | det Q, the gcd of det Q and the
     three (n-1)-minors of its last 2x2 block.  The head of the Smith form
-    is then all ones (g = 1), m ones and the head of the block after D_m,
-    the last pivot that is a unit mod g, or the head of Q mod g.  The
-    block gives k copies of g when it is 0 mod g, as the last 2x2 block
-    always is, and is reduced mod g otherwise.  Every case is checked
-    against the over-Z loop."""
+    is then m ones and the head of the block after D_m, the last pivot
+    that is a unit mod g, reduced mod g, or the head of Q mod g.  Every
+    case is checked against the over-Z loop."""
 
     @pytest.mark.parametrize("rows, factors, loop", [
-        ([], (), (0, 0)), ([[7]], (7,), None), ([[-7]], (7,), None), ([[0]], (0,), (0, 1)),
+        ([], (), (0, 0)), ([[7]], (7,), (1, 1)), ([[-7]], (7,), (1, 1)), ([[0]], (0,), (0, 1)),
     ], ids=["empty", "positive", "negative", "zero"])
     def test_small_forms(self, monkeypatch, rows, factors, loop):
         assert _modulus(monkeypatch, rows) == loop
         assert signature_and_smith(rows)[1].invariant_factors == factors
 
-    def test_e8_needs_no_reduction_at_all(self, monkeypatch):
-        assert _modulus(monkeypatch, E8_ROWS) is None
+    def test_e8_loops_mod_1_on_its_last_block(self, monkeypatch):
+        # det = 1, so g = 1 and every pivot is a unit: m = 6, and the loop
+        # mod 1 on the last 2x2 block gives the head all ones.
+        assert _modulus(monkeypatch, E8_ROWS) == (1, 2)
         assert signature_and_smith(E8_ROWS) == (8, SmithForm((1,) * 8))
 
     # g = gcd(d^n, d^(n-1), 0, d^(n-1)) = |d|^(n-1).  Every D_m = d^m past
-    # D_0 = 1 shares g's factors, so m = 0 and the block is Q: at n = 2 the
-    # head (g,) is read off it, and past it the loop runs on all of Q.
-    @pytest.mark.parametrize("d, n, route", [(2, 2, "block"), (6, 3, "loop"), (-5, 4, "loop")])
-    def test_scalar_matrix_modulus_is_d_to_the_n_minus_1(self, monkeypatch, d, n, route):
+    # D_0 = 1 shares g's factors, so m = 0 and the loop runs on all of Q.
+    @pytest.mark.parametrize("d, n", [(2, 2), (6, 3), (-5, 4)])
+    def test_scalar_matrix_modulus_is_d_to_the_n_minus_1(self, monkeypatch, d, n):
         rows = [[d if i == j else 0 for j in range(n)] for i in range(n)]
-        assert _modulus(monkeypatch, rows) == ((abs(d) ** (n - 1), n) if route == "loop" else None)
-        assert _route(monkeypatch, rows) == route
+        assert _modulus(monkeypatch, rows) == (abs(d) ** (n - 1), n)
         assert signature_and_smith(rows) == (n if d > 0 else -n, SmithForm((abs(d),) * n))
 
     def test_last_block_minors_cut_det_16_to_g_4(self, monkeypatch):
         # 4 I - J: the last block's minors alpha = 8, beta = 4 and gamma = 8
-        # cut det = 16 to g = 4, and D_1 = 3 is a unit mod 4: the head
-        # (1, 4) is read off the block, with no loop.
+        # cut det = 16 to g = 4, and D_1 = 3 is a unit mod 4: the loop runs
+        # mod 4 on the 2x2 block after it, which is 0 mod 4.
         rows = [[3, -1, -1], [-1, 3, -1], [-1, -1, 3]]
         assert oracles.det_fraction_gauss(rows) == 16
-        assert _modulus(monkeypatch, rows) is None
-        assert _route(monkeypatch, rows) == "block"
+        assert _modulus(monkeypatch, rows) == (4, 2)
         assert signature_and_smith(rows)[1].invariant_factors == (1, 4, 4)
 
     @pytest.mark.parametrize("rows, form, route", [
-        (hyperbolic([[3]]), (0, (3, 3)), "block"),
-        (hyperbolic([[-1, 2], [3, -1]]), (0, (1, 1, 5, 5)), "block"),
-        (hyperbolic([[1, 1, 0], [0, 2, 1], [1, 0, 3]]), (0, (1, 1, 1, 1, 7, 7)), "block"),
-        ([[2, 2, 3], [2, 2, 0], [3, 0, 0]], (1, (1, 3, 6)), "block"),
+        (hyperbolic([[3]]), (0, (3, 3)), "loop"),
+        (hyperbolic([[-1, 2], [3, -1]]), (0, (1, 1, 5, 5)), "trailing"),
+        (hyperbolic([[1, 1, 0], [0, 2, 1], [1, 0, 3]]), (0, (1, 1, 1, 1, 7, 7)), "trailing"),
+        ([[2, 2, 3], [2, 2, 0], [3, 0, 0]], (1, (1, 3, 6)), "trailing"),
         (hyperbolic([[2, 0], [0, 6]]), (0, (2, 2, 6, 6)), "loop"),
     ], ids=["plane", "B2", "B3", "after-a-pivot", "B2-even"])
     def test_zero_pivot_repairs_reach_the_kept_pivot_rows(self, monkeypatch, rows, form, route):
@@ -553,11 +543,11 @@ class TestSignatureAndSmith:
             assert signature_and_smith(rows)[1].invariant_factors == factors
 
         check()
-        assert set(routes) == {"ones", "block", "loop", "trailing"}, routes
+        assert set(routes) == {"loop", "trailing"}, routes
 
     def test_sizes_to_30_against_ranks_mod_p(self, monkeypatch):
         # Each prime p pins how many factors it divides, n - rank over GF(p),
-        # so a head read off the block as (1, 4) is told from one of (2, 2)
+        # so a head of (1, 4) is told from one of (2, 2)
         # that the product alone would pass.  Dense forms, dense ones with
         # an even diagonal and sparse ones rich in 2 and 3 at n = 2-30.
         rng, routes = random.Random("smith-routes"), Counter()
@@ -572,7 +562,7 @@ class TestSignatureAndSmith:
                 for p in (2, 3, 5, 7):
                     assert sum(1 for f in factors if f % p == 0) == n - oracles.rank_mod_p(rows, p)
                 assert prod(factors) == abs(IntMatrix(rows).det())
-        assert {"ones", "block", "loop", "trailing"} <= set(routes), routes
+        assert {"loop", "trailing"} <= set(routes), routes
 
 
 def _expand(sol) -> list[tuple[int, ...]]:

@@ -27,8 +27,8 @@ UNCALLED = {
 # Public methods and properties of exported classes kept without a caller,
 # as (class, name), each for a stated reason.
 UNCALLED_METHODS = {
-    # A kernel operation of the north star, timed on its own (ROADMAP
-    # item 13).
+    # A kernel operation that the ROADMAP north star times on its own
+    # (its kernel list: det, exact_signature, smith_normal_form, solve_gf2).
     ("IntMatrix", "det"),
     # The honest framings' defects, which the sum split of the paper's
     # 2-framing results reads (ROADMAP item 10).

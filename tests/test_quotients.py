@@ -14,6 +14,7 @@ from framings import (
     ICOSAHEDRAL,
     OCTAHEDRAL,
     TETRAHEDRAL,
+    FiniteSubgroup,
     FramingOffset,
     TotalDefect,
     act,
@@ -70,6 +71,18 @@ class TestFiniteSubgroup:
     def test_every_build_runs_the_checks(self, good, changes, message):
         assert_rejected(good, changes, ValueError, message)
         assert_round_trips(good)
+
+    # cyclic(2.5) was once accepted with order 2.5, and cyclic(True) labelled CTrue.
+    @pytest.mark.parametrize("good, m, message", [
+        (cyclic(3), 2.5, "group parameter must be an int, not float"),
+        (cyclic(3), True, "group parameter must be an int, not bool"),
+        (binary_dihedral(2), 2.0, "group parameter must be an int, not float"),
+        (TETRAHEDRAL, False, "group parameter must be an int, not bool"),
+    ], ids=["float", "bool", "dihedral-float", "polyhedral-bool"])
+    def test_a_parameter_that_is_no_int_is_refused(self, good, m, message):
+        assert_rejected(good, {"m": m}, TypeError, message)
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            FiniteSubgroup(good.family, m)
 
     def test_parse_group(self):
         assert parse_group("C5") == cyclic(5)
