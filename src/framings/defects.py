@@ -109,12 +109,16 @@ def pullback_cover(p: TotalDefect, r: int, sigma_pi: Fraction | int = 0) -> Tota
     """Defect of the pulled-back framing on an r-fold cover.
 
     The degree multiplies; the defect picks up three times the signature
-    defect of the covering.  sigma_pi may be a rational; the corrected
-    defect must come out an integer or the inputs are inconsistent.
+    defect of the covering.  sigma_pi is an int or a Fraction; a float,
+    whose binary value is not the rational it stands for, is refused, and
+    so is a bool, as for the degree.  The corrected defect must come out
+    an integer or the inputs are inconsistent.
     """
     _require_int("cover degree", r)
     if r < 1:
         raise ValueError("cover degree must be at least 1")
+    if isinstance(sigma_pi, bool) or not isinstance(sigma_pi, (int, Fraction)):
+        raise TypeError(f"sigma_pi must be an int or a Fraction, not {type(sigma_pi).__name__}")
     corrected = r * Fraction(p.h) + 3 * Fraction(sigma_pi)
     if corrected.denominator != 1:
         raise NonIntegralDefect(

@@ -2,11 +2,16 @@
 
 Determinants, Smith normal forms, signatures of symmetric integer matrices
 and affine GF(2) systems, all with arbitrary-precision integers.  One
-fraction-free (Bareiss) step eliminates a shrinking block for determinants
-and signatures, its divisions exact; a symmetric block stays symmetric, so
-only its upper triangle is stored.  A zero pivot is repaired by adding a
-later row (for signatures, row k rebuilt whole from the triangle, and its
-column); a radical direction of a symmetric block drops its first row.
+fraction-free (Bareiss) step eliminates a shrinking block for determinants,
+its divisions exact.  The symmetric pass behind signatures takes two
+pivots per step where it can: the block two steps on is made of 3x3
+minors of the current one over the square of the previous pivot
+(Sylvester's identity; Bareiss's two-step elimination).  It takes one
+step where the second pivot is 0 or at most 2 rows are left.  A
+symmetric block stays symmetric, so only its upper triangle is stored.
+A zero pivot is repaired by adding a later row (for signatures, row k
+rebuilt whole from the triangle, and its column); a radical direction of
+a symmetric block drops its first row.
 A symmetric nonsingular Q has its signature, det Q and the kept pivot
 rows from one elimination of Q alone.  Every invariant factor but the
 last divides g, the gcd of det Q and the three (n-1)-minors in the last
@@ -224,7 +229,18 @@ def _symmetric_pass(mat: IntMatrix) -> tuple[int, int, list[list[int]]]:
     reaches row 0 and the kept pivot rows alone: the pivot becomes
     2sb + a[k][k], nonzero for one of s = 1, -1, and the kept rows stay
     those of the elimination of Q'.  A zero row and column is a radical
-    direction: row 0 is dropped and the determinant is 0."""
+    direction: row 0 is dropped and the determinant is 0.
+
+    Once the pivot p = D_k is kept and at least 3 rows are left, the next
+    pivot row comes from row 1 alone by the one-step formula.  If its pivot
+    p1 = D_{k+1} is nonzero it is kept too, and the step-(k + 2) block comes
+    straight from the step-k block b, with prev = D_{k-1}, by the 3 x 3
+    Sylvester identity: entry (i, j), i, j >= 2, is the minor of b on rows
+    0, 1, i and columns 0, 1, j over prev^2.  Expanded along column j it is
+    b_ij p1 prev - b_1j m1 + b_0j m0, with m1 = p b_1i - b_01 b_0i and
+    m0 = b_01 b_1i - b_11 b_0i.  A zero p1, or 2 rows or fewer, takes the
+    single step, and the next pivot's repair sees the zero as before; so
+    the kept rows, pivots and repairs are those of single steps."""
     if not mat.is_symmetric():
         raise NotSymmetric("signature needs a symmetric matrix")
     a = [list(row[i:]) for i, row in enumerate(mat.entries)]
@@ -239,12 +255,28 @@ def _symmetric_pass(mat: IntMatrix) -> tuple[int, int, list[list[int]]]:
                 continue
             s = 1 if 2 * top[k] + a[k][0] else -1
             row_k = [row[k - j] for j, row in enumerate(a[:k])] + a[k]
-            a[0] = [x + s * y for x, y in zip(top, row_k)]
+            top = a[0] = [x + s * y for x, y in zip(top, row_k)]
             for row in a[:1] + kept:  # column 0 of the block is len(top) from the end
                 row[-len(top)] += s * row[k - len(top)]
-        p = a[0][0]
+        p = top[0]
         signature += 1 if (p > 0) == (prev > 0) else -1
-        kept.append(a[0])
+        kept.append(top)
+        if len(a) > 2:
+            one, f = a[1], top[1]
+            nxt = [(x * p - f * y) // prev for x, y in zip(one, top[1:])]
+            p1 = nxt[0]
+            if p1:
+                signature += 1 if (p1 > 0) == (p > 0) else -1
+                kept.append(nxt)
+                c, d = p1 * prev, prev * prev
+                block = []
+                for i, row in enumerate(a[2:], 2):
+                    m1 = p * one[i - 1] - f * top[i]
+                    m0 = f * one[i - 1] - one[0] * top[i]
+                    block.append([(x * c - y * m1 + z * m0) // d
+                                  for x, y, z in zip(row, one[i - 1:], top[i:])])
+                prev, a = p1, block
+                continue
         prev, a = p, _bareiss_block(a, prev, upper=True)
     return signature, prev if len(kept) == mat.rows else 0, kept
 

@@ -70,6 +70,19 @@ class TestLoadLinkDocument:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("doc, message", [
+        ([[1]], "top level must be an object"), ("[[1]]", "top level must be an object"),
+        (None, "top level must be an object"),
+        ({"matrix": [[1]], "name": 3}, "'name' must be a string"),
+        ({"matrix": [[1]], "name": ["e8"]}, "'name' must be a string"),
+    ], ids=["list", "string", "null", "int-name", "list-name"])
+    def test_malformed_document_exits_2_with_one_line(self, capsys, monkeypatch, tmp_path,
+                                                      doc, message):
+        monkeypatch.chdir(tmp_path)
+        path = Path(write_doc(tmp_path, doc)).name
+        code, out, err = run(capsys, "invariants", path)
+        assert (code, out, err) == (2, "", f"error: {path}: {message}\n")
+
     @pytest.mark.parametrize("components", [3, True, 1.0], ids=["mismatch", "bool", "float"])
     def test_rejects_component_mismatch(self, tmp_path, components):
         path = write_doc(tmp_path, {"components": components, "matrix": [[0]]})

@@ -209,6 +209,18 @@ class TestPullbackCover:
         with pytest.raises(TypeError, match=f"^cover degree must be an int, not {name}$"):
             pullback_cover(TotalDefect(1, 2), r)
 
+    def test_an_exact_third_gives_an_integral_defect(self):
+        assert pullback_cover(TotalDefect(0, 1), 3, Fraction(1, 3)) == TotalDefect(0, 4)
+
+    # A float once entered as its binary value: 1/3 gave a non-integral
+    # defect where the exact third gives h = 4.
+    @pytest.mark.parametrize("sigma_pi, name", [(1 / 3, "float"), (0.0, "float"), (True, "bool")],
+                             ids=["third", "zero-float", "bool"])
+    def test_sigma_pi_must_be_an_int_or_a_fraction(self, sigma_pi, name):
+        with pytest.raises(TypeError,
+                           match=f"^sigma_pi must be an int or a Fraction, not {name}$"):
+            pullback_cover(TotalDefect(0, 1), 3, sigma_pi)
+
     @pytest.mark.parametrize("m", range(1, 13))
     def test_lens_lattice_embeds_into_scaled_lattice(self, m):
         # Any point of the lens lattice pulls back into m * Lambda_0 + (0, 2).

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from framings import (
@@ -117,6 +117,11 @@ class TestIntMatrix:
         assert IntMatrix([[0, 2], [3, 0]]).det() == -6
         assert IntMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]).det() == -1
         assert IntMatrix([[0, 1], [0, 2]]).det() == 0
+
+    @pytest.mark.parametrize("rows", [[[1, 2]], [[1], [2]]], ids=["wide", "tall"])
+    def test_determinant_of_a_non_square_matrix_is_refused(self, rows):
+        with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
+            IntMatrix(rows).det()
 
     @given(int_matrices(max_rows=5, max_cols=5))
     def test_determinant_matches_rational_gauss(self, rows):
@@ -360,6 +365,31 @@ def _nonzero_leading_minors(draw, max_size=12):
             for i in range(n)]
 
 
+@st.composite
+def _paired_pivot_forms(draw, max_size=10):
+    """Symmetric Q = L B L^T, L unit lower triangular and B block diagonal:
+    nonzero 1 x 1 blocks and 2 x 2 blocks [[0, b], [b, c]] with b != 0.  L
+    keeps B's leading minors, so Q is nonsingular and its minor ending at a
+    2 x 2 block's first row is 0.  Met as the first pivot of a double step
+    (block at an even index, all steps double so far) it needs a repair;
+    met as the second (odd index) it is p1 = 0 and the single step runs."""
+    n = draw(st.integers(1, max_size))
+    b = [[0] * n for _ in range(n)]
+    i = 0
+    while i < n:
+        if i + 1 < n and draw(st.booleans()):
+            b[i][i + 1] = b[i + 1][i] = draw(st.integers(-3, 3).filter(bool))
+            b[i + 1][i + 1] = draw(st.integers(-3, 3))
+            i += 2
+        else:
+            b[i][i] = draw(st.integers(-3, 3).filter(bool))
+            i += 1
+    low = [[draw(st.integers(-2, 2)) if j < i else int(i == j) for j in range(n)]
+           for i in range(n)]
+    lb = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in low]
+    return [[sum(x * y for x, y in zip(row, other)) for other in low] for row in lb]
+
+
 class TestSymmetricPass:
     @given(_nonzero_leading_minors())
     @settings(max_examples=60)
@@ -375,6 +405,25 @@ class TestSymmetricPass:
             assert row == [oracles.det_fraction_gauss([r[:k] + [r[j]] for r in rows[:k + 1]])
                            for j in range(k, n)]
         assert det == kept[-1][0] == oracles.det_fraction_gauss(rows)
+
+    # Each 2 x 2 block meets the double step in one of its branches: a
+    # repair of its first pivot, or p1 = 0 and the single step after it.
+    @given(_paired_pivot_forms())
+    @example([[0, 1, 0], [1, 0, 0], [0, 0, 2]])  # repaired first pivot, then a double step
+    @example([[1, 0, 0], [0, 0, 1], [0, 1, 0]])  # p1 = 0: the single step
+    @example([[0, 1], [1, 3]])  # n = 2 and n = 1: single steps alone
+    @example([[-2]])
+    @settings(max_examples=150)
+    def test_double_step_branches_agree_with_the_oracles(self, rows):
+        signature, det, kept = exactmath._symmetric_pass(IntMatrix(rows))
+        assert len(kept) == len(rows)
+        assert signature == oracles.signature_by_charpoly(rows)
+        assert det == oracles.det_fraction_gauss(rows) != 0
+        factors = signature_and_smith(rows)[1].invariant_factors
+        if len(rows) <= 5:
+            assert factors == oracles.invariant_factors_by_minors(rows)
+        else:
+            assert prod(factors) == abs(det)
 
     @given(_nonzero_leading_minors(max_size=10))
     @settings(max_examples=40)
