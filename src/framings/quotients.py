@@ -8,10 +8,10 @@ is three times the signature defect of the universal covering.  sigma(G)
 is available both in closed form and by brute-force evaluation of the
 fixed-point cotangent sums, which serves as a numerical oracle.
 
-Angles are carried as exact rational multiples of pi, integer pairs
-(p, q) standing for p/q; they become floats only in the final evaluation
-of each cotangent term.  The brute-force sum takes them in runs of a
-cyclic subgroup's rotations and never holds the |G| angles at once.
+Angles are exact rational multiples of pi, integer pairs (p, q) for p/q,
+made floats only in each cotangent term.  The brute-force sum streams
+them in runs of a cyclic subgroup's rotations, never holding |G| angles,
+and folds repeated runs in at C level, in order, to the same double.
 """
 
 from __future__ import annotations
@@ -19,6 +19,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import reduce
+from itertools import cycle, islice
+from operator import add
 from typing import Iterator, NamedTuple, Sequence
 
 from .defects import TotalDefect
@@ -165,10 +168,10 @@ def sigma_g_bruteforce(group: FiniteSubgroup) -> float:
     The angles come as exact integer ratios, in runs; each becomes a float
     only in its own term, as the correctly rounded p / q times pi/2, so no
     list of the |G| angles is built.  A run that occurs once is streamed;
-    a repeated run has its few distinct terms evaluated once and added
-    again on each repetition.  The terms are added one by one in
-    enumeration order, which fixes the resulting double whatever algorithm
-    the interpreter's sum() uses.
+    a repeated run has its few distinct terms evaluated once, then reduce,
+    a strict left fold seeded with the total, adds them cycled `times`
+    times: one add per term in enumeration order, which fixes the double,
+    as sum() (changed in Python 3.12) and math.fsum would not.
     """
     # Halving is exact, so p / q * half_pi is the double p / q * math.pi / 2.
     cos, sin, half_pi = math.cos, math.sin, math.pi / 2
@@ -182,9 +185,7 @@ def sigma_g_bruteforce(group: FiniteSubgroup) -> float:
         else:
             angles = [p / q * half_pi for p in numerators]
             terms = [(cos(x) / sin(x)) ** 2 for x in angles]
-            for _ in range(times):
-                for term in terms:
-                    total += term
+            total = reduce(add, islice(cycle(terms), len(terms) * times), total)
     assert count + 1 == group.order
     return 3.0 * total
 

@@ -277,12 +277,13 @@ class TestInvariantsCommand:
         assert result.stderr == f"error: {message.format(n=len(str(path)))}\n".encode()
         assert len(result.stderr) <= 200
 
-    @pytest.mark.parametrize("length, named", [(38, "{path}"), (39, "<39 characters>")],
-                             ids=["repr-40", "repr-41"])
+    @pytest.mark.parametrize("path, named", [("p" * 33 + ".json", "{path}"),
+                                             ("p" * 34 + ".json", "<39 characters>"),
+                                             ("a\nb\u2028c.json", "a\\nb\\u2028c.json")],
+                             ids=["repr-40", "repr-41", "line-breaks-escaped"])
     def test_a_path_is_echoed_while_its_repr_fits_40_characters(self, capsys, monkeypatch,
-                                                               tmp_path, length, named):
+                                                               tmp_path, path, named):
         monkeypatch.chdir(tmp_path)
-        path = "p" * (length - 5) + ".json"
         code, out, err = run(capsys, "invariants", path)
         assert (code, out) == (2, "")
         assert err == f"error: cannot read {named.format(path=path)}: No such file or directory\n"
@@ -709,13 +710,17 @@ USAGE_ERRORS = [
     ["bundle", "--genus", "0", "--euler", "\u0662"],
     ["canonical", "--lambda", "1_0"],
     ["quotient", "C\u0661\u0662"],
+    # argparse echoes these tokens as they are; their line breaks are escaped.
+    ["quotient", "C7", "a\nb\u2028c"],
+    ["cover", "--de=\r\n", "--degree", "1"],
 ]
 
 
 @pytest.mark.parametrize("argv", USAGE_ERRORS,
                          ids=["bad-int", "int-past-the-parse-limit", "missing-positional",
                               "defect-underscore", "degree-underscore", "genus-underscore",
-                              "euler-arabic-indic", "lambda-underscore", "group-arabic-indic"])
+                              "euler-arabic-indic", "lambda-underscore", "group-arabic-indic",
+                              "unknown-token-line-breaks", "ambiguous-option-line-breaks"])
 def test_usage_errors_exit_2_with_one_line(capsys, argv):
     # argparse refuses most of these by SystemExit; --defect and the group
     # are read by the command, which returns 2.
@@ -725,7 +730,8 @@ def test_usage_errors_exit_2_with_one_line(capsys, argv):
         code = exc.code
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+    assert captured.err.endswith("\n")
 
 
 _PARSE_LIMIT = pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),

@@ -3,8 +3,10 @@
 import os
 import random
 import re
+import signal
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd, prod
@@ -204,6 +206,10 @@ class TestSmithNormalForm:
             product *= factor
         assert product == abs(det)
 
+    # About 10 times the slowest kind's time (symmetric_large, 1 s on a
+    # shared 2-vCPU machine, Python 3.11): a kernel fault that lets the
+    # entries grow fails here instead of running for many minutes.
+    @pytest.mark.time_limit(10)
     @pytest.mark.parametrize("kind", ["dense", "sparse", "singular_even", "symmetric_large"])
     def test_workload_sizes_against_ranks_mod_p(self, kind):
         # The minor-gcd oracle is exponential; at n = 10-100 each prime p
@@ -594,6 +600,7 @@ class TestSignatureAndSmith:
         check()
         assert set(routes) == {"loop", "trailing"}, routes
 
+    @pytest.mark.time_limit(5)  # about 10 times its 0.4 s
     def test_sizes_to_30_against_ranks_mod_p(self, monkeypatch):
         # Each prime p pins how many factors it divides, n - rank over GF(p),
         # so a head of (1, 4) is told from one of (2, 2)
@@ -686,3 +693,11 @@ class TestSolveGf2:
     @given(symmetric_int_matrices(max_size=6, lo=0, hi=1))
     def test_characteristic_system_always_solvable(self, rows):
         solve_gf2(rows, [rows[i][i] for i in range(len(rows))])
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGALRM"), reason="time_limit is a no-op here")
+@pytest.mark.time_limit(0.05)
+def test_time_limit_fails_a_test_that_runs_past_it():
+    # The marker the workload-size tests carry (tests/conftest.py).
+    with pytest.raises(pytest.fail.Exception, match="past its time limit of 0.05 s"):
+        time.sleep(5)
