@@ -2,9 +2,13 @@
 
 Subcommands: invariants, canonical, quotient, bundle, cover, catalog.
 One table (`_commands`) declares each one's arguments, `cmd_*` and
-renderer.  `main` builds only the parser of the subcommand named first on
-the command line; any other argv (top-level help, `--version`, an unknown
-command) goes through the whole tree from `build_parser`.
+renderer.  A plain command line, a subcommand name and then only its
+declared arguments spelt out in full, is read straight from the table
+(`_plain_args`) and builds no parser.  Anything else goes through argparse,
+so help, abbreviations and usage errors keep its text: with the subcommand
+named first, through that subcommand's parser alone; otherwise (top-level
+help, `--version`, an unknown command) through the whole tree from
+`build_parser`.
 Link files are JSON documents with a symmetric integer linking matrix and
 an optional table of Arf invariants keyed by sublink bitmask.  Every
 command validates its input and returns one payload dict; `main` prints its
@@ -360,9 +364,21 @@ def _catalog_text(payload: dict) -> list[str]:
 class _Parser(argparse.ArgumentParser):
     """An argument parser whose usage errors end, like every other error,
     in exit 2 with one stderr line; subparsers inherit the class.  argparse
-    echoes an unknown token as it is, so its line breaks are escaped here."""
+    echoes an unknown token as it is, so a token, or the value after its
+    first '=', whose repr passes 40 characters is named by its length
+    (_shown), and line breaks are escaped."""
+
+    _argv: Sequence[str] = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._argv = sys.argv[1:] if args is None else args
+        return super().parse_known_args(args, namespace)
 
     def error(self, message: str) -> NoReturn:
+        parts = {part for token in self._argv for part in (token, token.partition("=")[2])}
+        for part in sorted(parts, key=len, reverse=True):  # a long part before any inside it
+            if _shown(part) != repr(part):
+                message = message.replace(repr(part), _shown(part)).replace(part, _shown(part))
         self.exit(2, f"error: {message.translate(_LINE_BREAKS)}\n")
 
 
@@ -405,6 +421,62 @@ def _add_arguments(parser: argparse.ArgumentParser, command: _Command) -> argpar
     for name, options in command.arguments + (("--json", {"action": "store_true"}),):
         parser.add_argument(name, **options)
     return parser
+
+
+def _plain_value(token: str) -> bool:
+    """Whether argparse reads token as a value, not an option, by a rule
+    every version shares: no leading '-', or '-' and ASCII digits."""
+    return not token.startswith("-") or (token[1:].isascii() and token[1:].isdigit())
+
+
+def _plain_args(command: _Command, tokens: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace `_add_arguments(_Parser(), command).parse_args(tokens)`
+    returns, read straight from the command's arguments and --json, or None
+    unless every token is plain: a positional, an exact option name, the
+    value after it, or `name=value`.  None for help, '--', an abbreviation,
+    an unknown or repeated option, --json=..., a value its type refuses, a
+    missing argument or an extra positional; argparse then parses, prints
+    or refuses it.  The table's options store one value each, and its
+    positionals take one or, with nargs '?', none."""
+    given: dict[str, str] = {}  # option name -> its value
+    free: list[str] = []  # positional tokens, in order
+    options = {name for name, _ in command.arguments if name.startswith("-")} | {"--json"}
+    rest = iter(tokens)
+    for token in rest:
+        if token in options:
+            value = "" if token == "--json" else next(rest, "--")  # '--' when none is left
+            if not _plain_value(value):
+                return None
+        elif _plain_value(token):
+            free.append(token)
+            continue
+        else:
+            token, eq, value = token.partition("=")
+            # argparse 3.11 reads '--defect=--' as [], so '--' is left to it
+            if not eq or token not in options or token == "--json" or value == "--":
+                return None
+        if token in given:
+            return None
+        given[token] = value
+    values = {"json": "--json" in given}
+    for name, spec in command.arguments:
+        if name.startswith("-"):
+            dest, value = spec.get("dest", name.lstrip("-").replace("-", "_")), given.get(name)
+            if value is None and spec.get("required"):
+                return None
+        else:
+            dest, value = name, free.pop(0) if free else None
+            if value is None and spec.get("nargs") != "?":
+                return None
+        if value is None:
+            value = spec.get("default")
+        if isinstance(value, str) and "type" in spec:  # argparse types string defaults too
+            try:
+                value = spec["type"](value)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+        values[dest] = value
+    return None if free else argparse.Namespace(**values)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -500,9 +572,11 @@ def _dumps(obj: object) -> str:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     commands = _commands()
-    if argv and argv[0] in commands:  # build only the subparser build_parser() would use
+    if argv and argv[0] in commands:  # a plain argv, else the subparser build_parser() would use
         command = commands[argv[0]]
-        args = _add_arguments(_Parser(prog=f"framings {argv[0]}"), command).parse_args(argv[1:])
+        args = _plain_args(command, argv[1:])
+        if args is None:
+            args = _add_arguments(_Parser(prog=f"framings {argv[0]}"), command).parse_args(argv[1:])
     else:  # no subcommand name first: help, --version, '--' or an error
         args = build_parser().parse_args(argv)
         command = commands[args.command]

@@ -713,6 +713,8 @@ USAGE_ERRORS = [
     # argparse echoes these tokens as they are; their line breaks are escaped.
     ["quotient", "C7", "a\nb\u2028c"],
     ["cover", "--de=\r\n", "--degree", "1"],
+    # A long token is named by its length, by the subparser of the whole tree too.
+    ["cover", "--defect", "0,0", "--degree", "1", "--de=" + "x" * 5000],
 ]
 
 
@@ -720,7 +722,8 @@ USAGE_ERRORS = [
                          ids=["bad-int", "int-past-the-parse-limit", "missing-positional",
                               "defect-underscore", "degree-underscore", "genus-underscore",
                               "euler-arabic-indic", "lambda-underscore", "group-arabic-indic",
-                              "unknown-token-line-breaks", "ambiguous-option-line-breaks"])
+                              "unknown-token-line-breaks", "ambiguous-option-line-breaks",
+                              "ambiguous-option-long"])
 def test_usage_errors_exit_2_with_one_line(capsys, argv):
     # argparse refuses most of these by SystemExit; --defect and the group
     # are read by the command, which returns 2.
@@ -772,6 +775,14 @@ _PARSE_LIMIT = pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lam
     pytest.param(["quotient", "C" + "x" * 5000],
                  "bad group spec <5001 characters>; expected C<m>, D<m>, T, O or I",
                  id="group"),
+    # argparse's own refusals name a long token the same way.
+    pytest.param(["quotient", "C7", "9" * 5000],
+                 "unrecognized arguments: <5000 characters>", id="unknown-positional"),
+    pytest.param(["bundle", "--genus", "1", "--euler", "1", "--frobnicate" + "x" * 5000],
+                 "unrecognized arguments: <5012 characters>", id="unknown-option"),
+    pytest.param(["bundle", "--genus", "1", "--euler", "1", "--json=" + "x" * 5000],
+                 "argument --json: ignored explicit argument <5000 characters>",
+                 id="unused-explicit-value"),
 ])
 def test_an_over_long_value_exits_2_with_one_short_line(argv, named):
     result = subprocess.run([sys.executable, "-m", "framings.cli", *argv],
@@ -830,7 +841,17 @@ COMMANDS = ["invariants", "canonical", "quotient", "bundle", "cover", "catalog"]
                          + [[command, flag] for command in COMMANDS for flag in ("--help", "-h")]
                          + [["--help"], [], ["frobnicate"], ["--json", "quotient", "C7"],
                             ["--version"], ["quotient", "C7", "extra"], ["quotient", "--", "C7"],
-                            ["bundle", "--gen", "1", "--euler", "0"]]
+                            ["bundle", "--gen", "1", "--euler", "0"],
+                            ["bundle", "--genus", "3", "--euler", "-2"],
+                            ["bundle", "--euler=-2", "--genus", "3"],
+                            ["canonical", "--lambda", "-1"], ["quotient", "--json", "C7"],
+                            ["bundle", "--genus", "1", "--genus", "2", "--euler", "0"],
+                            ["bundle", "--json=1", "--genus", "1", "--euler", "0"],
+                            ["cover", "--defect", "-1,2", "--degree", "1"],
+                            ["cover", "--defect", "0,0", "--degree", "1", "--sigma-pi", "-722/3"],
+                            ["bundle", "--genus", "1", "--euler", "-1.5"],
+                            ["quotient", "C7", "9" * 5000],
+                            ["bundle", "--genus", "1", "--euler", "1", "--frobnicate" + "x" * 5000]]
                          + USAGE_ERRORS)
 def test_one_subparser_answers_as_the_whole_tree(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
@@ -838,6 +859,32 @@ def test_one_subparser_answers_as_the_whole_tree(capsys, monkeypatch, argv):
     commands = cli._commands
     monkeypatch.setattr(cli, "_commands", lambda: _NothingIsACommand(commands()))
     assert outcome(capsys, argv) == direct
+
+
+# One argv of each shape the benchmark runs, beside the golden ones.
+_BENCHMARK_SHAPES = [
+    ["invariants", str(LINKS / "e8.json"), "--json"], ["canonical", str(LINKS / "e8.json"), "--json"],
+    ["canonical", "--lambda=-3", "--json"], ["quotient", "D250", "--json"],
+    ["bundle", "--genus", "3", "--euler", "-2", "--json"],
+    ["cover", "--defect=-3,17", "--degree", "12", "--sigma-pi=-722/3", "--json"],
+    ["catalog", "--json"],
+]
+
+
+@pytest.mark.parametrize("argv, parsers", [(p.values[0], 0) for p in _golden_cases()]
+                         + [(argv, 0) for argv in _BENCHMARK_SHAPES]
+                         + [(["bundle", "--gen", "1", "--euler", "0"], 1)])
+def test_a_plain_argv_builds_no_parser(capsys, monkeypatch, argv, parsers):
+    built = []
+
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    assert outcome(capsys, argv)[0] == 0
+    assert len(built) == parsers
 
 
 def test_the_command_table_is_the_help_list(capsys, monkeypatch):

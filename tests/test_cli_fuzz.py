@@ -3,6 +3,8 @@
 Every call of `cli.main` must end in an exit code of 0-3, with exactly one
 stderr line on the error exits 2 and 3, and within the deadline: no
 traceback, no unbounded run, whatever argv and whatever file it is given.
+No token whose repr passes 40 characters is echoed on stderr.  And where
+`cli._plain_args` reads an argv without argparse, argparse reads it alike.
 """
 
 import contextlib
@@ -10,8 +12,9 @@ import io
 import json
 
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
+from framings import cli
 from framings.cli import main
 
 # Tokens an attacker or a typo might pass: short junk, non-ASCII text (line
@@ -85,12 +88,9 @@ def _documents(draw):
     return json.dumps(doc)
 
 
-@st.composite
-def _argv(draw, path, missing):
-    """argv for one drawn subcommand (or none): its valid pieces in any
-    order, some left out, with junk tokens in between."""
-    file = st.one_of(st.just(path), st.just(missing), _GARBAGE)
-    commands = {  # each subcommand's valid arguments, as option-and-value units
+def _units(file):
+    """Each subcommand's valid arguments, as option-and-value units."""
+    return {
         "invariants": [[file]],
         "canonical": [[file], ["--lambda", _INTEGER]],
         "quotient": [[_GROUP]],
@@ -98,9 +98,19 @@ def _argv(draw, path, missing):
         "cover": [["--defect", _DEFECT], ["--degree", _INTEGER], ["--sigma-pi", _RATIONAL]],
         "catalog": [],
     }
+
+
+def _drawn(draw, unit):
+    return [draw(part) if isinstance(part, st.SearchStrategy) else part for part in unit]
+
+
+@st.composite
+def _argv(draw, path, missing):
+    """argv for one drawn subcommand (or none): its valid pieces in any
+    order, some left out, with junk tokens in between."""
+    commands = _units(st.one_of(st.just(path), st.just(missing), _GARBAGE))
     name = draw(st.sampled_from(list(commands) + [None]))
-    units = [[draw(part) if isinstance(part, st.SearchStrategy) else part for part in unit]
-             for unit in commands.get(name, []) if draw(st.integers(0, 4))]
+    units = [_drawn(draw, unit) for unit in commands.get(name, []) if draw(st.integers(0, 4))]
     units += [[token] for token in draw(st.lists(_GARBAGE, max_size=2))]
     if draw(st.booleans()):
         units.append(["--json"])
@@ -130,8 +140,55 @@ def test_every_argv_ends_in_an_exit_code_and_one_error_line(tmp_path_factory, da
     argv = data.draw(_argv(str(path), str(directory / "missing.json")), label="argv")
     code, out, err = _outcome(argv)
     assert code in (0, 1, 2, 3), (code, err)
+    # A token whose repr passes 40 characters is named by its length, never echoed.
+    assert not [token for token in argv if len(repr(token)) > 40 and token in err], err
     if code in (2, 3):
         assert out == "" and err.startswith("error: "), (out, err)
         assert err.endswith("\n") and len(err.splitlines()) == 1, err
     else:
         assert err == "", err
+
+
+_OPTIONS = ["--json", "--lambda", "--genus", "--euler", "--defect", "--degree", "--sigma-pi"]
+_VALUE = st.one_of(_INTEGER, st.integers(-10**4, -1).map(str), _GROUP, _RATIONAL, _DEFECT)
+
+
+@st.composite
+def _near_plain(draw):
+    """A subcommand and tokens near a plain argv: its arguments in any
+    order, each left out, given once or twice, an option and its value
+    joined by '=' or not, with negative, junk or missing values, and the
+    exact option names of every subcommand among junk tokens."""
+    name = draw(st.sampled_from(list(cli._commands())))
+    units = []
+    for unit in _units(st.one_of(st.just("link.json"), _GARBAGE))[name]:
+        for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+            tokens = _drawn(draw, unit)
+            if len(tokens) == 2 and draw(st.booleans()):
+                tokens = ["=".join(tokens)]
+            units.append(tokens)
+    units += [[token] for token in draw(st.lists(st.one_of(
+        st.sampled_from(_OPTIONS), _VALUE, _GARBAGE,
+        st.builds("{}={}".format, st.sampled_from(_OPTIONS), _VALUE)), max_size=2))]
+    if draw(st.booleans()):
+        units.append(["--json"])
+    return name, [token for unit in draw(st.permutations(units)) for token in unit]
+
+
+# argparse 3.11 reads '--defect=--' as an empty list; the plain path leaves it to argparse.
+@example(("cover", ["--defect=--", "--degree", "1"]))
+@settings(max_examples=500)
+@given(_near_plain())
+def test_a_plain_argv_reads_as_argparse_reads_it(drawn):
+    name, tokens = drawn
+    command = cli._commands()[name]
+    plain = cli._plain_args(command, tokens)
+    if plain is not None:
+        parser = cli._add_arguments(cli._Parser(prog=f"framings {name}"), command)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                parsed = parser.parse_args(tokens)
+            except SystemExit as exc:
+                raise AssertionError(f"argparse exits {exc.code} ({err.getvalue()!r}) "
+                                     f"where the plain path reads {plain}") from None
+        assert vars(parsed) == vars(plain)
