@@ -4,11 +4,9 @@ Subcommands: invariants, canonical, quotient, bundle, cover, catalog.
 One table (`_commands`) declares each one's arguments, `cmd_*` and
 renderer.  A plain command line, a subcommand name and then only its
 declared arguments spelt out in full, is read straight from the table
-(`_plain_args`) and builds no parser.  Anything else goes through argparse,
-so help, abbreviations and usage errors keep its text: with the subcommand
-named first, through that subcommand's parser alone; otherwise (top-level
-help, `--version`, an unknown command) through the whole tree from
-`build_parser`.
+(`_plain_args`) and builds no parser.  Anything else goes through the whole
+argparse tree from `build_parser`, so help, abbreviations and usage errors
+keep its text.
 Link files are JSON documents with a symmetric integer linking matrix and
 an optional table of Arf invariants keyed by sublink bitmask.  Every
 command validates its input and returns one payload dict; `main` prints its
@@ -38,7 +36,7 @@ from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from . import __version__, bundles, catalog, defects, links, quotients
 from .defects import LambdaClass, TotalDefect
-from .errors import FramingError, NotSymmetric, ParseError, _shown
+from .errors import FramingError, NotSymmetric, ParseError, _shown, _shown_int
 
 
 # The characters str.splitlines() breaks at, each mapped to its repr escape:
@@ -79,13 +77,16 @@ def load_link_document(path: str) -> LinkDocument:
     components = raw.get("components", size)
     if not isinstance(components, int) or isinstance(components, bool):
         raise ParseError(f"{where}: 'components' must be an integer")
-    if components != size:  # an integer whose repr passes 40 characters is named by its digits
-        text = repr(components)
-        shown = text if len(text) <= 40 else f"<{len(text.lstrip('-'))} digits>"
-        raise ParseError(f"{where}: components = {shown} but matrix is {size}x{size}")
+    if components != size:
+        raise ParseError(f"{where}: components = {_shown_int(components)} "
+                         f"but matrix is {size}x{size}")
     name = raw.get("name", Path(path).stem)
     if not isinstance(name, str):
         raise ParseError(f"{where}: 'name' must be a string")
+    try:  # a lone surrogate (a JSON escape, an undecodable file name) has no UTF-8 to print
+        name.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"{where}: 'name' must be valid Unicode, with no lone surrogate") from exc
     raw_table = {} if raw.get("arf_table") is None else raw["arf_table"]
     if not isinstance(raw_table, dict):
         raise ParseError(f"{where}: 'arf_table' must be an object")
@@ -417,31 +418,28 @@ def _commands() -> dict[str, _Command]:
     }
 
 
-def _add_arguments(parser: argparse.ArgumentParser, command: _Command) -> argparse.ArgumentParser:
-    for name, options in command.arguments + (("--json", {"action": "store_true"}),):
-        parser.add_argument(name, **options)
-    return parser
-
-
 def _plain_value(token: str) -> bool:
     """Whether argparse reads token as a value, not an option, by a rule
     every version shares: no leading '-', or '-' and ASCII digits."""
     return not token.startswith("-") or (token[1:].isascii() and token[1:].isdigit())
 
 
-def _plain_args(command: _Command, tokens: Sequence[str]) -> argparse.Namespace | None:
-    """The namespace `_add_arguments(_Parser(), command).parse_args(tokens)`
-    returns, read straight from the command's arguments and --json, or None
-    unless every token is plain: a positional, an exact option name, the
-    value after it, or `name=value`.  None for help, '--', an abbreviation,
-    an unknown or repeated option, --json=..., a value its type refuses, a
-    missing argument or an extra positional; argparse then parses, prints
-    or refuses it.  The table's options store one value each, and its
+def _plain_args(commands: dict[str, _Command], argv: Sequence[str]) -> argparse.Namespace | None:
+    """The namespace `build_parser().parse_args(argv)` returns, read straight
+    from the table, or None unless argv[0] names a command and every token
+    after it is plain: a positional, an exact option name, the value after
+    it, or `name=value`.  None for help, '--', an abbreviation, an unknown
+    or repeated option, --json=..., a value its type refuses, a missing
+    argument or an extra positional; argparse then parses, prints or
+    refuses it.  The table's options store one value each, and its
     positionals take one or, with nargs '?', none."""
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return None
     given: dict[str, str] = {}  # option name -> its value
     free: list[str] = []  # positional tokens, in order
     options = {name for name, _ in command.arguments if name.startswith("-")} | {"--json"}
-    rest = iter(tokens)
+    rest = iter(argv[1:])
     for token in rest:
         if token in options:
             value = "" if token == "--json" else next(rest, "--")  # '--' when none is left
@@ -458,7 +456,7 @@ def _plain_args(command: _Command, tokens: Sequence[str]) -> argparse.Namespace 
         if token in given:
             return None
         given[token] = value
-    values = {"json": "--json" in given}
+    values = {"command": argv[0], "json": "--json" in given}
     for name, spec in command.arguments:
         if name.startswith("-"):
             dest, value = spec.get("dest", name.lstrip("-").replace("-", "_")), given.get(name)
@@ -487,7 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _commands().items():
-        _add_arguments(sub.add_parser(name, help=command.help), command)
+        subparser = sub.add_parser(name, help=command.help)
+        for argument, options in command.arguments + (("--json", {"action": "store_true"}),):
+            subparser.add_argument(argument, **options)
     return parser
 
 
@@ -572,14 +572,8 @@ def _dumps(obj: object) -> str:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     commands = _commands()
-    if argv and argv[0] in commands:  # a plain argv, else the subparser build_parser() would use
-        command = commands[argv[0]]
-        args = _plain_args(command, argv[1:])
-        if args is None:
-            args = _add_arguments(_Parser(prog=f"framings {argv[0]}"), command).parse_args(argv[1:])
-    else:  # no subcommand name first: help, --version, '--' or an error
-        args = build_parser().parse_args(argv)
-        command = commands[args.command]
+    args = _plain_args(commands, argv) or build_parser().parse_args(argv)
+    command = commands[args.command]
     try:
         payload = command.run(args)
         try:

@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import LambdaMismatch, NonIntegralDefect, _require_int
+from .errors import LambdaMismatch, NonIntegralDefect, _require_int, _shown_int
 
 
 class TotalDefect(NamedTuple):
@@ -105,6 +105,12 @@ def boundary_defect(euler_char: int, signature: int) -> TotalDefect:
     return TotalDefect(euler_char, -3 * signature)
 
 
+def _shown_fraction(q: Fraction | int) -> str:
+    """str(q), with its numerator and denominator each named as _shown_int names them."""
+    q = Fraction(q)
+    return _shown_int(q.numerator) + ("" if q.denominator == 1 else "/" + _shown_int(q.denominator))
+
+
 def pullback_cover(p: TotalDefect, r: int, sigma_pi: Fraction | int = 0) -> TotalDefect:
     """Defect of the pulled-back framing on an r-fold cover.
 
@@ -121,8 +127,9 @@ def pullback_cover(p: TotalDefect, r: int, sigma_pi: Fraction | int = 0) -> Tota
         raise TypeError(f"sigma_pi must be an int or a Fraction, not {type(sigma_pi).__name__}")
     corrected = r * Fraction(p.h) + 3 * Fraction(sigma_pi)
     if corrected.denominator != 1:
-        raise NonIntegralDefect(
-            f"{r}*{p.h} + 3*({sigma_pi}) = {corrected} is not an integer")
+        raise NonIntegralDefect(f"{_shown_int(r)}*{_shown_int(p.h)} + "
+                                f"3*({_shown_fraction(sigma_pi)}) = "
+                                f"{_shown_fraction(corrected)} is not an integer")
     return TotalDefect(r * p.d, int(corrected))
 
 

@@ -7,6 +7,19 @@ def _shown(text: str) -> str:
     return repr(text) if len(repr(text)) <= 40 else f"<{len(text)} characters>"
 
 
+def _shown_int(n: int) -> str:
+    """repr(n), or its count of digits once the repr passes 40 characters.
+    A longer int is never converted to text: past sys.get_int_max_str_digits()
+    that raises ValueError."""
+    if -10**39 < n < 10**40:
+        return repr(n)
+    size = abs(n)
+    digits = int((size.bit_length() - 1) * 0.30102999566398120)  # log10(2): a digit or one short
+    while 10**digits <= size:
+        digits += 1
+    return f"<{digits} digits>"
+
+
 def _require_int(name: str, value: object) -> None:
     """TypeError unless value is an int and, like an IntMatrix entry, no bool."""
     if not isinstance(value, int) or isinstance(value, bool):

@@ -138,6 +138,20 @@ class TestLoadLinkDocument:
         path = write_doc(tmp_path, {"matrix": []}, name="sphere.json")
         assert load_link_document(path).name == "sphere"
 
+    # A lone surrogate has no UTF-8 form: the text report once ended in a
+    # UnicodeEncodeError at print.  A process, since capsys never encodes.
+    @pytest.mark.parametrize("argv", [["invariants", "link.json"], ["canonical", "link.json"],
+                                      ["invariants", "link.json", "--json"]],
+                             ids=["invariants", "canonical", "invariants-json"])
+    @pytest.mark.parametrize("name", [r"\ud800", r"a\udcff"], ids=["d800", "a-dcff"])
+    def test_a_lone_surrogate_name_exits_2_with_one_line(self, tmp_path, argv, name):
+        (tmp_path / "link.json").write_text('{"name": "' + name + '", "matrix": [[2]]}')
+        result = subprocess.run([sys.executable, "-m", "framings.cli", *argv], capture_output=True,
+                                env=source_env(), cwd=tmp_path, timeout=60)
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr == (b"error: link.json: 'name' must be valid Unicode, "
+                                 b"with no lone surrogate\n")
+
 
 class TestInvariantsCommand:
     def test_e8_table(self, capsys):
@@ -465,6 +479,15 @@ class TestCoverCommand:
         code, _, err = run(capsys, "cover", "--defect", "0,0",
                            "--degree", "1", "--sigma-pi", "1/2")
         assert code == 3
+
+    # The message once converted the 8001-digit numerator to text: ValueError, a traceback.
+    def test_a_long_non_integral_result_exits_3_with_one_short_line(self, capsys):
+        code, out, err = run(capsys, "cover", "--defect", "0," + "7" * 4000,
+                             "--degree", "9" * 4000, "--sigma-pi", "1/9")
+        assert (code, out) == (3, "")
+        assert err == ("error: <4000 digits>*<4000 digits> + 3*(1/9) = <8001 digits>/3 "
+                       "is not an integer\n")
+        assert len(err.encode()) < 200
 
     @pytest.mark.parametrize("sigma_pi", ["1e200000", "1e999999999", "0.5", "1_0", "\u0661\u0662"])
     def test_sigma_pi_outside_integer_or_ratio_exits_2_with_one_line(self, capsys, sigma_pi):
@@ -826,14 +849,6 @@ def outcome(capsys, argv):
     return code, captured.out, captured.err
 
 
-class _NothingIsACommand(dict):
-    """The command table with no name found in it, so that main parses every
-    argv with the whole tree from build_parser()."""
-
-    def __contains__(self, name):
-        return False
-
-
 COMMANDS = ["invariants", "canonical", "quotient", "bundle", "cover", "catalog"]
 
 
@@ -853,11 +868,10 @@ COMMANDS = ["invariants", "canonical", "quotient", "bundle", "cover", "catalog"]
                             ["quotient", "C7", "9" * 5000],
                             ["bundle", "--genus", "1", "--euler", "1", "--frobnicate" + "x" * 5000]]
                          + USAGE_ERRORS)
-def test_one_subparser_answers_as_the_whole_tree(capsys, monkeypatch, argv):
+def test_the_plain_path_answers_as_the_whole_tree(capsys, monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     direct = outcome(capsys, argv)
-    commands = cli._commands
-    monkeypatch.setattr(cli, "_commands", lambda: _NothingIsACommand(commands()))
+    monkeypatch.setattr(cli, "_plain_args", lambda commands, argv: None)
     assert outcome(capsys, argv) == direct
 
 
@@ -875,16 +889,15 @@ _BENCHMARK_SHAPES = [
                          + [(argv, 0) for argv in _BENCHMARK_SHAPES]
                          + [(["bundle", "--gen", "1", "--euler", "0"], 1)])
 def test_a_plain_argv_builds_no_parser(capsys, monkeypatch, argv, parsers):
-    built = []
+    calls = Counter()
 
-    class Counted(cli._Parser):
-        def __init__(self, *args, **kwargs):
-            built.append(self)
-            super().__init__(*args, **kwargs)
+    def counted(real=cli.build_parser):
+        calls["build_parser"] += 1
+        return real()
 
-    monkeypatch.setattr(cli, "_Parser", Counted)
+    monkeypatch.setattr(cli, "build_parser", counted)
     assert outcome(capsys, argv)[0] == 0
-    assert len(built) == parsers
+    assert calls["build_parser"] == parsers
 
 
 def test_the_command_table_is_the_help_list(capsys, monkeypatch):

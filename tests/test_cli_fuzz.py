@@ -3,8 +3,10 @@
 Every call of `cli.main` must end in an exit code of 0-3, with exactly one
 stderr line on the error exits 2 and 3, and within the deadline: no
 traceback, no unbounded run, whatever argv and whatever file it is given.
-No token whose repr passes 40 characters is echoed on stderr.  And where
-`cli._plain_args` reads an argv without argparse, argparse reads it alike.
+What it prints on exits 0 and 1 encodes as UTF-8.  No token whose repr
+passes 40 characters is echoed on stderr.  And where `cli._plain_args`
+reads an argv without argparse, the tree from `cli.build_parser` reads it
+alike.
 """
 
 import contextlib
@@ -66,6 +68,11 @@ _MATRIX = st.one_of(
     _ODD_VALUE,
 )
 _BITMASK = st.text("01", max_size=4)
+# Text with a lone surrogate, which JSON escapes such as "\ud800" decode to.
+_SURROGATE_TEXT = st.builds("{}{}{}".format, st.text(max_size=3),
+                            st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF,
+                                          categories=["Cs"]),
+                            st.text(max_size=3))
 
 
 @st.composite
@@ -75,7 +82,7 @@ def _documents(draw):
     if draw(st.integers(0, 9)) == 0:  # not an object, or not JSON at all
         return draw(st.one_of(st.builds(json.dumps, _ODD_VALUE), st.text(max_size=20)))
     doc = {"matrix": draw(_MATRIX)}
-    for key, value in [("name", st.one_of(st.text(max_size=8), _ODD_VALUE)),
+    for key, value in [("name", st.one_of(st.text(max_size=8), _SURROGATE_TEXT, _ODD_VALUE)),
                        ("components", st.one_of(st.integers(-1, 5), _ODD_VALUE)),
                        ("arf_table", st.one_of(
                            st.dictionaries(_BITMASK, st.one_of(st.integers(0, 1), _ODD_VALUE),
@@ -129,6 +136,19 @@ def _outcome(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _assert_ends_cleanly(argv):
+    code, out, err = _outcome(argv)
+    assert code in (0, 1, 2, 3), (code, err)
+    # A token whose repr passes 40 characters is named by its length, never echoed.
+    assert not [token for token in argv if len(repr(token)) > 40 and token in err], err
+    if code in (2, 3):
+        assert out == "" and err.startswith("error: "), (out, err)
+        assert err.endswith("\n") and len(err.splitlines()) == 1, err
+    else:  # a StringIO never encodes, so a stdout that would must be tried here
+        assert err == "", err
+        out.encode("utf-8")
+
+
 @settings(max_examples=300, deadline=500)
 @given(st.data())
 def test_every_argv_ends_in_an_exit_code_and_one_error_line(tmp_path_factory, data):
@@ -137,16 +157,20 @@ def test_every_argv_ends_in_an_exit_code_and_one_error_line(tmp_path_factory, da
     path = directory / "link.json"
     path.write_bytes(data.draw(st.one_of(_documents().map(str.encode), st.binary(max_size=8)),
                                label="document"))
-    argv = data.draw(_argv(str(path), str(directory / "missing.json")), label="argv")
-    code, out, err = _outcome(argv)
-    assert code in (0, 1, 2, 3), (code, err)
-    # A token whose repr passes 40 characters is named by its length, never echoed.
-    assert not [token for token in argv if len(repr(token)) > 40 and token in err], err
-    if code in (2, 3):
-        assert out == "" and err.startswith("error: "), (out, err)
-        assert err.endswith("\n") and len(err.splitlines()) == 1, err
-    else:
-        assert err == "", err
+    _assert_ends_cleanly(data.draw(_argv(str(path), str(directory / "missing.json")),
+                                   label="argv"))
+
+
+# The argv test above seldom pairs a well-formed document with a plain argv;
+# this one always does, so that each drawn name reaches the printed report.
+@settings(max_examples=100, deadline=500)
+@given(st.one_of(st.text(max_size=8), _SURROGATE_TEXT, _ODD_VALUE), _symmetric(),
+       st.sampled_from(["invariants", "canonical"]), st.sampled_from([[], ["--json"]]))
+def test_every_document_name_ends_in_an_exit_code_and_one_error_line(tmp_path_factory, name,
+                                                                     matrix, command, json_flag):
+    path = tmp_path_factory.getbasetemp() / "named.json"
+    path.write_text(json.dumps({"name": name, "matrix": matrix}))
+    _assert_ends_cleanly([command, str(path), *json_flag])
 
 
 _OPTIONS = ["--json", "--lambda", "--genus", "--euler", "--defect", "--degree", "--sigma-pi"]
@@ -181,13 +205,11 @@ def _near_plain(draw):
 @given(_near_plain())
 def test_a_plain_argv_reads_as_argparse_reads_it(drawn):
     name, tokens = drawn
-    command = cli._commands()[name]
-    plain = cli._plain_args(command, tokens)
+    plain = cli._plain_args(cli._commands(), [name, *tokens])
     if plain is not None:
-        parser = cli._add_arguments(cli._Parser(prog=f"framings {name}"), command)
         with contextlib.redirect_stderr(io.StringIO()) as err:
             try:
-                parsed = parser.parse_args(tokens)
+                parsed = cli.build_parser().parse_args([name, *tokens])
             except SystemExit as exc:
                 raise AssertionError(f"argparse exits {exc.code} ({err.getvalue()!r}) "
                                      f"where the plain path reads {plain}") from None

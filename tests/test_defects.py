@@ -199,6 +199,14 @@ class TestPullbackCover:
         with pytest.raises(NonIntegralDefect):
             pullback_cover(TotalDefect(0, 0), 1, Fraction(1, 2))
 
+    # Past sys.get_int_max_str_digits(), str() of the corrected defect in the
+    # message once raised ValueError; a long int is named by its digit count.
+    def test_non_integral_defect_past_the_print_limit(self):
+        with pytest.raises(NonIntegralDefect) as excinfo:
+            pullback_cover(TotalDefect(0, int("7" * 4000)), int("9" * 4000), Fraction(1, 9))
+        assert str(excinfo.value) == ("<4000 digits>*<4000 digits> + 3*(1/9) = <8001 digits>/3 "
+                                      "is not an integer")
+
     def test_degree_must_be_positive(self):
         with pytest.raises(ValueError):
             pullback_cover(TotalDefect(0, 0), 0, 0)
