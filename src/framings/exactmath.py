@@ -1,25 +1,27 @@
 """Exact integer linear algebra.
 
-Determinants, Smith normal forms, signatures of symmetric integer matrices
-and affine GF(2) systems, all with arbitrary-precision integers.  One
-fraction-free (Bareiss) step eliminates a shrinking block for determinants,
-its divisions exact.  The symmetric pass behind signatures takes two
-pivots per step where it can: the block two steps on is made of 3x3
-minors of the current one over the square of the previous pivot
+Determinants and signatures of symmetric integer matrices, Smith normal
+forms and affine GF(2) systems, all with arbitrary-precision integers.
+One fraction-free (Bareiss) elimination of a symmetric Q gives its
+determinant, its signature and the head of its Smith form.  It stores
+only the upper triangle, since a symmetric block stays symmetric, and
+takes two pivots per step where it can: the block two steps on is made
+of 3x3 minors of the current one over the square of the previous pivot
 (Sylvester's identity; Bareiss's two-step elimination).  It takes one
-step where the second pivot is 0 or at most 2 rows are left.  A
-symmetric block stays symmetric, so only its upper triangle is stored.
-A zero pivot is repaired by adding a later row (for signatures, row k
-rebuilt whole from the triangle, and its column); a radical direction of
-a symmetric block drops its first row.
-A symmetric nonsingular Q has its signature, det Q and the kept pivot
-rows from one elimination of Q alone.  Every invariant factor but the
-last divides g, the gcd of det Q and the three (n-1)-minors in the last
-2x2 block of the elimination.  Over Z/g the leading block up to the last
-pivot D_m that is a unit mod g splits off as an identity; one Smith loop
-mod g, on the step-m Bareiss block rebuilt from the kept rows by running
-the steps backwards when it is small and on Q otherwise, gives the head
-of the Smith form.  No rational or floating-point number enters any
+step where the second pivot is 0 or at most 2 rows are left.  A zero
+pivot has one repair, adding a later row k, rebuilt whole from the
+triangle, and its column; a radical direction drops its first row, and
+the determinant is 0.  IntMatrix.det reads this elimination, so it needs
+a symmetric matrix.
+A nonsingular Q has its signature, det Q and the kept pivot rows from
+that one elimination.  Every invariant factor but the last divides g,
+the gcd of det Q and the three (n-1)-minors in the last 2x2 block of the
+elimination.  Over Z/g the leading block up to the last pivot D_m that
+is a unit mod g splits off as an identity; one Smith loop mod g, on the
+step-m Bareiss block rebuilt from the kept rows by running the steps
+backwards when it is small and on Q otherwise, gives the head of the
+Smith form.  A singular Q and a non-symmetric matrix are reduced by the
+same loop over Z.  No rational or floating-point number enters any
 elimination.
 """
 
@@ -84,37 +86,11 @@ class IntMatrix(NamedTuple("IntMatrix", [("entries", tuple[tuple[int, ...], ...]
         return [list(row) for row in self.entries]
 
     def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination: the
-        last pivot.  A zero pivot gets a later row with a nonzero entry in
-        its column added; with no such row the determinant is 0."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of a non-square matrix")
-        a = self.to_lists()
-        prev = 1
-        while a:
-            if a[0][0] == 0:
-                donor = next((row for row in a[1:] if row[0]), None)
-                if donor is None:
-                    return 0
-                a[0] = [x + y for x, y in zip(a[0], donor)]
-            prev, a = a[0][0], _bareiss_block(a, prev)
-        return prev
-
-
-def _bareiss_block(a: list[list[int]], prev: int, upper: bool = False) -> list[list[int]]:
-    """One fraction-free step on the pivot a[0][0]: the block left to
-    eliminate, (a[i][j] a[0][0] - a[i][0] a[0][j]) / prev for i, j >= 1,
-    prev being the previous pivot (1 before the first step).  By Sylvester's
-    identity each entry is the minor of the eliminated rows bordered by row
-    i and column j, so the division is exact and entries stay integers.
-    With upper, a is the upper triangle of a symmetric block, row i from
-    column i on, so a[i][0] is read as a[0][i]."""
-    p, top = a[0][0], a[0]
-    block = []
-    for i, row in enumerate(a[1:], 1):
-        f, xs, ys = (top[i], row, top[i:]) if upper else (row[0], row[1:], top[1:])
-        block.append([(x * p - f * y) // prev for x, y in zip(xs, ys)])
-    return block
+        """Exact determinant of a symmetric matrix, from the symmetric pass
+        (_symmetric_pass): the last pivot of its elimination of a congruent
+        Q' = E Q E^T, E unimodular, so det Q' = det Q; 0 once a radical
+        direction is dropped.  Any other matrix raises NotSymmetric."""
+        return _symmetric_pass(self)[1]
 
 
 def as_int_matrix(m: MatrixLike) -> IntMatrix:
@@ -231,6 +207,12 @@ def _symmetric_pass(mat: IntMatrix) -> tuple[int, int, list[list[int]]]:
     those of the elimination of Q'.  A zero row and column is a radical
     direction: row 0 is dropped and the determinant is 0.
 
+    The single step on the pivot p = a[0][0] leaves the block
+    (a[i][j] p - a[0][i] a[0][j]) / prev for i, j >= 1, prev being the
+    previous pivot (1 before the first step).  By Sylvester's identity each
+    entry is the minor of the eliminated rows bordered by row i and column
+    j, so the division is exact and entries stay integers.
+
     Once the pivot p = D_k is kept and at least 3 rows are left, the next
     pivot row comes from row 1 alone by the one-step formula.  If its pivot
     p1 = D_{k+1} is nonzero it is kept too, and the step-(k + 2) block comes
@@ -242,7 +224,7 @@ def _symmetric_pass(mat: IntMatrix) -> tuple[int, int, list[list[int]]]:
     single step, and the next pivot's repair sees the zero as before; so
     the kept rows, pivots and repairs are those of single steps."""
     if not mat.is_symmetric():
-        raise NotSymmetric("signature needs a symmetric matrix")
+        raise NotSymmetric("the matrix is not square and symmetric")
     a = [list(row[i:]) for i, row in enumerate(mat.entries)]
     kept: list[list[int]] = []
     signature, prev = 0, 1
@@ -277,7 +259,8 @@ def _symmetric_pass(mat: IntMatrix) -> tuple[int, int, list[list[int]]]:
                                   for x, y, z in zip(row, one[i - 1:], top[i:])])
                 prev, a = p1, block
                 continue
-        prev, a = p, _bareiss_block(a, prev, upper=True)
+        prev, a = p, [[(x * p - f * y) // prev for x, y in zip(row, top[i:])]
+                      for i, (f, row) in enumerate(zip(top[1:], a[1:]), 1)]
     return signature, prev if len(kept) == mat.rows else 0, kept
 
 

@@ -111,7 +111,9 @@ def parse_group(spec: str) -> FiniteSubgroup:
     if family in "CD":
         if digits is None:
             raise ValueError(f"family {family} needs a parameter, e.g. {family}3")
-        return FiniteSubgroup(family, int(digits))
+        # Leading zeros go before int(), which would count them against
+        # the interpreter's limit on the digits it converts.
+        return FiniteSubgroup(family, int(digits.lstrip("0") or "0"))
     if digits is not None:
         raise ValueError(f"family {family} takes no parameter")
     return FiniteSubgroup(family)

@@ -1,12 +1,16 @@
-"""Seeded fuzz of signature_and_smith against the over-Z Smith loop.
+"""Seeded fuzz of signature_and_smith against oracles that share no code
+with the kernel.
 
 Runs 20 000 symmetric matrices with n = 1..8 from five families: dense,
 zero-diagonal, rich in 2 and 3, dense scaled by 2-6, and singular.  Each
-must give the signature of exact_signature and the Smith form of the
-smallest-pivot loop over Z, from exactly one loop call; every fourth with
-n <= 4 is also checked against the gcds of its minors and the signature
-from its characteristic polynomial.  Prints the routes the loop took and
-exits 1 on any mismatch.  pytest does not collect it; run it with
+must give, from exactly one loop call, the signature from its
+characteristic polynomial and the Smith form from Hermite normal forms
+(mod |det|, or with no modulus when det = 0); every fourth with n <= 4
+is also checked against the gcds of its minors.  The smallest-pivot loop
+run over Z, the kernel's other route, must agree too; that is a route
+check, not an oracle, and is counted apart.  Prints how many matrices
+each check saw and the routes the loop took, and exits 1 on any
+mismatch.  pytest does not collect it; run it with
 
     PYTHONPATH=src:tests python tests/fuzz_smith.py
 """
@@ -18,7 +22,7 @@ import sys
 from collections import Counter
 
 import oracles
-from framings import SmithForm, exact_signature, exactmath, signature_and_smith
+from framings import SmithForm, exactmath, signature_and_smith
 
 PER_FAMILY = 4000
 
@@ -72,7 +76,7 @@ def main() -> int:
         calls.append((t, len(a)))
         return loop(a, t)
 
-    rng, routes, mismatches, by_minors = random.Random("fuzz-smith"), Counter(), 0, 0
+    rng, routes, mismatches, checked = random.Random("fuzz-smith"), Counter(), 0, Counter()
     exactmath._smith_factors = recorded
     try:
         for family in FAMILIES:
@@ -91,19 +95,22 @@ def main() -> int:
                     continue
                 t, size = calls[0]
                 routes["over Z" if not t else "loop" if size == n else "trailing"] += 1
-                expected = [(exact_signature(rows),
-                             SmithForm(tuple(loop([list(row) for row in rows], 0))))]
+                expected = {
+                    "charpoly and Hermite": (oracles.signature_by_charpoly(rows),
+                                             SmithForm(oracles.smith_by_hermite(rows))),
+                    "over-Z route": (got[0], SmithForm(tuple(loop([list(r) for r in rows], 0)))),
+                }
                 if n <= 4 and i % 4 == 0:
-                    by_minors += 1
-                    expected.append((oracles.signature_by_charpoly(rows),
-                                     SmithForm(oracles.invariant_factors_by_minors(rows))))
-                if any(got != e for e in expected):
+                    expected["minors"] = (got[0], SmithForm(oracles.invariant_factors_by_minors(rows)))
+                checked.update(list(expected))
+                if any(got != e for e in expected.values()):
                     print(f"{family.__name__} {rows}: {got} != {expected}", file=sys.stderr)
                     mismatches += 1
     finally:
         exactmath._smith_factors = loop
     total = PER_FAMILY * len(FAMILIES)
-    print(f"{total} matrices, {by_minors} also by minors: {mismatches} mismatches;",
+    print(f"{total} matrices: {mismatches} mismatches; checked by",
+          ", ".join(f"{name} {count}" for name, count in checked.items()) + "; routes",
           ", ".join(f"{route} {count}" for route, count in sorted(routes.items())))
     return 1 if mismatches else 0
 

@@ -1,18 +1,20 @@
 """Independent brute-force oracles.
 
 Each oracle deliberately takes a different route from the library code it
-checks: determinants by rational Gaussian elimination instead of
-fraction-free reduction, invariant factors from gcds of minors and, at
-larger sizes, their counts per prime from ranks over GF(p) instead of
-row/column reduction, signatures from floating eigenvalues and, exactly,
-from the sign changes of the integer characteristic polynomial instead of
-symmetric elimination, GF(2) systems and characteristic sublinks by
-exhaustive enumeration, a spin structure's mu (`mu_of`) from a C.C summed
-straight from the linking matrix's entries instead of by the Gray-code
-walk's updates and from the characteristic polynomial's signature,
-Dedekind sums term by term from the sawtooth function instead of the
-closed forms they are compared with, and the float cotangent sum one
-element at a time instead of by runs of repeated rotations.
+checks, and none imports the library: determinants by rational Gaussian
+elimination, and by textbook Bareiss on the whole matrix with row swaps,
+instead of the symmetric pass; invariant factors from gcds of minors,
+from Hermite normal forms taken mod |det| and, at larger sizes, their
+counts per prime from ranks over GF(p) instead of the Smith loop;
+signatures from floating eigenvalues and, exactly, from the sign changes
+of the integer characteristic polynomial instead of symmetric
+elimination, GF(2) systems and characteristic sublinks by exhaustive
+enumeration, a spin structure's mu (`mu_of`) from a C.C summed straight
+from the linking matrix's entries instead of by the Gray-code walk's
+updates and from the characteristic polynomial's signature, Dedekind sums
+term by term from the sawtooth function instead of the closed forms they
+are compared with, and the float cotangent sum one element at a time
+instead of by runs of repeated rotations.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator
 
 import numpy as np
@@ -44,6 +46,110 @@ def det_fraction_gauss(rows: list[list[int]]) -> Fraction:
             if factor:
                 a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
     return det
+
+
+def det_bareiss(rows: list[list[int]]) -> int:
+    """Determinant by textbook fraction-free (Bareiss) elimination of the
+    whole square matrix: entry (i, j) of step k becomes
+    (a_ij a_kk - a_ik a_kj) / a_{k-1,k-1}, exact, and a zero pivot swaps
+    in the first row below with a nonzero entry in its column, flipping
+    the sign.  Every row is kept, with no symmetry used and no repair."""
+    a = [list(row) for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        top, p = a[k], a[k][k]
+        for i in range(k + 1, n):
+            row, f = a[i], a[i][k]
+            a[i][k + 1:] = [(x * p - f * y) // prev for x, y in zip(row[k + 1:], top[k + 1:])]
+        prev = p
+    return sign * a[-1][-1] if n else 1
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, u, v) with u a + v b = g = gcd(a, b) for a, b >= 0, and (a, 1, 0)
+    when a > 0 divides b, so that a pivot dividing an entry stays put."""
+    if a and b % a == 0:
+        return a, 1, 0
+    u0, u1, v0, v1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    return a, u0, v0
+
+
+def _hermite_rows(rows: list[list[int]], d: int) -> list[list[int]]:
+    """An upper echelon basis of the lattice the rows span, column by column:
+    extended-gcd steps on pairs of rows fold every entry of a column into
+    its top row, which is kept, and the rows below go on.
+
+    With d > 0 the lattice must contain d Z^n with d a multiple of its
+    determinant.  Then all entries are kept mod r, r = d at first and then
+    divided by each pivot taken: the rows left span a lattice containing
+    r Z^(n - j) in the columns from j on.  The kept top row is u times the
+    folded one mod r, its pivot gcd(pivot, r), by the extended gcd with r;
+    the multiples of the folded row it drops are 0 mod the next r."""
+    a = [list(row) for row in rows]
+    cols = len(a[0]) if a else 0
+    basis, r = [], d
+    for j in range(cols):
+        if r:
+            a = [[x % r for x in row] for row in a]
+        first = next((i for i, row in enumerate(a) if row[j]), None)
+        if first is None:
+            if r:  # the column's pivot is r itself, from r e_j
+                basis.append([0] * j + [r] + [0] * (cols - j - 1))
+                r = 1
+            continue
+        a[0], a[first] = a[first], a[0]
+        for i in range(1, len(a)):
+            if a[i][j]:
+                x, y = a[0][j], a[i][j]
+                g, u, v = _xgcd(abs(x), abs(y))
+                u, v = u * (1 if x > 0 else -1), v * (1 if y > 0 else -1)
+                a[0], a[i] = ([u * p + v * q for p, q in zip(a[0], a[i])],
+                              [x // g * q - y // g * p for p, q in zip(a[0], a[i])])
+                if r:
+                    a[0], a[i] = [p % r for p in a[0]], [q % r for q in a[i]]
+        top = a[0]
+        if r:
+            g, u, _ = _xgcd(top[j], r)
+            top = [u * x % r for x in top]
+            top[j], r = g, r // g
+        elif top[j] < 0:
+            top = [-x for x in top]
+        basis.append(top)
+        a = a[1:]
+    return basis
+
+
+def smith_by_hermite(rows: list[list[int]]) -> tuple[int, ...]:
+    """Invariant factors from Hermite normal forms alone: the echelon basis
+    of the row lattice, then that of its transpose, and so on until the
+    matrix is diagonal; gcd and lcm swaps turn the diagonal into the
+    divisibility chain, zeros last.  Each basis spans the lattice of the
+    matrix before it, so the Smith form changes by zeros at most.  For a
+    square matrix with D = |det| != 0 (det_bareiss) the lattice contains
+    D Z^n, and every basis is taken mod D (Domich, Kannan and Trotter,
+    Math. Oper. Res. 12, 1987; Cohen, Algorithm 2.4.8); any other matrix
+    is reduced with no modulus.  No pivot search and no Smith loop."""
+    nr, nc = len(rows), len(rows[0]) if rows else 0
+    d = abs(det_bareiss(rows)) if nr == nc else 0
+    a = [list(row) for row in rows]
+    while any(x for i, row in enumerate(a) for j, x in enumerate(row) if i != j):
+        a = [list(col) for col in zip(*_hermite_rows(a, d))]
+    diagonal = [abs(a[i][i]) for i in range(min(len(a), len(a[0]) if a else 0))]
+    factors = [x for x in diagonal if x]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            factors[i], factors[j] = gcd(factors[i], factors[j]), lcm(factors[i], factors[j])
+    return tuple(factors) + (0,) * (min(nr, nc) - len(factors))
 
 
 def invariant_factors_by_minors(rows: list[list[int]]) -> tuple[int, ...]:

@@ -430,11 +430,25 @@ class TestQuotientCommand:
                                  f"past the order limit of {MAX_QUOTIENT_ORDER}\n").encode()
         assert len(result.stderr) <= 200
 
+    # 5 000 zeros pass the interpreter's limit on the digits int() converts.
     @pytest.mark.parametrize("group, order", [("C05", 5), ("C0000000000000000000007", 7),
-                                              ("D0000000000000000000000000003", 12)])
+                                              ("D0000000000000000000000000003", 12),
+                                              pytest.param("C" + "0" * 5000 + "7", 7,
+                                                           id="C7-5000-zeros"),
+                                              pytest.param("D" + "0" * 5000 + "3", 12,
+                                                           id="D3-5000-zeros")])
     def test_leading_zeros_still_answer(self, capsys, group, order):
         code, out, _ = run(capsys, "quotient", group, "--json")
         assert code == 0 and json.loads(out)["order"] == order
+
+    @pytest.mark.parametrize("group, message", [
+        ("C" + "0" * 5000, "cyclic groups need m >= 1"),
+        ("D" + "0" * 5000, "binary dihedral groups need m >= 2"),
+        ("D" + "0" * 5000 + "1", "binary dihedral groups need m >= 2"),
+    ], ids=["C0", "D0", "D1"])
+    def test_leading_zeros_before_a_parameter_too_small(self, capsys, group, message):
+        code, out, err = run(capsys, "quotient", group)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_order_at_the_limit_still_answers(self, capsys):
         code, out, _ = run(capsys, "quotient", "C1000000", "--json")

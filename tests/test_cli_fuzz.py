@@ -173,6 +173,40 @@ def test_every_document_name_ends_in_an_exit_code_and_one_error_line(tmp_path_fa
     _assert_ends_cleanly([command, str(path), *json_flag])
 
 
+@st.composite
+def _well_formed_documents(draw):
+    """A link document whose every field parses: a symmetric matrix of
+    n <= 4, its diagonal made even half the time so that canonical has
+    its even framings, and, each or not, a name, components = n and an
+    arf_table of n-bit masks."""
+    matrix = draw(_symmetric())
+    n, doc = len(matrix), {"matrix": matrix}
+    if draw(st.booleans()):
+        for i in range(n):
+            matrix[i][i] -= matrix[i][i] % 2
+    for key, value in [("name", st.text(max_size=8)), ("components", st.just(n)),
+                       ("arf_table", st.dictionaries(st.text("01", min_size=n, max_size=n),
+                                                     st.integers(0, 1), max_size=3))]:
+        if draw(st.booleans()):
+            doc[key] = draw(value)
+    return json.dumps(doc)
+
+
+# The argv test above draws the document and the argv together, and junk in
+# either refuses nearly every call before a report is printed; here a
+# well-formed document and a plain argv are drawn apart, so that the report
+# renders every field the document gives.
+@settings(max_examples=200, deadline=500)
+@given(_well_formed_documents(), st.sampled_from(["invariants", "canonical"]),
+       st.sampled_from([[], ["--json"]]), st.booleans())
+def test_a_well_formed_document_and_a_plain_argv_end_cleanly(tmp_path_factory, document,
+                                                             command, json_flag, flag_first):
+    path = tmp_path_factory.getbasetemp() / "well-formed.json"
+    path.write_text(document)
+    tokens = [*json_flag, str(path)] if flag_first else [str(path), *json_flag]
+    _assert_ends_cleanly([command, *tokens])
+
+
 _OPTIONS = ["--json", "--lambda", "--genus", "--euler", "--defect", "--degree", "--sigma-pi"]
 _VALUE = st.one_of(_INTEGER, st.integers(-10**4, -1).map(str), _GROUP, _RATIONAL, _DEFECT)
 

@@ -114,22 +114,43 @@ class TestIntMatrix:
         assert IntMatrix(rows).is_symmetric() == expected
 
     def test_determinant_with_zero_pivot(self):
-        m = IntMatrix([[0, 1], [1, 0]])
-        assert m.det() == -1
-        assert IntMatrix([[0, 2], [3, 0]]).det() == -6
+        # Each zero pivot is repaired by a later row and its column, with
+        # s = 1 or, where 2b + c = 0, s = -1; a zero row is radical, det 0.
+        assert IntMatrix([[0, 1], [1, 0]]).det() == -1
+        assert IntMatrix([[0, 2], [2, 0]]).det() == -4
+        assert IntMatrix([[0, 1], [1, -2]]).det() == -1
         assert IntMatrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]]).det() == -1
-        assert IntMatrix([[0, 1], [0, 2]]).det() == 0
+        assert IntMatrix([[0, 0], [0, 2]]).det() == 0
 
-    @pytest.mark.parametrize("rows", [[[1, 2]], [[1], [2]]], ids=["wide", "tall"])
-    def test_determinant_of_a_non_square_matrix_is_refused(self, rows):
-        with pytest.raises(ValueError, match="^determinant of a non-square matrix$"):
+    @pytest.mark.parametrize("rows", [[[1, 2]], [[1], [2]], [[0, 2], [3, 0]]],
+                             ids=["wide", "tall", "asymmetric"])
+    def test_determinant_of_a_non_symmetric_matrix_is_refused(self, rows):
+        with pytest.raises(NotSymmetric, match="^the matrix is not square and symmetric$"):
             IntMatrix(rows).det()
 
-    @given(int_matrices(max_rows=5, max_cols=5))
+    # Zero diagonals, zero rows and copied rows drive the pass's repairs and
+    # radical skips; the rational oracle eliminates the whole matrix.
+    @given(st.one_of(symmetric_int_matrices(max_size=7), degenerate_symmetric_matrices(),
+                     symmetric_int_matrices(max_size=5, lo=-10**12, hi=10**12),
+                     symmetric_int_matrices(max_size=7, lo=0, hi=1),
+                     symmetric_int_matrices(max_size=7, lo=-2, hi=2)))
+    @example([[0, 0, 0], [0, 0, 3], [0, 3, 0]])  # a radical row, then a repair
+    # A zero first pivot that only s = -1 repairs: s = 1 would leave it 0,
+    # and a divisor of the steps after it.
+    @example([[0, 0, 1, 0, 1], [0, -2, 0, 1, 1], [1, 0, -2, -2, 0], [0, 1, -2, 0, -1],
+              [1, 1, 0, -1, -2]])
+    @settings(max_examples=200)
     def test_determinant_matches_rational_gauss(self, rows):
-        if len(rows) != (len(rows[0]) if rows else 0):
-            return
         assert IntMatrix(rows).det() == oracles.det_fraction_gauss(rows)
+
+    @given(int_matrices(max_rows=5, max_cols=5))
+    def test_determinant_of_a_non_symmetric_draw_is_refused(self, rows):
+        n = len(rows)
+        if all(len(row) == n for row in rows) and all(
+                rows[i][j] == rows[j][i] for i in range(n) for j in range(n)):
+            return
+        with pytest.raises(NotSymmetric):
+            IntMatrix(rows).det()
 
 
 class TestSmithNormalForm:
@@ -179,7 +200,7 @@ class TestSmithNormalForm:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env,
                                 timeout=60)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.decode() == f"{[gcd(s, t) for s in _over_z(rows).invariant_factors]}\n"
+        assert result.stdout.decode() == f"{[gcd(s, t) for s in oracles.smith_by_hermite(rows)]}\n"
 
     @given(int_matrices(max_rows=4, max_cols=4))
     def test_matches_minor_gcd_oracle(self, rows):
@@ -212,13 +233,15 @@ class TestSmithNormalForm:
     @pytest.mark.time_limit(10)
     @pytest.mark.parametrize("kind", ["dense", "sparse", "singular_even", "symmetric_large"])
     def test_workload_sizes_against_ranks_mod_p(self, kind):
-        # The minor-gcd oracle is exponential; at n = 10-100 each prime p
-        # still pins how many factors it divides: size - rank over GF(p).
-        # Past n = 40 the rational determinant oracle takes seconds, so the
-        # product is held to the Bareiss determinant there; CI checks n = 100
-        # against the rational oracle.
+        # The minor-gcd oracle is exponential; at n = 10-100 the Hermite
+        # oracle gives the factors, and each prime p pins how many of them
+        # it divides: size - rank over GF(p).  Past n = 40 the rational
+        # determinant oracle takes seconds, so the product is held to the
+        # textbook Bareiss determinant there; CI checks n = 100 against the
+        # rational oracle.
         for rows in _workload_size_matrices(kind, random.Random(f"smith:{kind}")):
             factors = smith_normal_form(rows).invariant_factors
+            assert factors == oracles.smith_by_hermite(rows)
             size = min(len(rows), len(rows[0]))
             assert len(factors) == size
             for a, b in zip(factors, factors[1:]):
@@ -231,7 +254,7 @@ class TestSmithNormalForm:
                 for factor in factors:
                     product *= factor
                 det = (oracles.det_fraction_gauss(rows) if len(rows) <= 40
-                       else IntMatrix(rows).det())
+                       else oracles.det_bareiss(rows))
                 assert product == abs(det)
 
 
@@ -429,7 +452,7 @@ class TestSymmetricPass:
         if len(rows) <= 5:
             assert factors == oracles.invariant_factors_by_minors(rows)
         else:
-            assert prod(factors) == abs(det)
+            assert factors == oracles.smith_by_hermite(rows)
 
     @given(_nonzero_leading_minors(max_size=10))
     @settings(max_examples=40)
@@ -447,15 +470,23 @@ class TestSymmetricPass:
 
 
 def _over_z(rows: list[list[int]]) -> SmithForm:
-    """The Smith form from the smallest-pivot loop over Z, with no modulus."""
+    """The Smith form from the smallest-pivot loop over Z, with no modulus:
+    the kernel's other route, a route check and no oracle."""
     return SmithForm(tuple(exactmath._smith_factors([list(row) for row in rows], 0)))
+
+
+def _signature(rows: list[list[int]]) -> int:
+    """The signature by eigenvalue signs, or by the characteristic
+    polynomial where an eigenvalue is too near 0 for the float oracle."""
+    sigma, clear = oracles.signature_by_eigenvalues(rows)
+    return sigma if clear else oracles.signature_by_charpoly(rows)
 
 
 def _modulus(monkeypatch, rows: list[list[int]]) -> tuple[int, int]:
     """The modulus g of the one loop signature_and_smith runs (0 when it
     reduces rows over Z) and the size of the matrix the loop receives; its
-    answer is checked against the over-Z loop."""
-    expected = (exact_signature(rows), _over_z(rows))
+    answer is checked against the signature and Hermite oracles."""
+    expected = (_signature(rows), SmithForm(oracles.smith_by_hermite(rows)))
     loop, seen = exactmath._smith_factors, []
 
     def recorded(a, t):
@@ -472,7 +503,7 @@ def _modulus(monkeypatch, rows: list[list[int]]) -> tuple[int, int]:
 def _route(monkeypatch, rows: list[list[int]]) -> str:
     """Where signature_and_smith runs its loop on rows: "over Z", "loop"
     (q mod g) or "trailing" (mod g on the block after the last unit pivot,
-    smaller than q); checked against the over-Z loop."""
+    smaller than q); checked against the oracles."""
     g, size = _modulus(monkeypatch, rows)
     return "over Z" if not g else "loop" if size == len(rows) else "trailing"
 
@@ -506,7 +537,7 @@ class TestSignatureAndSmith:
     three (n-1)-minors of its last 2x2 block.  The head of the Smith form
     is then m ones and the head of the block after D_m, the last pivot
     that is a unit mod g, reduced mod g, or the head of Q mod g.  Every
-    case is checked against the over-Z loop."""
+    case is checked against the signature and Hermite oracles."""
 
     @pytest.mark.parametrize("rows, factors, loop", [
         ([], (), (0, 0)), ([[7]], (7,), (1, 1)), ([[-7]], (7,), (1, 1)), ([[0]], (0,), (0, 1)),
@@ -574,9 +605,10 @@ class TestSignatureAndSmith:
     @given(st.one_of(degenerate_symmetric_matrices(), symmetric_int_matrices(max_size=8),
                      symmetric_int_matrices(max_size=5, lo=-10**6, hi=10**6)))
     @settings(max_examples=200)
-    def test_equals_the_separate_signature_and_over_z_loop(self, rows):
-        assert signature_and_smith(rows) == (exact_signature(rows), _over_z(rows))
-        assert smith_normal_form(rows) == _over_z(rows)
+    def test_equals_the_oracles_and_the_over_z_loop(self, rows):
+        expected = (oracles.signature_by_charpoly(rows), SmithForm(oracles.smith_by_hermite(rows)))
+        assert signature_and_smith(rows) == expected
+        assert smith_normal_form(rows) == _over_z(rows) == expected[1]  # the two routes agree
 
     @given(st.one_of(degenerate_symmetric_matrices(max_block=2).filter(lambda r: len(r) <= 5),
                      symmetric_int_matrices(max_size=5)))
@@ -617,7 +649,7 @@ class TestSignatureAndSmith:
                 factors = signature_and_smith(rows)[1].invariant_factors
                 for p in (2, 3, 5, 7):
                     assert sum(1 for f in factors if f % p == 0) == n - oracles.rank_mod_p(rows, p)
-                assert prod(factors) == abs(IntMatrix(rows).det())
+                assert prod(factors) == abs(oracles.det_bareiss(rows))
         assert {"loop", "trailing"} <= set(routes), routes
 
 

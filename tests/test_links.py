@@ -379,9 +379,9 @@ class TestAnalyze:
 def _manifold_invariants(rows: list[list[int]]) -> tuple[tuple, Counter, dict[str, int]]:
     """((b1, torsion, r), the multiset of (mu mod 8, lambda), mu by
     bitmask) of the surgery on rows, the homology read both through
-    signature_and_smith (in analyze) and the over-Z Smith loop."""
+    signature_and_smith (in analyze) and the Hermite oracle."""
     report = analyze(FramedLink.from_rows(rows), None)
-    factors = framings.exactmath._smith_factors([list(row) for row in rows], 0)
+    factors = oracles.smith_by_hermite(rows)
     b1, torsion = factors.count(0), tuple(f for f in factors if f > 1)
     homology = (b1, torsion, b1 + sum(f % 2 == 0 for f in torsion))
     hom = report.homology
