@@ -60,8 +60,11 @@ def load_link_document(path: str) -> LinkDocument:
         raise ParseError(f"cannot read {where}: {exc.strerror or type(exc).__name__}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{where} is not valid JSON: {exc}") from exc
-    except ValueError as exc:  # undecodable bytes, or an integer too long to parse
+    except UnicodeDecodeError as exc:
         raise ParseError(f"cannot parse {where}: {exc}") from exc
+    except ValueError as exc:  # raised by str-to-int past sys.get_int_max_str_digits()
+        raise ParseError(f"cannot parse {where}: an integer in it has more digits "
+                         "than the interpreter converts from text") from exc
     except RecursionError as exc:  # nesting deeper than the decoder's recursion limit
         raise ParseError(f"cannot parse {where}: nested too deeply") from exc
     if not isinstance(raw, dict):
@@ -227,20 +230,13 @@ MAX_QUOTIENT_ORDER = 10**6
 
 
 def cmd_quotient(args: argparse.Namespace) -> dict:
-    # A parameter with more digits than the limit is past it for C and D
-    # alike: it is named by its digit count, neither parsed nor echoed.
-    spec = args.group.strip()
-    digits = spec[1:].lstrip("0")
-    if (spec[:1] in ("C", "D") and digits.isascii() and digits.isdigit()
-            and len(digits) > len(str(MAX_QUOTIENT_ORDER))):
-        raise ParseError(f"group {spec[0]} has a parameter of {len(digits)} digits, "
-                         f"past the order limit of {MAX_QUOTIENT_ORDER}")
     try:
         group = quotients.parse_group(args.group)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    if group.order > MAX_QUOTIENT_ORDER:
-        raise ParseError(f"group {group.label} has order {group.order}, "
+    if group.order > MAX_QUOTIENT_ORDER:  # m by its digit count where repr(label) passes 40
+        m = group.m if group.m < 10**37 else f"<{len(str(group.m))} digits>"
+        raise ParseError(f"group {group.family}{m} has order {_shown_int(group.order)}, "
                          f"past the limit of {MAX_QUOTIENT_ORDER}")
     sigma = quotients.sigma_g(group)
     brute = quotients.sigma_g_bruteforce(group)
@@ -299,12 +295,10 @@ def _bundle_text(payload: dict) -> list[str]:
     return lines
 
 
-# The one integer grammar of the command line: ASCII digits, spaces
-# around.  int() and Fraction also read '1_0' and non-ASCII digits, and
-# Fraction reads decimals and exponents, expanding '1e999999999' before
-# any size check could refuse it.
+# The one integer grammar of the command line, --sigma-pi's p and q too: ASCII
+# digits, a sign, spaces around.  int() and Fraction also read '1_0' and non-ASCII
+# digits, and Fraction expands '1e999999999' before any size check could refuse it.
 _INTEGER = re.compile(r"\s*[-+]?[0-9]+\s*")
-_RATIONAL = re.compile(r"\s*[-+]?[0-9]+(/[0-9]+)?\s*")
 
 
 def _integer(text: str) -> int:
@@ -320,17 +314,14 @@ def _integer(text: str) -> int:
 
 def cmd_cover(args: argparse.Namespace) -> dict:
     try:
-        d_text, h_text = args.defect.split(",")
-        start = TotalDefect(_integer(d_text), _integer(h_text))
-    except (ValueError, argparse.ArgumentTypeError) as exc:
+        start = TotalDefect(*map(_integer, args.defect.split(",")))
+    except (TypeError, argparse.ArgumentTypeError) as exc:  # TypeError: not two integers
         raise ParseError(f"--defect must look like 'd,h', got {_shown(args.defect)}") from exc
     if args.degree < 1:
         raise ParseError("--degree must be at least 1")
     try:
-        if not _RATIONAL.fullmatch(args.sigma_pi):
-            raise ValueError("not an integer or p/q")
-        sigma_pi = Fraction(args.sigma_pi)
-    except (ValueError, ZeroDivisionError) as exc:
+        sigma_pi = Fraction(*map(_integer, args.sigma_pi.split("/")))
+    except (TypeError, argparse.ArgumentTypeError, ZeroDivisionError) as exc:  # not p or p/q
         raise ParseError(f"--sigma-pi must be an integer or p/q, "
                          f"got {_shown(args.sigma_pi)}") from exc
     result = defects.pullback_cover(start, args.degree, sigma_pi)
@@ -421,7 +412,7 @@ def _commands() -> dict[str, _Command]:
 def _plain_value(token: str) -> bool:
     """Whether argparse reads token as a value, not an option, by a rule
     every version shares: no leading '-', or '-' and ASCII digits."""
-    return not token.startswith("-") or (token[1:].isascii() and token[1:].isdigit())
+    return not token.startswith("-") or re.fullmatch("-[0-9]+", token) is not None
 
 
 def _plain_args(commands: dict[str, _Command], argv: Sequence[str]) -> argparse.Namespace | None:

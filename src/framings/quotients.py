@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import cycle, islice
@@ -103,7 +104,11 @@ ICOSAHEDRAL = FiniteSubgroup("I")
 
 
 def parse_group(spec: str) -> FiniteSubgroup:
-    """Parse a group spec: C<m>, D<m>, T, O or I."""
+    """Parse a group spec: C<m>, D<m>, T, O or I, spaces around.  The one reader
+    of a C/D parameter's digits: it drops leading zeros, and more digits than
+    sys.get_int_max_str_digits() (0: no limit) raise ValueError naming their count."""
+    if not isinstance(spec, str):
+        raise TypeError(f"group spec must be a str, not {type(spec).__name__}")
     match = re.fullmatch(r"([CDTOI])(\d+)?", spec.strip(), re.ASCII)
     if not match:
         raise ValueError(f"bad group spec {_shown(spec)}; expected C<m>, D<m>, T, O or I")
@@ -111,9 +116,12 @@ def parse_group(spec: str) -> FiniteSubgroup:
     if family in "CD":
         if digits is None:
             raise ValueError(f"family {family} needs a parameter, e.g. {family}3")
-        # Leading zeros go before int(), which would count them against
-        # the interpreter's limit on the digits it converts.
-        return FiniteSubgroup(family, int(digits.lstrip("0") or "0"))
+        digits = digits.lstrip("0") or "0"
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit and len(digits) > limit:
+            raise ValueError(f"group {family} has a parameter of {len(digits)} digits, "
+                             f"past the interpreter's limit of {limit} digits")
+        return FiniteSubgroup(family, int(digits))
     if digits is not None:
         raise ValueError(f"family {family} takes no parameter")
     return FiniteSubgroup(family)

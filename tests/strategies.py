@@ -2,9 +2,36 @@
 
 from __future__ import annotations
 
+import sys
+
 import hypothesis.strategies as st
 
 from framings import FramedLink, FramingOffset, TotalDefect
+
+
+# The interpreter's limit on the digits int() converts, or where it has none
+# the default of those that have one.
+INT_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+
+
+@st.composite
+def group_parameter_specs(draw):
+    """A C<m> or D<m> spec of up to about 6000 ASCII digits: a parameter of
+    at most 2500 (an order of at most 10^4, a quick cotangent sweep) or of
+    8 to 6000 significant digits (an order past 10^6), some around
+    INT_DIGIT_LIMIT, after no leading zeros, a few, or enough to take the
+    whole digit string just past INT_DIGIT_LIMIT."""
+    family = draw(st.sampled_from("CD"))
+    if draw(st.booleans()):
+        significant = str(draw(st.integers(0, 2500)))
+    else:
+        size = draw(st.one_of(st.integers(8, 6000),
+                              st.integers(INT_DIGIT_LIMIT - 2, INT_DIGIT_LIMIT + 2)))
+        significant = (str(draw(st.integers(1, 9)))
+                       + draw(st.sampled_from("0123456789")) * (size - 1))
+    zeros = draw(st.one_of(st.just(0), st.integers(0, max(0, 6000 - len(significant))),
+                           st.just(max(0, INT_DIGIT_LIMIT + 1 - len(significant)))))
+    return family + "0" * zeros + significant
 
 
 @st.composite

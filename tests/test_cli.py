@@ -219,12 +219,24 @@ class TestInvariantsCommand:
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this Python has no integer-parse limit")
-    def test_integer_beyond_the_parse_limit_exits_2_with_one_line(self, capsys, tmp_path):
-        path = tmp_path / "huge.json"
-        path.write_text('{"matrix": [[' + "7" * 5000 + ']]}')
-        code, out, err = run(capsys, "invariants", str(path))
+    def test_integer_beyond_the_parse_limit_exits_2_with_one_line(self, capsys, tmp_path,
+                                                                  monkeypatch):
+        # The interpreter's own line ends "use sys.set_int_max_str_digits()",
+        # advice a command-line user cannot follow.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "huge.json").write_text('{"matrix": [[' + "7" * 5000 + ']]}')
+        code, out, err = run(capsys, "invariants", "huge.json")
         assert (code, out) == (2, "")
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err == ("error: cannot parse huge.json: an integer in it has more digits "
+                       "than the interpreter converts from text\n")
+
+    def test_undecodable_bytes_exit_2_with_the_codec_line(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bytes.json").write_bytes(b'{"matrix": [[\xff]]}')
+        code, out, err = run(capsys, "invariants", "bytes.json")
+        assert (code, out) == (2, "")
+        assert err == ("error: cannot parse bytes.json: 'utf-8' codec can't decode byte 0xff "
+                       "in position 13: invalid start byte\n")
 
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="this Python has no integer-to-text limit")
@@ -417,18 +429,36 @@ class TestQuotientCommand:
         assert err.startswith("error:") and err.count("\n") == 1
         assert str(MAX_QUOTIENT_ORDER) in err
 
-    # 4000 digits parse but would be echoed twice; 5000 pass the interpreter's
-    # integer-parse limit.  Either is named by its digit count, in one short
-    # line, as a fresh process meets it.
+    # 4000 digits parse, and the group and its order are named by their digit
+    # counts; 5000 pass the interpreter's integer-parse limit, which
+    # parse_group names.  Either ends in one short line, as a fresh process
+    # meets it.
     @pytest.mark.parametrize("digits", [4000, 5000])
     def test_a_huge_parameter_exits_2_with_one_short_line(self, digits):
         result = subprocess.run([sys.executable, "-m", "framings.cli", "quotient",
                                  "C" + "9" * digits], capture_output=True, env=source_env(),
                                 timeout=60)
         assert (result.returncode, result.stdout) == (2, b"")
-        assert result.stderr == (f"error: group C has a parameter of {digits} digits, "
-                                 f"past the order limit of {MAX_QUOTIENT_ORDER}\n").encode()
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if 0 < limit < digits:
+            line = (f"group C has a parameter of {digits} digits, "
+                    f"past the interpreter's limit of {limit} digits")
+        else:
+            line = (f"group C<{digits} digits> has order <{digits} digits>, "
+                    f"past the limit of {MAX_QUOTIENT_ORDER}")
+        assert result.stderr == f"error: {line}\n".encode()
         assert len(result.stderr) <= 200
+
+    # The order-limit line names the group as _shown names a token: as it is
+    # while its repr stays within 40 characters, else m by its digit count.
+    @pytest.mark.parametrize("digits, shown", [(37, "9" * 37), (38, "<38 digits>")],
+                             ids=["37-digits", "38-digits"])
+    def test_a_parameter_past_the_limit_is_echoed_only_while_short(self, capsys, digits,
+                                                                   shown):
+        code, out, err = run(capsys, "quotient", "D" + "9" * digits)
+        assert (code, out) == (2, "")
+        assert err == (f"error: group D{shown} has order {4 * (10**digits - 1)}, "
+                       f"past the limit of {MAX_QUOTIENT_ORDER}\n")
 
     # 5 000 zeros pass the interpreter's limit on the digits int() converts.
     @pytest.mark.parametrize("group, order", [("C05", 5), ("C0000000000000000000007", 7),
@@ -503,7 +533,18 @@ class TestCoverCommand:
                        "is not an integer\n")
         assert len(err.encode()) < 200
 
-    @pytest.mark.parametrize("sigma_pi", ["1e200000", "1e999999999", "0.5", "1_0", "\u0661\u0662"])
+    # p and q read as every integer on the command line does, so a sign or
+    # spaces around either are accepted: 1/-3 is -1/3.
+    @pytest.mark.parametrize("sigma_pi", ["1/-3", " 1 / -3 ", "-1/+3", "-1 /3"])
+    def test_sigma_pi_reads_p_and_q_in_the_integer_grammar(self, capsys, sigma_pi):
+        code, out, _ = run(capsys, "cover", "--defect", "0,1", "--degree", "3",
+                           f"--sigma-pi={sigma_pi}", "--json")
+        assert code == 0
+        assert json.loads(out) == {"defect": [0, 1], "degree": 3, "sigma_pi": "-1/3",
+                                   "result": [0, 2]}
+
+    @pytest.mark.parametrize("sigma_pi", ["1e200000", "1e999999999", "0.5", "1_0", "\u0661\u0662",
+                                          "1/2/3", "1/", "/3", "1//3", "1/0"])
     def test_sigma_pi_outside_integer_or_ratio_exits_2_with_one_line(self, capsys, sigma_pi):
         code, out, err = run(capsys, "cover", "--defect", "0,0", "--degree", "1",
                              "--sigma-pi", sigma_pi)

@@ -19,6 +19,8 @@ from hypothesis import example, given, settings
 from framings import cli
 from framings.cli import main
 
+from strategies import group_parameter_specs
+
 # Tokens an attacker or a typo might pass: short junk, non-ASCII text (line
 # and paragraph separators included, and the lone surrogate an undecodable
 # argv byte becomes), signed digit strings past the interpreter's
@@ -33,11 +35,14 @@ _GARBAGE = st.one_of(
                      "1_0", "١", "\udcff", "1e999999999", "0x10", "1/0", " 7 ", "nan"]),
 )
 _INTEGER = st.one_of(st.integers(-50, 50).map(str), _GARBAGE)
-# Group orders stay at most 10^4; a C or D parameter past that is junk.
+# Group orders stay at most 10^4; a C or D parameter past that is junk,
+# up to 6000 digits long with and without leading zeros, as parse_group's
+# own test draws them.
 _GROUP = st.one_of(
     st.integers(1, 10**4).map("C{}".format),
     st.integers(2, 2500).map("D{}".format),
     st.sampled_from(["T", "O", "I", "C0", "D1", "T3", "c7", " C7 ", "C" + "9" * 30]),
+    group_parameter_specs(),
     _GARBAGE,
 )
 _RATIONAL = st.one_of(st.builds("{}/{}".format, st.integers(-30, 30), st.integers(0, 9)),

@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -33,6 +34,7 @@ from framings.quotients import _angle_runs
 
 from oracles import cotangent_sum, dedekind_sum
 from records import assert_rejected, assert_round_trips
+from strategies import group_parameter_specs
 
 COTANGENT_SUMS = Path(__file__).resolve().parent / "golden" / "cotangent_sums.json"
 
@@ -91,6 +93,47 @@ class TestFiniteSubgroup:
         for bad in ("X", "C", "T3", "C-1", ""):
             with pytest.raises(ValueError):
                 parse_group(bad)
+
+    # None and 7 once raised AttributeError, b"C7" "cannot use a string pattern".
+    @pytest.mark.parametrize("spec, name", [(None, "NoneType"), (7, "int"), (b"C7", "bytes")])
+    def test_a_spec_that_is_no_str_is_refused(self, spec, name):
+        with pytest.raises(TypeError, match=f"^group spec must be a str, not {name}$"):
+            parse_group(spec)
+
+    # int() counts leading zeros against the interpreter's limit on the
+    # digits it converts, and past it raises "Exceeds the limit (4300 digits)
+    # ... use sys.set_int_max_str_digits()"; parse_group never does.
+    def test_leading_zeros_past_the_parse_limit_are_dropped(self):
+        assert parse_group("C" + "0" * 5000 + "7") == cyclic(7)
+        assert parse_group(" D" + "0" * 5000 + "3 ") == binary_dihedral(3)
+
+    @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                        reason="this Python parses integers of any length")
+    def test_a_parameter_past_the_parse_limit_is_named_by_its_digit_count(self):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ValueError) as excinfo:
+            parse_group("C" + "9" * 5000)
+        assert str(excinfo.value) == (f"group C has a parameter of 5000 digits, "
+                                      f"past the interpreter's limit of {limit} digits")
+
+    @given(group_parameter_specs())
+    def test_a_parameter_of_any_length_gives_the_group_or_one_short_line(self, spec):
+        family, significant = spec[0], spec[1:].lstrip("0") or "0"
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        try:
+            group = parse_group(spec)
+        except ValueError as exc:
+            message = str(exc)
+            assert "\n" not in message and len(message) <= 200, message
+            assert "Exceeds the limit" not in message and significant not in message
+            if 0 < limit < len(significant):
+                assert message == (f"group {family} has a parameter of {len(significant)} "
+                                   f"digits, past the interpreter's limit of {limit} digits")
+            else:  # C0, D0 or D1
+                assert int(significant) < {"C": 1, "D": 2}[family], message
+        else:
+            assert not 0 < limit < len(significant)
+            assert group == FiniteSubgroup(family, int(significant))
 
 
 class TestSigmaG:
