@@ -28,7 +28,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, islice
+from itertools import chain, compress, islice
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from pathlib import Path
@@ -108,12 +108,19 @@ def _pair_text(pair: list[int]) -> str:
     return f"({pair[0]}, {pair[1]})"
 
 
+# A bitmask's bytes made 0 and 1, so that compress picks its members at C level.
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
 def cmd_invariants(args: argparse.Namespace) -> dict:
     doc = load_link_document(args.file)
     link = doc.link
     report = links.analyze(link, doc.arf_table)
     nat, profile, spins = report.framings, report.homology, report.spin_structures
-    mu_shown = {mu: links.mu_representative(mu) for mu in {s.mu for s in spins}}
+    # mu and lambda as shown, once per mu residue
+    shown = {mu: (links.mu_representative(mu), lam.representative, lam.value)
+             for mu, lam in {s.mu: s.lam for s in spins}.items()}
+    components = range(link.components)
     warnings: list[str] = []
     framings_json: dict = {"freed_gompf_h": nat.freed_gompf_h}
     if nat.even:
@@ -133,10 +140,12 @@ def cmd_invariants(args: argparse.Namespace) -> dict:
         "homology": {"betti1": profile.betti1, "torsion": list(profile.torsion),
                      "r": profile.r, "s": profile.s},
         "spin_structures": [
-            {"bitmask": bits, "members": [i for i, bit in enumerate(bits) if bit == "1"],
-             "self_intersection": cc, "arf": arf, "arf_assumed": assumed, "mu": mu_shown[mu],
-             "mu_mod16": mu, "lambda": lam.representative, "lambda_mod4": lam.value}
-            for bits, cc, arf, assumed, mu, lam in spins],
+            {"bitmask": bits,
+             "members": list(compress(components, bits.encode().translate(_BIT_VALUES))),
+             "self_intersection": cc, "arf": arf, "arf_assumed": assumed, "mu": mu_shown,
+             "mu_mod16": mu, "lambda": lam_shown, "lambda_mod4": lam_mod4}
+            for bits, cc, arf, assumed, mu, _ in spins
+            for mu_shown, lam_shown, lam_mod4 in [shown[mu]]],
         "framings": framings_json,
         "warnings": warnings,
     }
@@ -234,9 +243,8 @@ def cmd_quotient(args: argparse.Namespace) -> dict:
         group = quotients.parse_group(args.group)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    if group.order > MAX_QUOTIENT_ORDER:  # m by its digit count where repr(label) passes 40
-        m = group.m if group.m < 10**37 else f"<{len(str(group.m))} digits>"
-        raise ParseError(f"group {group.family}{m} has order {_shown_int(group.order)}, "
+    if group.order > MAX_QUOTIENT_ORDER:
+        raise ParseError(f"group {group.label} has order {_shown_int(group.order)}, "
                          f"past the limit of {MAX_QUOTIENT_ORDER}")
     sigma = quotients.sigma_g(group)
     brute = quotients.sigma_g_bruteforce(group)

@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import LambdaMismatch, NonIntegralDefect, _require_int, _shown_int
+from .errors import _TOKEN_WIDTH, LambdaMismatch, NonIntegralDefect, _require_int, _shown_int
 
 
 class TotalDefect(NamedTuple):
@@ -106,9 +106,16 @@ def boundary_defect(euler_char: int, signature: int) -> TotalDefect:
 
 
 def _shown_fraction(q: Fraction | int) -> str:
-    """str(q), with its numerator and denominator each named as _shown_int names them."""
+    """str(q), as a number the user may have typed is named: a numerator or
+    denominator past _TOKEN_WIDTH characters by its digit count (_shown_int),
+    and the longer of the two when p/q passes it, so no p/q is echoed whole."""
     q = Fraction(q)
-    return _shown_int(q.numerator) + ("" if q.denominator == 1 else "/" + _shown_int(q.denominator))
+    parts = [q.numerator] if q.denominator == 1 else [q.numerator, q.denominator]
+    shown = [_shown_int(part, _TOKEN_WIDTH) for part in parts]
+    if len("/".join(shown)) > _TOKEN_WIDTH:
+        longer = -1 if len(shown[-1]) > len(shown[0]) else 0
+        shown[longer] = _shown_int(parts[longer], 0)  # width 0: by its digit count
+    return "/".join(shown)
 
 
 def pullback_cover(p: TotalDefect, r: int, sigma_pi: Fraction | int = 0) -> TotalDefect:
@@ -127,7 +134,7 @@ def pullback_cover(p: TotalDefect, r: int, sigma_pi: Fraction | int = 0) -> Tota
         raise TypeError(f"sigma_pi must be an int or a Fraction, not {type(sigma_pi).__name__}")
     corrected = r * Fraction(p.h) + 3 * Fraction(sigma_pi)
     if corrected.denominator != 1:
-        raise NonIntegralDefect(f"{_shown_int(r)}*{_shown_int(p.h)} + "
+        raise NonIntegralDefect(f"{_shown_fraction(r)}*{_shown_fraction(p.h)} + "
                                 f"3*({_shown_fraction(sigma_pi)}) = "
                                 f"{_shown_fraction(corrected)} is not an integer")
     return TotalDefect(r * p.d, int(corrected))

@@ -7,11 +7,16 @@ def _shown(text: str) -> str:
     return repr(text) if len(repr(text)) <= 40 else f"<{len(text)} characters>"
 
 
-def _shown_int(n: int) -> str:
-    """repr(n), or its count of digits once the repr passes 40 characters.
+# The most characters a number the user may have typed is shown with: a token
+# of one more has a repr past 40 characters, and _shown names it by its length.
+_TOKEN_WIDTH = 38
+
+
+def _shown_int(n: int, width: int = 40) -> str:
+    """repr(n), or its count of digits once the repr passes width characters.
     A longer int is never converted to text: past sys.get_int_max_str_digits()
     that raises ValueError."""
-    if -10**39 < n < 10**40:
+    if -10 ** (width - 1) < n < 10**width:
         return repr(n)
     size = abs(n)
     digits = int((size.bit_length() - 1) * 0.30102999566398120)  # log10(2): a digit or one short

@@ -221,8 +221,9 @@ def _symmetric_pass(mat: IntMatrix) -> tuple[int, int, list[list[int]]]:
     0, 1, i and columns 0, 1, j over prev^2.  Expanded along column j it is
     b_ij p1 prev - b_1j m1 + b_0j m0, with m1 = p b_1i - b_01 b_0i and
     m0 = b_01 b_1i - b_11 b_0i.  A zero p1, or 2 rows or fewer, takes the
-    single step, and the next pivot's repair sees the zero as before; so
-    the kept rows, pivots and repairs are those of single steps."""
+    single step, which reuses the row 1 already computed, and the next
+    pivot's repair sees the zero as before; so the kept rows, pivots and
+    repairs are those of single steps."""
     if not mat.is_symmetric():
         raise NotSymmetric("the matrix is not square and symmetric")
     a = [list(row[i:]) for i, row in enumerate(mat.entries)]
@@ -243,6 +244,7 @@ def _symmetric_pass(mat: IntMatrix) -> tuple[int, int, list[list[int]]]:
         p = top[0]
         signature += 1 if (p > 0) == (prev > 0) else -1
         kept.append(top)
+        done = []  # rows of the single step computed already
         if len(a) > 2:
             one, f = a[1], top[1]
             nxt = [(x * p - f * y) // prev for x, y in zip(one, top[1:])]
@@ -259,8 +261,10 @@ def _symmetric_pass(mat: IntMatrix) -> tuple[int, int, list[list[int]]]:
                                   for x, y, z in zip(row, one[i - 1:], top[i:])])
                 prev, a = p1, block
                 continue
-        prev, a = p, [[(x * p - f * y) // prev for x, y in zip(row, top[i:])]
-                      for i, (f, row) in enumerate(zip(top[1:], a[1:]), 1)]
+            done = [nxt]  # a zero p1: nxt is the single step's row 1
+        start = 1 + len(done)
+        prev, a = p, done + [[(x * p - f * y) // prev for x, y in zip(row, top[i:])]
+                             for i, (f, row) in enumerate(zip(top[start:], a[start:]), start)]
     return signature, prev if len(kept) == mat.rows else 0, kept
 
 

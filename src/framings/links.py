@@ -12,6 +12,9 @@ flat row of analyze's result.
 
 from __future__ import annotations
 
+import struct
+from itertools import compress
+from operator import lshift
 from typing import Mapping, NamedTuple, Sequence
 
 from .defects import FramingOffset, LambdaClass, TotalDefect, act, boundary_defect
@@ -111,18 +114,27 @@ def _spin_structures(link: FramedLink, sigma: int, r: int,
 
     The spin structures are indexed by the characteristic sublinks C,
     lk(C, K_i) = Q_ii mod 2 for every component i: the 2**r solutions
-    x = particular + span(kernel) of Q x = diag(Q) over GF(2).  A Gray-code
-    walk visits them, step k toggling the kernel vector indexed by the
-    trailing zeros of k.  Setting x_i adds 2 y_i + Q_ii to C.C = x^T Q x and
-    column i to y = Q x; clearing it subtracts 2 y_i - Q_ii and the column,
-    y_i read before the update: O(n) per component toggled.  Before the
+    x = particular + span(kernel) of Q x = diag(Q) over GF(2).  Before the
     walk the basis is checked once (Q times the particular solution is
     diag(Q), Q times each kernel vector 0, mod 2), a failure naming the
     particular sublink or the particular plus that kernel vector; then
-    every row is characteristic.  Each x is an int mask, component 0 the
-    leading bit, so sorting the masks puts the rows in bitmask order.  Arf
-    is looked up in arf_table by bitmask, 0 with arf_assumed set when
-    absent, and lambda is computed once per mu residue.
+    every row is characteristic.
+
+    A Gray-code walk visits them, step k toggling the kernel vector indexed
+    by the trailing zeros of k.  Setting x_i adds 2 y_i + Q_ii to
+    C.C = x^T Q x and column i to y = Q x; clearing it subtracts 2 y_i - Q_ii
+    and the column, y_i read before the update.  y is kept as one int of
+    fixed-width lanes, lane j holding y_j + b, and each toggled column is
+    packed once into the same lanes (_lanes), so a toggle reads y_i with one
+    shift and mask and adds or subtracts one int.  b bounds every |y_j| the
+    walk reaches, from the particular solution's y and the toggled columns
+    alone, O(n) per toggled column, so no lane leaves [0, 2 b] and no carry
+    or borrow crosses into the next.
+
+    Each x is an int mask, component 0 the leading bit, so sorting the
+    masks puts the rows in bitmask order.  Arf is looked up in arf_table by
+    bitmask, 0 with arf_assumed set when absent, and lambda is computed once
+    per mu residue.
     """
     q = link.matrix
     n, rows = q.rows, q.entries  # Q is symmetric: column i is row i
@@ -136,35 +148,92 @@ def _spin_structures(link: FramedLink, sigma: int, r: int,
     for v in solution.kernel:
         if _parity_mask(_times_q(rows, v)):
             raise _not_characteristic(_bitmask(mask ^ _parity_mask(v), n))
-    cc = sum(v for v, bit in zip(y, x) if bit)
-    toggles = [[(i, 1 << (n - 1 - i)) for i, b in enumerate(v) if b] for v in solution.kernel]
-    found = []
-    for step in range(1 << len(toggles)):
-        if step:
-            for i, bit in toggles[(step & -step).bit_length() - 1]:
-                column = rows[i]
-                if mask & bit:
-                    cc -= 2 * y[i] - column[i]
-                    y = [a - b for a, b in zip(y, column)]
+    cc = sum(compress(y, x))
+    found = [(mask, cc)]
+    if solution.kernel:  # else one row, and nothing to pack
+        toggled = {i for v in solution.kernel for i in compress(range(n), v)}
+        packed, columns, width, offset = _lanes(y, [rows[i] for i in toggled])
+        column_of = dict(zip(toggled, columns))
+        lane = (1 << width) - 1
+        toggles = [[(width * i, 1 << (n - 1 - i), column_of[i],
+                     rows[i][i] - 2 * offset, rows[i][i] + 2 * offset)
+                    for i in compress(range(n), v)] for v in solution.kernel]
+        for step in range(1, 1 << len(toggles)):
+            for shift, bit, column, to_set, to_clear in toggles[(step & -step).bit_length() - 1]:
+                if mask & bit:  # 2 y_i - Q_ii = 2 (lane - b) - Q_ii
+                    cc += to_clear - 2 * (packed >> shift & lane)
+                    packed -= column
                 else:
-                    cc += 2 * y[i] + column[i]
-                    y = [a + b for a, b in zip(y, column)]
+                    cc += 2 * (packed >> shift & lane) + to_set
+                    packed += column
                 mask ^= bit
-        found.append((mask, cc))
+            found.append((mask, cc))
+        found.sort()
+    top, get, new = 1 << n, arf_table.get, tuple.__new__
     lams: dict[int, LambdaClass] = {}
     out = []
-    for mask, cc in sorted(found):
-        bits = _bitmask(mask, n)
-        arf = arf_table.get(bits)
+    for mask, cc in found:
+        bits = bin(mask | top)[3:]
+        arf = get(bits)
         mu = (sigma - cc + 8 * (arf or 0)) % 16
         lam = lams.get(mu) or lams.setdefault(mu, lambda_from_mu(r, mu))
-        out.append(SpinStructureData(bits, cc, arf or 0, arf is None, mu, lam))
+        out.append(new(SpinStructureData, (bits, cc, arf or 0, arf is None, mu, lam)))
     return tuple(out)
+
+
+# struct items by size in bytes, with standard sizes under '<'.
+_ITEMS = ((1, "b"), (2, "h"), (4, "i"), (8, "q"))
+
+
+def _lanes(y: Sequence[int],
+           columns: Sequence[Sequence[int]]) -> tuple[int, list[int], int, int]:
+    """y and each column as one int of lanes, entry j in lane j, lane 0
+    lowest: (y with b added to every lane, the columns, the lane width in
+    bits, b).  y_j plus or minus each of any subset of the columns' entries
+    j stays within b of 0: b is max |y_j| plus len(columns) times a bound on
+    their entries.
+    That bound is the range of the narrowest struct item (1, 2, 4 or 8
+    bytes) that packs every column, found by the C-level pass that packs
+    them; a lane is then whole bytes, an item in its low bytes and zero pad
+    bytes above, so a negative item reads 2**(8 * item) too high, which its
+    sign bit, shifted up one, takes back.  Entries past 8 bytes are bounded
+    by their largest |entry|, and lanes of just the bits 0, ..., 2 b need
+    are packed by shifts.  O(n) per column."""
+    n, peak = len(y), max(map(abs, y), default=0)
+    for item, code in _ITEMS:
+        offset = peak + (len(columns) << 8 * item - 1)
+        width = -(-_lane_bits(offset) // 8) * 8
+        layout = struct.Struct("<" + f"{code}{width // 8 - item}x" * n)
+        try:
+            unsigned = [int.from_bytes(layout.pack(*c), "little") for c in columns]
+        except struct.error:  # an entry out of the item's range
+            continue
+        ones = _ones(width, n)
+        signs = ones << 8 * item - 1
+        packed = [u - ((u & signs) << 1) for u in unsigned]
+        break
+    else:
+        offset = peak + len(columns) * max(max(max(c), -min(c)) for c in columns)
+        width = _lane_bits(offset)
+        ones = _ones(width, n)
+        packed = [sum(map(lshift, c, range(0, width * n, width))) for c in columns]
+    return (sum(map(lshift, y, range(0, width * n, width))) + offset * ones,
+            packed, width, offset)
+
+
+def _lane_bits(offset: int) -> int:
+    """The bits a lane needs to hold 0, ..., 2 * offset."""
+    return (2 * offset + 1).bit_length()
+
+
+def _ones(width: int, n: int) -> int:
+    """1 in each of n lanes of width bits."""
+    return ((1 << width * n) - 1) // ((1 << width) - 1)
 
 
 def _times_q(rows: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
     """Q x for a 0/1 vector x and Q symmetric: the sum of the rows x picks."""
-    return [sum(column) for column in zip([0] * len(rows), *(r for r, bit in zip(rows, x) if bit))]
+    return list(map(sum, zip([0] * len(rows), *compress(rows, x))))
 
 
 def _parity_mask(values: Sequence[int]) -> int:

@@ -26,7 +26,7 @@ from operator import add
 from typing import Iterator, NamedTuple, Sequence
 
 from .defects import TotalDefect
-from .errors import NonIntegralDefect, _require_int, _shown
+from .errors import _TOKEN_WIDTH, NonIntegralDefect, _require_int, _shown, _shown_int
 
 _FAMILY_NAMES = {
     "C": "cyclic",
@@ -78,16 +78,19 @@ class FiniteSubgroup(NamedTuple("FiniteSubgroup", [("family", str), ("m", int)])
 
     @property
     def label(self) -> str:
-        if self.family in "CD":
-            return f"{self.family}{self.m}"
+        if self.family in "CD":  # m by its digit count where the spec's repr would pass 40
+            return f"{self.family}{_shown_int(self.m, _TOKEN_WIDTH - 1)}"
         return self.family
 
     @property
     def description(self) -> str:
         name = _FAMILY_NAMES[self.family]
         if self.family in "CD":
-            return f"{name} of order {self.order}"
+            return f"{name} of order {_shown_int(self.order)}"
         return name
+
+    def __repr__(self) -> str:  # m as _shown_int names it: str() raises past 4300 digits
+        return f"{type(self).__name__}(family={self.family!r}, m={_shown_int(self.m)})"
 
 
 def cyclic(m: int) -> FiniteSubgroup:

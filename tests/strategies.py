@@ -163,9 +163,21 @@ def even_framed_links(draw, max_components=8):
     return FramedLink.from_rows(rows)
 
 
+# Wide entries mixed with small ones: up to 10**30 either way, and powers of
+# two.  A matrix draws its entries from a palette of one to three of them,
+# so equal entries, and with copied components blocks of one value, are
+# common: there the walk's lanes meet their bound exactly.
+_WIDE_ENTRIES = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-10**30, 10**30),
+    st.builds(lambda sign, k: sign << k, st.sampled_from([1, -1]), st.sampled_from(range(101))),
+)
+
+
 @st.composite
-def spin_test_links(draw, max_components=8):
-    """Links with odd, even or mixed framings, singular ones included.
+def spin_test_links(draw, max_components=8, wide=False):
+    """Links with odd, even or mixed framings, singular ones included; with
+    wide, entries from a palette drawn from _WIDE_ENTRIES, else in [-3, 3].
 
     Some components are copies of others (same framing and linking), which
     makes the matrix singular and raises the mod-2 rank r of H1, so the
@@ -173,7 +185,14 @@ def spin_test_links(draw, max_components=8):
     """
     framings = draw(st.sampled_from(["even", "odd", "any"]))
     n = draw(st.integers(0, max_components))
-    rows = draw(symmetric_int_matrices(min_size=n, max_size=n, lo=-3, hi=3))
+    if wide:
+        palette = st.sampled_from(draw(st.lists(_WIDE_ENTRIES, min_size=1, max_size=3)))
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = draw(palette)
+    else:
+        rows = draw(symmetric_int_matrices(min_size=n, max_size=n, lo=-3, hi=3))
     for i in range(n):
         if framings == "even":
             rows[i][i] -= rows[i][i] % 2

@@ -533,6 +533,22 @@ class TestCoverCommand:
                        "is not an integer\n")
         assert len(err.encode()) < 200
 
+    # A number of 39 characters, whose token has a repr past 40, was echoed in
+    # full; each is named by its digit count, p/q by its longer part.
+    @pytest.mark.parametrize("argv, line", [
+        (["--degree", "9" * 39, "--sigma-pi", "1/2"],
+         "<39 digits>*1 + 3*(1/2) = <40 digits>/2"),
+        (["--degree", "9" * 38, "--sigma-pi", "1/2"],
+         f"{'9' * 38}*1 + 3*(1/2) = <39 digits>/2"),
+        (["--degree", "1", "--sigma-pi=-" + "9" * 38 + "/2"],
+         "1*1 + 3*(<38 digits>/2) = <39 digits>/2"),
+        (["--degree", "1", "--sigma-pi", "1" * 20 + "/" + "2" * 18 + "3"],
+         "1*1 + 3*(<20 digits>/2222222222222222223) = <20 digits>/740740740740740741"),
+    ], ids=["degree-39", "degree-38", "sigma-pi-p-39", "sigma-pi-p/q-40"])
+    def test_a_long_number_is_named_by_its_digit_count(self, capsys, argv, line):
+        code, out, err = run(capsys, "cover", "--defect", "0,1", *argv)
+        assert (code, out, err) == (3, "", f"error: {line} is not an integer\n")
+
     # p and q read as every integer on the command line does, so a sign or
     # spaces around either are accepted: 1/-3 is -1/3.
     @pytest.mark.parametrize("sigma_pi", ["1/-3", " 1 / -3 ", "-1/+3", "-1 /3"])

@@ -34,7 +34,14 @@ _GARBAGE = st.one_of(
     st.sampled_from(["--json", "--", "-", "-h", "--version", "--lambda=", "--de=\n",
                      "1_0", "١", "\udcff", "1e999999999", "0x10", "1/0", " 7 ", "nan"]),
 )
-_INTEGER = st.one_of(st.integers(-50, 50).map(str), _GARBAGE)
+# Integers of 37 to 42 digits, either sign, straddle the 39 characters from
+# which a token's repr passes 40.
+_INTEGER = st.one_of(
+    st.integers(-50, 50).map(str),
+    st.builds("{}{}".format, st.sampled_from(["", "-"]), st.integers(37, 42).flatmap(
+        lambda digits: st.integers(10 ** (digits - 1), 10**digits - 1))),
+    _GARBAGE,
+)
 # Group orders stay at most 10^4; a C or D parameter past that is junk,
 # up to 6000 digits long with and without leading zeros, as parse_group's
 # own test draws them.

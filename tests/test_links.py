@@ -242,27 +242,41 @@ class TestMuInvariant:
         assert flipped.mu == mu_of(rows_of(link), members_of(c), flipped.arf)
 
 
+def assert_rows_match_bruteforce(link: FramedLink, data) -> None:
+    """Every row of the walk against the oracles: the bitmasks are the
+    characteristic subsets, in ascending order; C.C is the sum of Q over
+    the members; Arf comes from a drawn table; mu is mu_of's."""
+    rows = link.matrix.to_lists()
+    n = len(rows)
+    expected = oracles.characteristic_subsets_bruteforce(rows)
+    masks = sorted("".join("1" if i in c else "0" for i in range(n)) for c in expected)
+    arf_table = {m: data.draw(st.integers(0, 1)) for m in masks if data.draw(st.booleans())}
+    subs = spins_of(link, arf_table)
+    assert [c.bitmask for c in subs] == masks
+    assert all(a < b for a, b in zip(masks, masks[1:]))
+    assert {members_of(c) for c in subs} == expected
+    for c in subs:
+        members = members_of(c)
+        assert c.self_intersection == sum(rows[i][j] for i in members for j in members)
+        if c.bitmask in arf_table:
+            assert (c.arf, c.arf_assumed) == (arf_table[c.bitmask], False)
+        else:
+            assert (c.arf, c.arf_assumed) == (0, True)
+        assert c.mu == mu_of(rows, members, c.arf)
+
+
 class TestGrayCodeWalk:
     @given(spin_test_links(), st.data())
     @settings(max_examples=150)
     def test_matches_bruteforce(self, link, data):
-        rows = link.matrix.to_lists()
-        n = len(rows)
-        expected = oracles.characteristic_subsets_bruteforce(rows)
-        masks = sorted("".join("1" if i in c else "0" for i in range(n)) for c in expected)
-        arf_table = {m: data.draw(st.integers(0, 1)) for m in masks if data.draw(st.booleans())}
-        subs = spins_of(link, arf_table)
-        assert [c.bitmask for c in subs] == masks
-        assert all(a < b for a, b in zip(masks, masks[1:]))
-        assert {members_of(c) for c in subs} == expected
-        for c in subs:
-            members = members_of(c)
-            assert c.self_intersection == sum(rows[i][j] for i in members for j in members)
-            if c.bitmask in arf_table:
-                assert (c.arf, c.arf_assumed) == (arf_table[c.bitmask], False)
-            else:
-                assert (c.arf, c.arf_assumed) == (0, True)
-            assert c.mu == mu_of(rows, members, c.arf)
+        assert_rows_match_bruteforce(link, data)
+
+    # Entries past any struct item take the walk's whole-lane packing, and
+    # copied components with entries at powers of two meet its lane bound.
+    @given(spin_test_links(wide=True), st.data())
+    @settings(max_examples=400)
+    def test_wide_entries_match_bruteforce(self, link, data):
+        assert_rows_match_bruteforce(link, data)
 
     @pytest.mark.parametrize("link, rows", [
         (empty_link(), [("", 0)]),
@@ -270,10 +284,19 @@ class TestGrayCodeWalk:
         (unknot(4), [("0", 0), ("1", 4)]),
         (FramedLink.from_rows([[int(i == j) for j in range(70)] for i in range(70)]),
          [("1" * 70, 70)]),
-    ], ids=["empty", "odd-unknot", "even-unknot", "identity70"])
+        (FramedLink.from_rows([[2**70] * 2] * 2),
+         [("00", 0), ("01", 2**70), ("10", 2**70), ("11", 2**72)]),
+        (FramedLink.from_rows([[-2**70] * 2] * 2),
+         [("00", 0), ("01", -2**70), ("10", -2**70), ("11", -2**72)]),
+    ], ids=["empty", "odd-unknot", "even-unknot", "identity70", "wide-copies",
+            "wide-negative-copies"])
     def test_edges(self, link, rows):
         # Whole (bitmask, C.C) lists in ascending order; test_matches_bruteforce
         # holds random links to the same.  The identity's mask is 70 bits wide.
+        # Two copies of a 2**70-framed unknot: the last step reads y_0 = 2**71
+        # at the top of its lane, or at the bottom where the entries are
+        # negative, so a lane a bit too narrow or an offset one too small
+        # misreads it.
         assert [(c.bitmask, c.self_intersection) for c in spins_of(link)] == rows
 
 

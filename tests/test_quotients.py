@@ -86,6 +86,26 @@ class TestFiniteSubgroup:
         with pytest.raises(TypeError, match=f"^{message}$"):
             FiniteSubgroup(good.family, m)
 
+    # str(m) past sys.get_int_max_str_digits() raised "Exceeds the limit (4300
+    # digits)" from each of the three; m is named by its digit count instead.
+    @pytest.mark.parametrize("build, family, order", [(cyclic, "C", 1), (binary_dihedral, "D", 4)],
+                             ids=["cyclic", "dihedral"])
+    def test_text_names_a_huge_parameter_by_its_digit_count(self, build, family, order):
+        group = build(10**5000)
+        name = {"C": "cyclic", "D": "binary dihedral"}[family]
+        assert group.label == f"{family}<5001 digits>"
+        assert group.description == f"{name} of order <5001 digits>"
+        assert repr(group) == f"FiniteSubgroup(family='{family}', m=<5001 digits>)"
+        small = build(12)
+        assert (small.label, small.description, repr(small)) == (
+            f"{family}12", f"{name} of order {12 * order}", f"FiniteSubgroup(family='{family}', m=12)")
+
+    # The label names m by its digit count once the label's repr would pass
+    # 40 characters, as the command line names a spec it echoes.
+    @pytest.mark.parametrize("digits, label", [(37, "C" + "9" * 37), (38, "C<38 digits>")])
+    def test_the_label_names_m_where_its_repr_passes_40(self, digits, label):
+        assert cyclic(10**digits - 1).label == label
+
     def test_parse_group(self):
         assert parse_group("C5") == cyclic(5)
         assert parse_group("D12") == binary_dihedral(12)
