@@ -36,7 +36,7 @@ from typing import Callable, NamedTuple, NoReturn, Sequence
 
 from . import __version__, bundles, catalog, defects, links, quotients
 from .defects import LambdaClass, TotalDefect
-from .errors import FramingError, NotSymmetric, ParseError, _shown, _shown_int
+from .errors import _TOKEN_WIDTH, FramingError, NotSymmetric, ParseError, _shown, _shown_int
 
 
 # The characters str.splitlines() breaks at, each mapped to its repr escape:
@@ -243,8 +243,9 @@ def cmd_quotient(args: argparse.Namespace) -> dict:
         group = quotients.parse_group(args.group)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
-    if group.order > MAX_QUOTIENT_ORDER:
-        raise ParseError(f"group {group.label} has order {_shown_int(group.order)}, "
+    if group.order > MAX_QUOTIENT_ORDER:  # the order at the width the label names m
+        raise ParseError(f"group {group.label} has order "
+                         f"{_shown_int(group.order, _TOKEN_WIDTH - 1)}, "
                          f"past the limit of {MAX_QUOTIENT_ORDER}")
     sigma = quotients.sigma_g(group)
     brute = quotients.sigma_g_bruteforce(group)

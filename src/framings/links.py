@@ -80,10 +80,6 @@ def e8_link() -> FramedLink:
     return _plumbing([2] * 8, [(i, i + 1) for i in range(6)] + [(4, 7)])
 
 
-def _members(bitmask: str) -> list[int]:
-    return [i for i, bit in enumerate(bitmask) if bit == "1"]
-
-
 class HomologyProfile(NamedTuple):
     """First homology of the surgered manifold: Betti number, torsion
     coefficients, and the mod-2 ranks r of H1 and s of its torsion part."""
@@ -125,8 +121,9 @@ def _spin_structures(link: FramedLink, sigma: int, r: int,
     C.C = x^T Q x and column i to y = Q x; clearing it subtracts 2 y_i - Q_ii
     and the column, y_i read before the update.  y is kept as one int of
     fixed-width lanes, lane j holding y_j + b, and each toggled column is
-    packed once into the same lanes (_lanes), so a toggle reads y_i with one
-    shift and mask and adds or subtracts one int.  b bounds every |y_j| the
+    packed once into the same lanes (_lanes: one int8 struct pass, or
+    shifts when an entry is wider), so a toggle reads y_i with one shift
+    and mask and adds or subtracts one int.  b bounds every |y_j| the
     walk reaches, from the particular solution's y and the toggled columns
     alone, O(n) per toggled column, so no lane leaves [0, 2 b] and no carry
     or borrow crosses into the next.
@@ -144,10 +141,10 @@ def _spin_structures(link: FramedLink, sigma: int, r: int,
     y = _times_q(rows, x)
     mask = _parity_mask(x)
     if _parity_mask(y) != _parity_mask(diagonal):
-        raise _not_characteristic(_bitmask(mask, n))
+        raise _not_characteristic(mask, n)
     for v in solution.kernel:
         if _parity_mask(_times_q(rows, v)):
-            raise _not_characteristic(_bitmask(mask ^ _parity_mask(v), n))
+            raise _not_characteristic(mask ^ _parity_mask(v), n)
     cc = sum(compress(y, x))
     found = [(mask, cc)]
     if solution.kernel:  # else one row, and nothing to pack
@@ -181,10 +178,6 @@ def _spin_structures(link: FramedLink, sigma: int, r: int,
     return tuple(out)
 
 
-# struct items by size in bytes, with standard sizes under '<'.
-_ITEMS = ((1, "b"), (2, "h"), (4, "i"), (8, "q"))
-
-
 def _lanes(y: Sequence[int],
            columns: Sequence[Sequence[int]]) -> tuple[int, list[int], int, int]:
     """y and each column as one int of lanes, entry j in lane j, lane 0
@@ -192,31 +185,27 @@ def _lanes(y: Sequence[int],
     bits, b).  y_j plus or minus each of any subset of the columns' entries
     j stays within b of 0: b is max |y_j| plus len(columns) times a bound on
     their entries.
-    That bound is the range of the narrowest struct item (1, 2, 4 or 8
-    bytes) that packs every column, found by the C-level pass that packs
-    them; a lane is then whole bytes, an item in its low bytes and zero pad
-    bytes above, so a negative item reads 2**(8 * item) too high, which its
-    sign bit, shifted up one, takes back.  Entries past 8 bytes are bounded
-    by their largest |entry|, and lanes of just the bits 0, ..., 2 b need
-    are packed by shifts.  O(n) per column."""
+    Entries in [-128, 127] are bounded by 128 and packed by one C-level
+    struct pass, an int8 in the low byte of each whole-byte lane and zero
+    pad bytes above, so a negative entry reads 256 too high, which its sign
+    bit, shifted up one, takes back.  Any other entry fails that pass;
+    the columns are then bounded by their largest |entry| and packed by
+    shifts into lanes of just the bits 0, ..., 2 b need.  O(n) per column."""
     n, peak = len(y), max(map(abs, y), default=0)
-    for item, code in _ITEMS:
-        offset = peak + (len(columns) << 8 * item - 1)
-        width = -(-_lane_bits(offset) // 8) * 8
-        layout = struct.Struct("<" + f"{code}{width // 8 - item}x" * n)
-        try:
-            unsigned = [int.from_bytes(layout.pack(*c), "little") for c in columns]
-        except struct.error:  # an entry out of the item's range
-            continue
-        ones = _ones(width, n)
-        signs = ones << 8 * item - 1
-        packed = [u - ((u & signs) << 1) for u in unsigned]
-        break
-    else:
+    offset = peak + (len(columns) << 7)
+    width = -(-_lane_bits(offset) // 8) * 8
+    layout = struct.Struct("<" + f"b{width // 8 - 1}x" * n)
+    try:
+        unsigned = [int.from_bytes(layout.pack(*c), "little") for c in columns]
+    except struct.error:  # an entry past int8
         offset = peak + len(columns) * max(max(max(c), -min(c)) for c in columns)
         width = _lane_bits(offset)
         ones = _ones(width, n)
         packed = [sum(map(lshift, c, range(0, width * n, width))) for c in columns]
+    else:
+        ones = _ones(width, n)
+        signs = ones << 7
+        packed = [u - ((u & signs) << 1) for u in unsigned]
     return (sum(map(lshift, y, range(0, width * n, width))) + offset * ones,
             packed, width, offset)
 
@@ -241,13 +230,10 @@ def _parity_mask(values: Sequence[int]) -> int:
     return sum(1 << k for k, v in enumerate(reversed(values)) if v & 1)
 
 
-def _bitmask(mask: int, n: int) -> str:
-    """The n-bit string of mask, component 0 first; "" when n = 0."""
-    return format(mask | 1 << n, "b")[1:]
-
-
-def _not_characteristic(bitmask: str) -> NotCharacteristic:
-    return NotCharacteristic(f"sublink {_members(bitmask)} is not characteristic")
+def _not_characteristic(mask: int, n: int) -> NotCharacteristic:
+    """The error naming mask's members, component 0 the leading of n bits."""
+    members = [i for i in range(n) if mask >> n - 1 - i & 1]
+    return NotCharacteristic(f"sublink {members} is not characteristic")
 
 
 def lambda_from_mu(r: int, mu: int) -> LambdaClass:

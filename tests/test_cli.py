@@ -451,13 +451,19 @@ class TestQuotientCommand:
 
     # The order-limit line names the group as _shown names a token: as it is
     # while its repr stays within 40 characters, else m by its digit count.
-    @pytest.mark.parametrize("digits, shown", [(37, "9" * 37), (38, "<38 digits>")],
-                             ids=["37-digits", "38-digits"])
-    def test_a_parameter_past_the_limit_is_echoed_only_while_short(self, capsys, digits,
-                                                                   shown):
-        code, out, err = run(capsys, "quotient", "D" + "9" * digits)
+    # The order is named at the same width, so a cyclic group's order, which
+    # is m, is never echoed where the label hides m.
+    @pytest.mark.parametrize("group, shown, order", [
+        ("D" + "9" * 37, "D" + "9" * 37, "<38 digits>"),
+        ("D" + "9" * 38, "D<38 digits>", "<39 digits>"),
+        ("C" + "9" * 37, "C" + "9" * 37, "9" * 37),
+        ("C" + "9" * 38, "C<38 digits>", "<38 digits>"),
+    ], ids=["37-digits", "38-digits", "C-37-digits", "C-38-digits"])
+    def test_a_parameter_past_the_limit_is_echoed_only_while_short(self, capsys, group,
+                                                                   shown, order):
+        code, out, err = run(capsys, "quotient", group)
         assert (code, out) == (2, "")
-        assert err == (f"error: group D{shown} has order {4 * (10**digits - 1)}, "
+        assert err == (f"error: group {shown} has order {order}, "
                        f"past the limit of {MAX_QUOTIENT_ORDER}\n")
 
     # 5 000 zeros pass the interpreter's limit on the digits int() converts.

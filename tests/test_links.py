@@ -271,8 +271,8 @@ class TestGrayCodeWalk:
     def test_matches_bruteforce(self, link, data):
         assert_rows_match_bruteforce(link, data)
 
-    # Entries past any struct item take the walk's whole-lane packing, and
-    # copied components with entries at powers of two meet its lane bound.
+    # Entries past int8 take the walk's shift packing, and copied components
+    # with entries at powers of two meet its lane bound.
     @given(spin_test_links(wide=True), st.data())
     @settings(max_examples=400)
     def test_wide_entries_match_bruteforce(self, link, data):
@@ -288,15 +288,23 @@ class TestGrayCodeWalk:
          [("00", 0), ("01", 2**70), ("10", 2**70), ("11", 2**72)]),
         (FramedLink.from_rows([[-2**70] * 2] * 2),
          [("00", 0), ("01", -2**70), ("10", -2**70), ("11", -2**72)]),
+        (FramedLink.from_rows([[127] * 2] * 2), [("01", 127), ("10", 127)]),
+        (FramedLink.from_rows([[-128] * 2] * 2),
+         [("00", 0), ("01", -128), ("10", -128), ("11", -512)]),
+        (FramedLink.from_rows([[128] * 2] * 2),
+         [("00", 0), ("01", 128), ("10", 128), ("11", 512)]),
+        (FramedLink.from_rows([[-129] * 2] * 2), [("01", -129), ("10", -129)]),
     ], ids=["empty", "odd-unknot", "even-unknot", "identity70", "wide-copies",
-            "wide-negative-copies"])
+            "wide-negative-copies", "int8-top-copies", "int8-bottom-copies",
+            "past-int8-copies", "below-int8-copies"])
     def test_edges(self, link, rows):
         # Whole (bitmask, C.C) lists in ascending order; test_matches_bruteforce
         # holds random links to the same.  The identity's mask is 70 bits wide.
         # Two copies of a 2**70-framed unknot: the last step reads y_0 = 2**71
         # at the top of its lane, or at the bottom where the entries are
         # negative, so a lane a bit too narrow or an offset one too small
-        # misreads it.
+        # misreads it.  127 and -128 are the ends of the int8 struct pass, 128
+        # and -129 the first entries past it, which take the shift packing.
         assert [(c.bitmask, c.self_intersection) for c in spins_of(link)] == rows
 
 
