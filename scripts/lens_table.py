@@ -2,8 +2,9 @@
 """Tabulate framing invariants of the lens spaces L(m, 1).
 
 For each m the table lists the quotient framing defect, the rho offset
-canonicalizing it, and the mu/lambda invariants of every spin structure
-seen from the -m-framed unknot presentation.
+canonicalizing it, whether the canonical 2-framing splits as a double
+(some spin structure has lambda = 0), and the mu/lambda invariants of
+every spin structure seen from the -m-framed unknot presentation.
 """
 
 import argparse
@@ -14,7 +15,6 @@ from framings import (
     canonical_offset,
     cyclic,
     lambda_class,
-    lens_double_splits,
     mu_representative,
     quotient_framing_defect,
     unknot,
@@ -33,11 +33,12 @@ def main() -> None:
         defect = quotient_framing_defect(cyclic(m))
         offset = canonical_offset(defect, lambda_class(defect).representative)
         landed = act(defect, offset)
+        rows = analyze(unknot(-m), None).spin_structures
         spins = [f"[{s.bitmask}] mu={mu_representative(s.mu):>2} "
-                 f"lam={s.lam.representative:>2}"
-                 for s in analyze(unknot(-m), None).spin_structures]
+                 f"lam={s.lam.representative:>2}" for s in rows]
+        splits = any(s.lam.value == 0 for s in rows)  # the canonical 2-framing is a double
         print(f"{m:>3}  {defect.h:>8}  {offset.m_rho:>7}  {landed.h:>7}  "
-              f"{'yes' if lens_double_splits(m) else 'no':>6}  " + "   ".join(spins))
+              f"{'yes' if splits else 'no':>6}  " + "   ".join(spins))
 
 
 if __name__ == "__main__":

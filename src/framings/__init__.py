@@ -18,11 +18,8 @@ from .defects import (
     canonical_set,
     defect_norm,
     lambda_class,
-    lens_double_splits,
     pullback_cover,
     reverse_orientation,
-    splits_as_double,
-    splits_as_sum,
 )
 from .errors import (
     FramingError,

@@ -138,31 +138,3 @@ def pullback_cover(p: TotalDefect, r: int, sigma_pi: Fraction | int = 0) -> Tota
                                 f"3*({_shown_fraction(sigma_pi)}) = "
                                 f"{_shown_fraction(corrected)} is not an integer")
     return TotalDefect(r * p.d, int(corrected))
-
-
-def splits_as_double(k: LambdaClass | int) -> bool:
-    """Whether the canonical 2-framing is a double 2*phi of a single honest
-    framing canonical in a spin structure of the given class."""
-    return LambdaClass(k).value == 0
-
-
-def splits_as_sum(s_m: int) -> bool:
-    """Whether the canonical 2-framing splits as a Whitney sum of two
-    framings; decided by the parity of the number s of 2-primary summands
-    in first homology."""
-    if s_m < 0:
-        raise ValueError("s must be nonnegative")
-    return s_m % 2 == 0
-
-
-def lens_double_splits(n: int) -> bool:
-    """Double-splitting criterion for the lens space L(n, 1).
-
-    Equivalent to some spin structure having lambda = 0.  The unique spin
-    structure for odd n has lambda = 3 - n mod 4, vanishing exactly when
-    |n| = 3 mod 4; the two spin structures for even n have odd lambda.
-    n = 0 is the product of a 2-sphere with a circle, which splits.
-    """
-    if n == 0:
-        return True
-    return abs(n) % 4 == 3

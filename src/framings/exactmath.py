@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from itertools import chain
 from math import gcd, lcm, prod
-from typing import NamedTuple, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import NotSymmetric, Unsolvable
 
@@ -55,11 +55,7 @@ class IntMatrix(NamedTuple("IntMatrix", [("entries", tuple[tuple[int, ...], ...]
         if len({len(row) for row in rows}) > 1:
             raise ValueError("matrix rows have unequal lengths")
         if not {int}.issuperset(map(type, chain.from_iterable(rows))):  # one C-level scan
-            for x in chain.from_iterable(rows):
-                if not isinstance(x, int) or isinstance(x, bool):
-                    name = repr(x)  # a long one is named by its type: the message stays short
-                    name = name if len(name) <= 40 else f"of type {type(x).__name__}"
-                    raise TypeError(f"non-integer matrix entry {name}")
+            _refuse_non_int(chain.from_iterable(rows), "matrix entry")
         return super().__new__(cls, tuple(rows))
 
     # _replace builds through _make, which would otherwise skip __new__.
@@ -93,6 +89,15 @@ class IntMatrix(NamedTuple("IntMatrix", [("entries", tuple[tuple[int, ...], ...]
         return _symmetric_pass(self)[1]
 
 
+def _refuse_non_int(values: Iterable[object], what: str) -> None:
+    """TypeError naming the first of values that is not an int, or is a bool."""
+    for x in values:
+        if not isinstance(x, int) or isinstance(x, bool):
+            name = repr(x)  # a long one is named by its type: the message stays short
+            name = name if len(name) <= 40 else f"of type {type(x).__name__}"
+            raise TypeError(f"non-integer {what} {name}")
+
+
 def as_int_matrix(m: MatrixLike) -> IntMatrix:
     if isinstance(m, IntMatrix):
         return m
@@ -104,16 +109,18 @@ class SmithForm(NamedTuple("SmithForm", [("invariant_factors", tuple[int, ...])]
 
     __slots__ = ()
 
-    def __new__(cls, invariant_factors: tuple[int, ...]) -> SmithForm:
-        fs = invariant_factors
+    def __new__(cls, invariant_factors: Sequence[int]) -> SmithForm:
+        fs = tuple(invariant_factors)
+        if not {int}.issuperset(map(type, fs)):  # one C-level scan
+            _refuse_non_int(fs, "invariant factor")
+        if min(fs, default=0) < 0:
+            raise ValueError("invariant factors must be nonnegative")
         for a, b in zip(fs, fs[1:]):
-            if a < 0 or b < 0:
-                raise ValueError("invariant factors must be nonnegative")
             if a == 0 and b != 0:
                 raise ValueError("zero invariant factors must come last")
             if a != 0 and b != 0 and b % a:
                 raise ValueError("invariant factors must form a divisibility chain")
-        return super().__new__(cls, invariant_factors)
+        return super().__new__(cls, fs)
 
     _make = classmethod(lambda cls, fields: cls(*fields))
 

@@ -253,8 +253,8 @@ class NaturalFramings(NamedTuple):
     each a function of (chi, sigma, tau) alone.
 
     All but freed_gompf_h need even framings on every component (the
-    handlebody is then parallelizable) and raise OddFraming otherwise; n
-    counts the twists inserted on the 0-handle before gluing.
+    handlebody is then parallelizable) and raise OddFraming otherwise.
+    Twisting delta by m rho and n sigma is act(delta, FramingOffset(m, n)).
     """
 
     chi: int
@@ -274,22 +274,10 @@ class NaturalFramings(NamedTuple):
         """Defect of the honest framing delta + chi sigma."""
         return act(self.delta, FramingOffset(0, self.chi)).h
 
-    def phi(self, n: int) -> TotalDefect:
-        """Stable framing built from n sigma twists on the 0-handle."""
-        return act(self.delta, FramingOffset(0, n))
-
-    def honest_plus_h(self, n: int) -> int:
-        """Honest framing glued from the right Lie framing plus n rho twists."""
-        return act(self.delta, FramingOffset(n, self.chi)).h
-
-    def honest_minus_h(self, n: int) -> int:
-        """Honest framing glued from the left Lie framing plus n rho twists."""
-        return act(self.delta, FramingOffset(n, -self.chi)).h
-
     @property
     def phi_half_tau(self) -> TotalDefect:
-        """phi(tau/2), with defect (chi - tau/2, tau - 3 sigma)."""
-        return self.phi(self.tau // 2)
+        """delta twisted by tau/2 sigmas, with defect (chi - tau/2, tau - 3 sigma)."""
+        return act(self.delta, FramingOffset(0, self.tau // 2))
 
     @property
     def freed_gompf_h(self) -> int:

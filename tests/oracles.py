@@ -11,10 +11,12 @@ of the integer characteristic polynomial instead of symmetric
 elimination, GF(2) systems and characteristic sublinks by exhaustive
 enumeration, a spin structure's mu (`mu_of`) from a C.C summed straight
 from the linking matrix's entries instead of by the Gray-code walk's
-updates and from the characteristic polynomial's signature, Dedekind sums
-term by term from the sawtooth function instead of the closed forms they
-are compared with, and the float cotangent sum one element at a time
-instead of by runs of repeated rotations.
+updates and from the characteristic polynomial's signature, whether
+L(n, 1)'s canonical 2-framing splits as a double by a closed form in n
+instead of the walk's lambda classes, Dedekind sums term by term from the
+sawtooth function instead of the closed forms they are compared with, and
+the float cotangent sum one element at a time instead of by runs of
+repeated rotations.
 """
 
 from __future__ import annotations
@@ -266,6 +268,17 @@ def mu_of(rows, members, arf: int) -> int:
         raise ValueError("sublink member out of range")
     cc = sum(rows[i][j] for i in chosen for j in chosen)
     return (_charpoly_signature(tuple(map(tuple, rows))) - cc + 8 * arf) % 16
+
+
+def lens_double_splits(n: int) -> bool:
+    """Whether the canonical 2-framing of the lens space L(n, 1) splits as a
+    double, that is, some spin structure has lambda = 0.
+
+    The unique spin structure for odd n has lambda = 3 - |n| mod 4, vanishing
+    exactly when |n| = 3 mod 4; the two spin structures for even n have odd
+    lambda.  n = 0 is the product of a 2-sphere with a circle, which splits.
+    """
+    return n == 0 or abs(n) % 4 == 3
 
 
 @lru_cache(maxsize=32)

@@ -148,11 +148,11 @@ def test_criterion_3_random_even_link_properties():
         chi, sigma, tau = (natural_framings(link).chi, natural_framings(link).sigma,
                            natural_framings(link).tau)
         # (a) the surgery 2-framing splits as a sum of the honest framings
-        assert (natural_framings(link).honest_plus_h(tau // 2)
-                + natural_framings(link).honest_minus_h(0)) == 2 * tau - 6 * sigma
+        delta = natural_framings(link).delta
+        assert (act(delta, FramingOffset(tau // 2, chi)).h
+                + act(delta, FramingOffset(0, -chi)).h) == 2 * tau - 6 * sigma
         # (b) lambda of the boundary framing matches the mu formula at C = {}
         report = analyze(link, None)
-        delta = natural_framings(link).delta
         mu = mu_of(link.matrix.entries, [], 0)
         assert report.spin_structures[0].mu == mu
         assert lambda_class(delta) == lambda_from_mu(report.homology.r, mu)

@@ -18,11 +18,8 @@ from framings import (
     canonical_set,
     defect_norm,
     lambda_class,
-    lens_double_splits,
     pullback_cover,
     reverse_orientation,
-    splits_as_double,
-    splits_as_sum,
 )
 
 from records import assert_rejected, assert_round_trips
@@ -242,26 +239,3 @@ class TestPullbackCover:
             assert du % m == 0 and hu % m == 0
             assert (2 * (du // m) + hu // m) % 4 == 0
 
-
-class TestSplittings:
-    def test_double_splitting_iff_lambda_zero(self):
-        assert splits_as_double(0)          # e.g. any product of a surface and a circle
-        assert not splits_as_double(2)
-        assert not splits_as_double(LambdaClass(1))
-
-    def test_sum_splitting_iff_s_even(self):
-        assert splits_as_sum(0)             # homology spheres
-        assert not splits_as_sum(1)
-        assert splits_as_sum(2)
-        with pytest.raises(ValueError):
-            splits_as_sum(-1)
-
-    def test_lens_double_splitting(self):
-        assert [n for n in range(1, 13) if lens_double_splits(n)] == [3, 7, 11]
-        assert lens_double_splits(-3) and lens_double_splits(-7)
-        assert not lens_double_splits(1)    # the 3-sphere is a homology sphere
-        assert lens_double_splits(0)        # the sphere-times-circle product
-
-    @given(st.integers(-40, 40).filter(lambda n: n != 0))
-    def test_lens_double_splitting_is_orientation_independent(self, n):
-        assert lens_double_splits(n) == lens_double_splits(-n)

@@ -171,15 +171,26 @@ class TestSmithNormalForm:
         assert smith_normal_form([[2, 4, 6]]).invariant_factors == (2,)
         assert smith_normal_form([[2], [4], [6]]).invariant_factors == (2,)
 
-    @pytest.mark.parametrize("factors, message", [
-        ((1, -2), "invariant factors must be nonnegative"),
-        ((0, 2), "zero invariant factors must come last"),
-        ((2, 3), "invariant factors must form a divisibility chain"),
-    ], ids=["negative", "zero-first", "not-a-chain"])
-    def test_every_build_runs_the_checks(self, factors, message):
+    @pytest.mark.parametrize("factors, exc, message", [
+        ((1, -2), ValueError, "invariant factors must be nonnegative"),
+        ((-5,), ValueError, "invariant factors must be nonnegative"),
+        ((0, 2), ValueError, "zero invariant factors must come last"),
+        ((2, 3), ValueError, "invariant factors must form a divisibility chain"),
+        ((1.5,), TypeError, "non-integer invariant factor 1.5"),
+        ((True,), TypeError, "non-integer invariant factor True"),
+        ((2, "4"), TypeError, "non-integer invariant factor '4'"),
+    ], ids=["negative", "lone-negative", "zero-first", "not-a-chain", "float", "bool", "str"])
+    def test_every_build_runs_the_checks(self, factors, exc, message):
         good = SmithForm((1, 2, 0))
-        assert_rejected(good, {"invariant_factors": factors}, ValueError, message)
+        assert_rejected(good, {"invariant_factors": factors}, exc, message)
         assert_round_trips(good)
+
+    def test_every_build_stores_a_tuple(self):
+        good = SmithForm(())
+        for built in (SmithForm([2, 4]), good._replace(invariant_factors=[2, 4]),
+                      SmithForm._make([[2, 4]])):
+            assert type(built.invariant_factors) is tuple
+            assert built == SmithForm((2, 4))
 
     def test_rank_and_kernel_rank(self):
         form = smith_normal_form([[2, 0, 0], [0, 0, 0], [0, 0, 6]])

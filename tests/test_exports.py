@@ -16,10 +16,6 @@ PACKAGE = ROOT / "src" / "framings"
 
 # Exports kept without a caller, each for a stated reason.
 UNCALLED = {
-    # The paper's splitting criteria for canonical 2-framings, to be wired
-    # into a command (ROADMAP item 10).
-    "splits_as_double",
-    "splits_as_sum",
     # A kernel operation of the north star, timed on its own.
     "smith_normal_form",
 }
@@ -30,10 +26,6 @@ UNCALLED_METHODS = {
     # A kernel operation that the ROADMAP north star times on its own
     # (its kernel list: det, exact_signature, smith_normal_form, solve_gf2).
     ("IntMatrix", "det"),
-    # The honest framings' defects, which the sum split of the paper's
-    # 2-framing results reads (ROADMAP item 10).
-    ("NaturalFramings", "honest_plus_h"),
-    ("NaturalFramings", "honest_minus_h"),
 }
 
 

@@ -24,7 +24,6 @@ from framings import (
     empty_link,
     lambda_class,
     lambda_from_mu,
-    lens_double_splits,
     mu_representative,
     natural_framings,
     unknot,
@@ -493,19 +492,12 @@ class TestNaturalFramings:
         for field in ("delta", "epsilon_h", "phi_half_tau"):
             with pytest.raises(OddFraming):
                 getattr(nat, field)
-        for method in (nat.phi, nat.honest_plus_h, nat.honest_minus_h):
-            with pytest.raises(OddFraming):
-                method(0)
+        with pytest.raises(OddFraming):  # no twist of delta is defined either
+            act(nat.delta, FramingOffset(1, 1))
         assert nat.freed_gompf_h == 0  # 2 tau - 6 sigma = -6 + 6
 
     def test_lens_spaces_have_two_natural_defects(self):
         assert natural_framings(unknot(-4)).delta == TotalDefect(2, 3)
-
-    @given(even_framed_links())
-    def test_phi_0_is_delta_and_phi_plus_0_is_epsilon(self, link):
-        nat = natural_framings(link)
-        assert nat.phi(0) == nat.delta
-        assert nat.honest_plus_h(0) == nat.epsilon_h
 
     @given(even_framed_links())
     def test_epsilon_is_delta_shifted_by_chi_sigmas(self, link):
@@ -518,18 +510,25 @@ class TestNaturalFramings:
         nat = natural_framings(link)
         assert nat.delta == TotalDefect(chi, -3 * sigma)
         assert nat.epsilon_h == 2 * chi - 3 * sigma
-        assert nat.phi(n) == TotalDefect(chi - n, 2 * n - 3 * sigma)
-        assert nat.honest_plus_h(n) == 4 * n + 2 * chi - 3 * sigma
-        assert nat.honest_minus_h(n) == 4 * n - 2 * chi - 3 * sigma
         assert nat.phi_half_tau == TotalDefect(chi - tau // 2, tau - 3 * sigma)
+        # n sigma twists on the 0-handle, and the honest framings glued from
+        # the right and left Lie framings plus n rho twists
+        assert act(nat.delta, FramingOffset(0, n)) == TotalDefect(chi - n, 2 * n - 3 * sigma)
+        assert act(nat.delta, FramingOffset(n, chi)).h == 4 * n + 2 * chi - 3 * sigma
+        assert act(nat.delta, FramingOffset(n, -chi)).h == 4 * n - 2 * chi - 3 * sigma
 
     @given(even_framed_links())
     def test_surgery_two_framing_splits_both_ways(self, link):
+        # Freed-Gompf: h(2 phi) is the sum of the honest framings at tau/2
+        # and 0 rho twists, glued from the right and the left Lie framing.
         nat = natural_framings(link)
         half = nat.tau // 2
-        target = nat.freed_gompf_h
-        assert nat.honest_plus_h(half) + nat.honest_minus_h(0) == target
-        assert nat.honest_plus_h(0) + nat.honest_minus_h(half) == target
+
+        def honest_h(m: int, side: int) -> int:
+            return act(nat.delta, FramingOffset(m, side * nat.chi)).h
+
+        assert honest_h(half, 1) + honest_h(0, -1) == nat.freed_gompf_h
+        assert honest_h(0, 1) + honest_h(half, -1) == nat.freed_gompf_h
 
     @given(even_framed_links())
     @settings(max_examples=120)
@@ -540,8 +539,9 @@ class TestNaturalFramings:
 
 
 class TestLensDoubleSplitting:
-    @pytest.mark.parametrize("n", range(0, 13))
+    # Both signs of every |n| <= 16: the -n-framed unknot presents L(n, 1),
+    # and scripts/lens_table.py reads its splits column this way up to 16.
+    @pytest.mark.parametrize("n", range(-16, 17))
     def test_criterion_matches_spin_structure_lambdas(self, n):
-        link = unknot(-n) if n else unknot(0)
-        has_zero = any(s.lam.value == 0 for s in analyze(link, None).spin_structures)
-        assert has_zero == lens_double_splits(n)
+        has_zero = any(s.lam.value == 0 for s in analyze(unknot(-n), None).spin_structures)
+        assert has_zero == oracles.lens_double_splits(n)
