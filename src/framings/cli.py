@@ -11,10 +11,13 @@ Link files are JSON documents with a symmetric integer linking matrix and
 an optional table of Arf invariants keyed by sublink bitmask.  Every
 command validates its input and returns one payload dict; `main` prints its
 renderer's text, or under --json ASCII-escaped JSON byte-identical to
-`json.dumps(payload, indent=2, sort_keys=True)`, joined by `_dumps` in one pass.
-`_dumps` renders the items of a long array as one column: like rows, such as
-the 2^r spin structures, sort and quote their keys once per call, and each
-of their fields renders with one converter mapped over the column.
+`json.dumps(payload, indent=2, sort_keys=True)` with each spin row written as
+its dict, joined by `_dumps` in one pass.  The payload of `invariants` holds
+the 2^r spin structures as `analyze`'s own rows (`_SpinRows`), and both
+renderers read them: `_dumps` fills one %-template per (Arf, mu) class with
+each row's bitmask, members and C.C.  Other long arrays render as one
+column: like dicts sort and quote their keys once per call, and each of
+their fields renders with one converter mapped over the column.
 
 Exit codes: 0 success, 1 `catalog` with a FAIL row, 2 parse or validation
 error, 3 mathematical precondition violation.
@@ -28,7 +31,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from itertools import chain, compress, islice
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 from pathlib import Path
@@ -108,19 +111,23 @@ def _pair_text(pair: list[int]) -> str:
     return f"({pair[0]}, {pair[1]})"
 
 
-# A bitmask's bytes made 0 and 1, so that compress picks its members at C level.
-_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+class _SpinRows(NamedTuple):
+    """The spin structures of an `invariants` payload: `analyze`'s rows and
+    the link's component count.  Each row is shown as the dict
+    {"bitmask": bitmask, "members": the indices of its 1s, "self_intersection",
+    "arf", "arf_assumed", "mu": mu_representative(mu), "mu_mod16": mu,
+    "lambda": lam.representative, "lambda_mod4": lam.value}, which `_dumps`
+    writes from a template per (arf, arf_assumed, mu, lambda) class."""
+
+    rows: tuple[links.SpinStructureData, ...]
+    components: int
 
 
 def cmd_invariants(args: argparse.Namespace) -> dict:
     doc = load_link_document(args.file)
     link = doc.link
     report = links.analyze(link, doc.arf_table)
-    nat, profile, spins = report.framings, report.homology, report.spin_structures
-    # mu and lambda as shown, once per mu residue
-    shown = {mu: (links.mu_representative(mu), lam.representative, lam.value)
-             for mu, lam in {s.mu: s.lam for s in spins}.items()}
-    components = range(link.components)
+    nat, profile = report.framings, report.homology
     warnings: list[str] = []
     framings_json: dict = {"freed_gompf_h": nat.freed_gompf_h}
     if nat.even:
@@ -139,21 +146,16 @@ def cmd_invariants(args: argparse.Namespace) -> dict:
         "tau": nat.tau,
         "homology": {"betti1": profile.betti1, "torsion": list(profile.torsion),
                      "r": profile.r, "s": profile.s},
-        "spin_structures": [
-            {"bitmask": bits,
-             "members": list(compress(components, bits.encode().translate(_BIT_VALUES))),
-             "self_intersection": cc, "arf": arf, "arf_assumed": assumed, "mu": mu_shown,
-             "mu_mod16": mu, "lambda": lam_shown, "lambda_mod4": lam_mod4}
-            for bits, cc, arf, assumed, mu, _ in spins
-            for mu_shown, lam_shown, lam_mod4 in [shown[mu]]],
+        "spin_structures": _SpinRows(report.spin_structures, link.components),
         "framings": framings_json,
         "warnings": warnings,
     }
 
 
 def _invariants_text(payload: dict) -> list[str]:
-    """The text report of `invariants`, rendered from its JSON payload."""
-    profile, spins, framings = payload["homology"], payload["spin_structures"], payload["framings"]
+    """The text report of `invariants`, rendered from its payload."""
+    profile, framings = payload["homology"], payload["framings"]
+    spins = payload["spin_structures"].rows
     lines = [
         f"link '{payload['name']}': {payload['components']} components",
         f"  chi = {payload['chi']}",
@@ -166,11 +168,11 @@ def _invariants_text(payload: dict) -> list[str]:
         f"  s = {profile['s']}",
         f"spin structures (characteristic sublinks): {len(spins)}",
     ]
-    for spin in spins:
-        note = " [arf assumed 0]" if spin["arf_assumed"] else ""
-        lines.append(f"  [{spin['bitmask'] or '-'}] C.C = {spin['self_intersection']}  "
-                     f"Arf = {spin['arf']}{note}  mu = {spin['mu']} (mod 16)  "
-                     f"lambda = {spin['lambda']} (class {spin['lambda_mod4']} mod 4)")
+    for bits, cc, arf, assumed, mu, lam in spins:
+        note = " [arf assumed 0]" if assumed else ""
+        lines.append(f"  [{bits or '-'}] C.C = {cc}  Arf = {arf}{note}  "
+                     f"mu = {links.mu_representative(mu)} (mod 16)  "
+                     f"lambda = {lam.representative} (class {lam.value} mod 4)")
     lines.append("natural framings:")
     if "delta" in framings:
         lines += [
@@ -496,23 +498,33 @@ _LITERALS = {None: "null", True: "true", False: "false"}
 # costs more than mapping one converter saves (2 ints: about 0.7 us item
 # by item, 1.2 us as a column; even near 16; Python 3.11, 2-vCPU VM).
 _COLUMN_MIN = 8
+# A spin row's fields that its class fixes, and the three left as slots of
+# the class's template, in sorted key order.  A bitmask holds only 0s and 1s,
+# so its quotes go in the template.
+_SPIN_FIXED = ("arf", "arf_assumed", "lambda", "lambda_mod4", "mu", "mu_mod16")
+_SPIN_SLOTS = {"bitmask": '"%s"', "members": "%s", "self_intersection": "%d"}
+# A bitmask's bytes made 0 and 1, so that compress picks its members at C level.
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 def _dumps(obj: object) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True)` byte for byte, for obj with str keys.
+    """`json.dumps(obj, indent=2, sort_keys=True)` byte for byte, for obj with
+    str keys, where a `_SpinRows` is written as the array of its rows' dicts.
 
     An array of _COLUMN_MIN items or more renders as one column.  A column
     of exact ints, of strs, or of bools and None maps one converter over
-    it (repr, _quote, a dict lookup).  A column of lists and tuples renders
-    all their items as one column, then cuts it back into arrays.  A
-    column of dicts with one nonempty key tuple renders each key's values
-    as a column and fills the shape's %-template row by row.  Other
-    columns, shorter arrays and a lone dict's values render item by item:
-    exact ints, strs, bools and None inline, lists and nonempty dicts
-    recurse, and json.dumps renders the rest (floats, subclasses, {}).  A
-    table local to the call maps each dict shape (its key tuple and
-    indent) to its sorted keys and a %-template of their `,\n  "key": `
-    heads, so like dicts sort and quote their keys once.
+    it (repr, _quote, a dict lookup).  A column of dicts with one nonempty
+    key tuple renders each key's values as a column and fills the shape's
+    %-template row by row.  Other columns, shorter arrays and a lone dict's
+    values render item by item: exact ints, strs, bools and None inline,
+    lists and nonempty dicts recurse, and json.dumps renders the rest
+    (floats, subclasses, {}).  A table local to the call maps each dict
+    shape (its key tuple and indent) to its sorted keys and a %-template of
+    their `,\n  "key": ` heads, so like dicts sort and quote their keys once.
+
+    The spin rows build no dicts.  Each (arf, arf_assumed, mu, lambda) class
+    fills the row shape's template once with its six fixed fields, leaving
+    the bitmask, the members and C.C as slots, so a row costs one %.
     """
     shapes: dict[tuple[tuple, str], tuple[list, str]] = {}
 
@@ -539,12 +551,6 @@ def _dumps(obj: object) -> str:
         if kinds <= {bool, type(None)}:
             return list(map(_LITERALS.__getitem__, values))
         inner = pad + "  "
-        if kinds <= {list, tuple}:
-            flat = list(chain.from_iterable(values))
-            texts = iter(column(flat, inner) if len(flat) >= _COLUMN_MIN else items(flat, inner))
-            comma = "," + inner
-            return ["[" + inner + comma.join(islice(texts, len(v))) + pad + "]" if v else "[]"
-                    for v in values]
         if kinds == {dict}:
             keys = set(map(tuple, values))
             if len(keys) == 1 and () not in keys:  # like dicts, and not all {}
@@ -553,11 +559,33 @@ def _dumps(obj: object) -> str:
                     column(list(map(itemgetter(k), values)), inner) for k in order])))
         return items(values, pad)
 
+    def spin_rows(spins: _SpinRows, pad: str) -> str:  # analyze gives at least one row
+        inner = pad + "  "
+        fields = inner + "  "  # the rows' keys, and the members arrays
+        order, template = shape(_SPIN_FIXED + tuple(_SPIN_SLOTS), inner)
+        names = [str(i) for i in range(spins.components)]
+        comma, close = "," + fields + "  ", fields + "]"
+        opening = "[" + fields + "  "
+        classes: dict[tuple, str] = {}
+        texts = []
+        for bits, cc, arf, assumed, mu, lam in spins.rows:
+            row = classes.get((arf, assumed, mu, lam))
+            if row is None:
+                shown = _SPIN_SLOTS | dict(zip(_SPIN_FIXED, items([
+                    arf, assumed, lam.representative, lam.value, links.mu_representative(mu), mu],
+                    fields)))
+                row = classes[arf, assumed, mu, lam] = template % tuple(shown[k] for k in order)
+            members = comma.join(compress(names, bits.encode().translate(_BIT_VALUES)))
+            texts.append(row % (bits, opening + members + close if members else "[]", cc))
+        return "[" + inner + ("," + inner).join(texts) + pad + "]"
+
     def render(obj: object, pad: str) -> str:
         inner = pad + "  "
         if isinstance(obj, dict) and obj:
             order, template = shape(tuple(obj), pad)
             return template % tuple(items([obj[k] for k in order], inner))
+        if type(obj) is _SpinRows:
+            return spin_rows(obj, pad)
         if not isinstance(obj, (list, tuple)):
             return json.dumps(obj)  # TypeError for what JSON cannot hold
         if not obj:

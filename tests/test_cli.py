@@ -1,5 +1,7 @@
 """The command-line interface."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -15,10 +17,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from framings import __version__, bundles, catalog, cli
+from framings import __version__, bundles, catalog, cli, links
 from framings.catalog import CatalogEntry
 from framings.cli import MAX_QUOTIENT_ORDER, load_link_document, main
 from framings.errors import ParseError
+from strategies import spin_test_links
 
 LINKS = Path(__file__).resolve().parent.parent / "links"
 SRC = LINKS.parent / "src"
@@ -352,6 +355,39 @@ class TestInvariantsCommand:
         assert len(rows) == 2 ** r
         assert all(len({row[key] for row in rows}) > 1 for key in ("arf", "arf_assumed", "mu"))
         assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+    # Random links, wide entries, odd framings and the empty link among them,
+    # with drawn Arf tables: each JSON row is its analyze row's dict, and the
+    # text rows are those JSON rows as the report shows them.
+    @settings(max_examples=150)
+    @given(st.booleans().flatmap(lambda wide: spin_test_links(wide=wide)), st.data())
+    def test_spin_rows_are_analyze_rows_in_both_outputs(self, tmp_path_factory, link, data):
+        masks = [s.bitmask for s in links.analyze(link, None).spin_structures]
+        arf_table = {m: data.draw(st.integers(0, 1)) for m in masks if data.draw(st.booleans())}
+        path = tmp_path_factory.getbasetemp() / "spin-rows.json"
+        path.write_text(json.dumps({"matrix": link.matrix.to_lists(), "arf_table": arf_table}))
+        outputs = []
+        for argv in (["invariants", str(path), "--json"], ["invariants", str(path)]):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert main(argv) == 0
+            outputs.append(out.getvalue())
+        out, text = outputs
+        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+        rows = json.loads(out)["spin_structures"]
+        expected = [{"bitmask": s.bitmask, "self_intersection": s.self_intersection,
+                     "members": [i for i, bit in enumerate(s.bitmask) if bit == "1"],
+                     "arf": s.arf, "arf_assumed": s.arf_assumed,
+                     "mu": links.mu_representative(s.mu), "mu_mod16": s.mu,
+                     "lambda": s.lam.representative, "lambda_mod4": s.lam.value}
+                    for s in links.analyze(link, arf_table).spin_structures]
+        # Compared as text, so that 1 cannot pass for true.
+        assert json.dumps(rows, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        lines = text.splitlines()
+        start = lines.index(f"spin structures (characteristic sublinks): {len(rows)}") + 1
+        assert lines[start:lines.index("natural framings:")] == [
+            f"  [{row['bitmask'] or '-'}] C.C = {row['self_intersection']}  Arf = {row['arf']}"
+            f"{' [arf assumed 0]' if row['arf_assumed'] else ''}  mu = {row['mu']} (mod 16)  "
+            f"lambda = {row['lambda']} (class {row['lambda_mod4']} mod 4)" for row in rows]
 
 
 class TestCanonicalCommand:

@@ -21,6 +21,7 @@ from framings import (
     pullback_cover,
     reverse_orientation,
 )
+from framings.defects import _shown_fraction
 
 from records import assert_rejected, assert_round_trips
 from strategies import framing_offsets, total_defects
@@ -148,6 +149,13 @@ class TestCanonicalOffset:
         with pytest.raises(LambdaMismatch):
             canonical_offset(TotalDefect(0, 0), 4)  # not a small representative
 
+    # 3 and -3 lie in the classes of -1 and 1, and p in each, but neither
+    # is a representative in {-2, ..., 2}.
+    @pytest.mark.parametrize("target", [3, -3])
+    def test_targets_past_two_are_refused(self, target):
+        with pytest.raises(LambdaMismatch):
+            canonical_offset(TotalDefect(0, target), target)
+
     @given(total_defects(), st.integers(-2, 2))
     def test_lands_on_the_axis(self, p, target):
         if (2 * p.d + p.h - target) % 4:
@@ -214,6 +222,9 @@ class TestPullbackCover:
         with pytest.raises(TypeError, match=f"^cover degree must be an int, not {name}$"):
             pullback_cover(TotalDefect(1, 2), r)
 
+    def test_sigma_pi_defaults_to_zero(self):
+        assert pullback_cover(TotalDefect(1, 2), 3) == TotalDefect(3, 6)
+
     def test_an_exact_third_gives_an_integral_defect(self):
         assert pullback_cover(TotalDefect(0, 1), 3, Fraction(1, 3)) == TotalDefect(0, 4)
 
@@ -239,3 +250,13 @@ class TestPullbackCover:
             assert du % m == 0 and hu % m == 0
             assert (2 * (du // m) + hu // m) % 4 == 0
 
+
+class TestShownFraction:
+    # p/q past the token width names the longer part by its digit count,
+    # and the numerator when the two are equally long.
+    @pytest.mark.parametrize("q, shown", [
+        (Fraction(10**19 + 1, 10**24 + 3), "10000000000000000001/<25 digits>"),
+        (Fraction(10**19 + 1, 10**19 + 3), "<20 digits>/10000000000000000003"),
+    ], ids=["longer-denominator", "equal-lengths"])
+    def test_names_the_longer_part(self, q, shown):
+        assert _shown_fraction(q) == shown

@@ -293,9 +293,11 @@ class TestGrayCodeWalk:
         (FramedLink.from_rows([[128] * 2] * 2),
          [("00", 0), ("01", 128), ("10", 128), ("11", 512)]),
         (FramedLink.from_rows([[-129] * 2] * 2), [("01", -129), ("10", -129)]),
+        (FramedLink.from_rows([[1, 0, 2, 127], [0, 0, 2, 1], [2, 2, 0, 0], [127, 1, 0, -1]]),
+         [("1000", 1), ("1010", 5)]),
     ], ids=["empty", "odd-unknot", "even-unknot", "identity70", "wide-copies",
             "wide-negative-copies", "int8-top-copies", "int8-bottom-copies",
-            "past-int8-copies", "below-int8-copies"])
+            "past-int8-copies", "below-int8-copies", "int8-lane-width"])
     def test_edges(self, link, rows):
         # Whole (bitmask, C.C) lists in ascending order; test_matches_bruteforce
         # holds random links to the same.  The identity's mask is 70 bits wide.
@@ -304,6 +306,9 @@ class TestGrayCodeWalk:
         # negative, so a lane a bit too narrow or an offset one too small
         # misreads it.  127 and -128 are the ends of the int8 struct pass, 128
         # and -129 the first entries past it, which take the shift packing.
+        # int8-lane-width takes the int8 pass with y_3 = 127 beside one toggled
+        # column, so b = 127 + 128 and a lane needs 9 bits, rounded up to 16;
+        # 8-bit lanes would read one of its two C.C values wrong.
         assert [(c.bitmask, c.self_intersection) for c in spins_of(link)] == rows
 
 
