@@ -46,6 +46,7 @@ from .links import (
     LinkAnalysis,
     NaturalFramings,
     SpinStructureData,
+    SpinStructures,
     analyze,
     chain_link,
     e8_link,

@@ -13,11 +13,12 @@ command validates its input and returns one payload dict; `main` prints its
 renderer's text, or under --json ASCII-escaped JSON byte-identical to
 `json.dumps(payload, indent=2, sort_keys=True)` with each spin row written as
 its dict, joined by `_dumps` in one pass.  The payload of `invariants` holds
-the 2^r spin structures as `analyze`'s own rows (`_SpinRows`), and both
-renderers read them: `_dumps` fills one %-template per (Arf, mu) class with
-each row's bitmask, members and C.C.  Other long arrays render as one
-column: like dicts sort and quote their keys once per call, and each of
-their fields renders with one converter mapped over the column.
+the 2^r spin structures as `analyze`'s own record (`links.SpinStructures`),
+and both renderers read it: `_dumps` reads its mask and C.C columns and
+fills one %-template per (Arf, mu) class with each row's bitmask, members
+and C.C; the text report iterates its rows.  Other long arrays render as
+one column: like dicts sort and quote their keys once per call, and each
+of their fields renders with one converter mapped over the column.
 
 Exit codes: 0 success, 1 `catalog` with a FAIL row, 2 parse or validation
 error, 3 mathematical precondition violation.
@@ -40,6 +41,7 @@ from typing import Callable, NamedTuple, NoReturn, Sequence
 from . import __version__, bundles, catalog, defects, links, quotients
 from .defects import LambdaClass, TotalDefect
 from .errors import _TOKEN_WIDTH, FramingError, NotSymmetric, ParseError, _shown, _shown_int
+from .links import _BIT_VALUES
 
 
 # The characters str.splitlines() breaks at, each mapped to its repr escape:
@@ -111,18 +113,6 @@ def _pair_text(pair: list[int]) -> str:
     return f"({pair[0]}, {pair[1]})"
 
 
-class _SpinRows(NamedTuple):
-    """The spin structures of an `invariants` payload: `analyze`'s rows and
-    the link's component count.  Each row is shown as the dict
-    {"bitmask": bitmask, "members": the indices of its 1s, "self_intersection",
-    "arf", "arf_assumed", "mu": mu_representative(mu), "mu_mod16": mu,
-    "lambda": lam.representative, "lambda_mod4": lam.value}, which `_dumps`
-    writes from a template per (arf, arf_assumed, mu, lambda) class."""
-
-    rows: tuple[links.SpinStructureData, ...]
-    components: int
-
-
 def cmd_invariants(args: argparse.Namespace) -> dict:
     doc = load_link_document(args.file)
     link = doc.link
@@ -146,7 +136,7 @@ def cmd_invariants(args: argparse.Namespace) -> dict:
         "tau": nat.tau,
         "homology": {"betti1": profile.betti1, "torsion": list(profile.torsion),
                      "r": profile.r, "s": profile.s},
-        "spin_structures": _SpinRows(report.spin_structures, link.components),
+        "spin_structures": report.spin_structures,
         "framings": framings_json,
         "warnings": warnings,
     }
@@ -155,7 +145,7 @@ def cmd_invariants(args: argparse.Namespace) -> dict:
 def _invariants_text(payload: dict) -> list[str]:
     """The text report of `invariants`, rendered from its payload."""
     profile, framings = payload["homology"], payload["framings"]
-    spins = payload["spin_structures"].rows
+    spins = payload["spin_structures"]
     lines = [
         f"link '{payload['name']}': {payload['components']} components",
         f"  chi = {payload['chi']}",
@@ -166,7 +156,7 @@ def _invariants_text(payload: dict) -> list[str]:
         f"  torsion = {profile['torsion']}",
         f"  r = {profile['r']}",
         f"  s = {profile['s']}",
-        f"spin structures (characteristic sublinks): {len(spins)}",
+        f"spin structures (characteristic sublinks): {spins.count}",
     ]
     for bits, cc, arf, assumed, mu, lam in spins:
         note = " [arf assumed 0]" if assumed else ""
@@ -503,13 +493,14 @@ _COLUMN_MIN = 8
 # so its quotes go in the template.
 _SPIN_FIXED = ("arf", "arf_assumed", "lambda", "lambda_mod4", "mu", "mu_mod16")
 _SPIN_SLOTS = {"bitmask": '"%s"', "members": "%s", "self_intersection": "%d"}
-# A bitmask's bytes made 0 and 1, so that compress picks its members at C level.
-_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 def _dumps(obj: object) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)` byte for byte, for obj with
-    str keys, where a `_SpinRows` is written as the array of its rows' dicts.
+    str keys, where a `links.SpinStructures` is written as the array of its
+    rows' dicts {"bitmask", "members": the indices of its 1s,
+    "self_intersection", "arf", "arf_assumed", "mu": mu_representative(mu),
+    "mu_mod16": mu, "lambda": lam.representative, "lambda_mod4": lam.value}.
 
     An array of _COLUMN_MIN items or more renders as one column.  A column
     of exact ints, of strs, or of bools and None maps one converter over
@@ -522,9 +513,13 @@ def _dumps(obj: object) -> str:
     shape (its key tuple and indent) to its sorted keys and a %-template of
     their `,\n  "key": ` heads, so like dicts sort and quote their keys once.
 
-    The spin rows build no dicts.  Each (arf, arf_assumed, mu, lambda) class
-    fills the row shape's template once with its six fixed fields, leaving
-    the bitmask, the members and C.C as slots, so a row costs one %.
+    The spin rows build no dicts and no row tuples: the loop reads the
+    record's mask and C.C columns, and per row makes the bitmask and looks
+    up its Arf.  The Arf (or its absence) and C.C mod 16 fix the row's
+    class, the fields arf, arf_assumed, mu = sigma - C.C + 8 Arf and
+    lambda; each class met fills the row shape's template once with its
+    six fixed fields, from the record's own row, leaving the bitmask, the
+    members and C.C as slots, so a row costs one %.
     """
     shapes: dict[tuple[tuple, str], tuple[list, str]] = {}
 
@@ -559,22 +554,26 @@ def _dumps(obj: object) -> str:
                     column(list(map(itemgetter(k), values)), inner) for k in order])))
         return items(values, pad)
 
-    def spin_rows(spins: _SpinRows, pad: str) -> str:  # analyze gives at least one row
+    def spin_rows(spins: links.SpinStructures, pad: str) -> str:  # at least one row
         inner = pad + "  "
         fields = inner + "  "  # the rows' keys, and the members arrays
         order, template = shape(_SPIN_FIXED + tuple(_SPIN_SLOTS), inner)
         names = [str(i) for i in range(spins.components)]
         comma, close = "," + fields + "  ", fields + "]"
         opening = "[" + fields + "  "
+        top, get = 1 << spins.components, spins.arf_table.get
         classes: dict[tuple, str] = {}
         texts = []
-        for bits, cc, arf, assumed, mu, lam in spins.rows:
-            row = classes.get((arf, assumed, mu, lam))
+        for mask, cc in zip(spins.masks, spins.self_intersections):
+            bits = bin(mask | top)[3:]
+            arf = get(bits)
+            row = classes.get((arf, cc & 15))
             if row is None:
+                spin = spins.row(mask, cc)
                 shown = _SPIN_SLOTS | dict(zip(_SPIN_FIXED, items([
-                    arf, assumed, lam.representative, lam.value, links.mu_representative(mu), mu],
-                    fields)))
-                row = classes[arf, assumed, mu, lam] = template % tuple(shown[k] for k in order)
+                    spin.arf, spin.arf_assumed, spin.lam.representative, spin.lam.value,
+                    links.mu_representative(spin.mu), spin.mu], fields)))
+                row = classes[arf, cc & 15] = template % tuple(shown[k] for k in order)
             members = comma.join(compress(names, bits.encode().translate(_BIT_VALUES)))
             texts.append(row % (bits, opening + members + close if members else "[]", cc))
         return "[" + inner + ("," + inner).join(texts) + pad + "]"
@@ -584,7 +583,7 @@ def _dumps(obj: object) -> str:
         if isinstance(obj, dict) and obj:
             order, template = shape(tuple(obj), pad)
             return template % tuple(items([obj[k] for k in order], inner))
-        if type(obj) is _SpinRows:
+        if type(obj) is links.SpinStructures:
             return spin_rows(obj, pad)
         if not isinstance(obj, (list, tuple)):
             return json.dumps(obj)  # TypeError for what JSON cannot hold

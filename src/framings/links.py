@@ -6,20 +6,26 @@ produces a closed oriented 3-manifold bounding the 2-handlebody whose
 intersection form is Q, and everything computed here (homology, spin
 structures with their mu and lambda, the natural framings' defects) is a
 function of that matrix alone; each record stores each fact once.  The
-spin structures are walked once, in Gray-code order, and each becomes one
-flat row of analyze's result.
+spin structures are kept as their GF(2) affine space (SpinStructures):
+any one row is built from its basis, and all 2^r are walked once, in
+Gray-code order, on first use, each stored at its rank in bitmask order.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from itertools import compress
-from operator import lshift
-from typing import Mapping, NamedTuple, Sequence
+from operator import index, lshift
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .defects import FramingOffset, LambdaClass, TotalDefect, act, boundary_defect
 from .errors import NotCharacteristic, NotSymmetric, OddFraming
 from .exactmath import IntMatrix, exact_signature, signature_and_smith, solve_gf2
+
+
+# A bitmask's bytes made 0 and 1, so that compress picks its members at C level.
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
 class FramedLink(NamedTuple("FramedLink", [("matrix", IntMatrix)])):
@@ -104,78 +110,172 @@ class SpinStructureData(NamedTuple):
     lam: LambdaClass
 
 
+class SpinStructures:
+    """The spin structures of the surgered manifold, one row per
+    characteristic sublink C, in ascending bitmask order.
+
+    The characteristic sublinks, lk(C, K_i) = Q_ii mod 2 for every
+    component i, are the GF(2) affine space base + span(basis), each vector
+    an int mask with component 0 its leading bit.  The basis is in reduced
+    echelon form: each vector's leading bit is in no other vector, nor in
+    base.  Vector k has the k-th least significant leading bit, so row i,
+    base plus the vectors at the 1 bits of i, has a larger mask than every
+    row before it.
+
+    count is the exact 2**r (len() raises OverflowError past sys.maxsize).
+    rows[i] builds row i from the basis in O(n**2), with no walk.  The two
+    columns, masks and self_intersections (C.C), are filled once, on first
+    use, by one Gray-code walk over all count rows (_walk); iteration builds
+    each row from them.  Arf is looked up in arf_table by bitmask, 0 with
+    arf_assumed set when absent, and lambda is computed once per mu residue.
+    """
+
+    __slots__ = ("components", "count", "arf_table", "_rows", "_sigma", "_r",
+                 "_base", "_basis", "_base_y", "_columns", "_lams")
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...], sigma: int, r: int,
+                 arf_table: Mapping[str, int], base: int, basis: list[int],
+                 base_y: list[int]) -> None:
+        self.components, self.count, self.arf_table = len(rows), 1 << len(basis), arf_table
+        self._rows, self._sigma, self._r, self._base, self._basis = rows, sigma, r, base, basis
+        self._base_y = base_y  # Q times the base, where the walk starts
+        self._columns: tuple[list[int], list[int]] | None = None
+        self._lams: dict[int, LambdaClass] = {}
+
+    @property
+    def masks(self) -> list[int]:
+        """Each row's sublink as an int mask, component 0 its leading bit."""
+        return self._walked()[0]
+
+    @property
+    def self_intersections(self) -> list[int]:
+        """Each row's C.C."""
+        return self._walked()[1]
+
+    def _walked(self) -> tuple[list[int], list[int]]:
+        if self._columns is None:
+            self._columns = _walk(self._rows, self._base, self._basis, self._base_y)
+        return self._columns
+
+    def row(self, mask: int, cc: int) -> SpinStructureData:
+        """The row of the sublink mask, whose C.C is cc."""
+        bits = bin(mask | 1 << self.components)[3:]
+        arf = self.arf_table.get(bits)
+        mu = (self._sigma - cc + 8 * (arf or 0)) % 16
+        lam = self._lams.get(mu) or self._lams.setdefault(mu, lambda_from_mu(self._r, mu))
+        return tuple.__new__(SpinStructureData, (bits, cc, arf or 0, arf is None, mu, lam))
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self) -> Iterator[SpinStructureData]:
+        return map(self.row, self.masks, self.self_intersections)
+
+    def __getitem__(self, i: int) -> SpinStructureData:
+        i = index(i)
+        if i < 0:
+            i += self.count
+        if not 0 <= i < self.count:
+            raise IndexError("spin structure index out of range")
+        mask = self._base
+        for k, v in enumerate(self._basis):
+            if i >> k & 1:
+                mask ^= v
+        members = _members(mask, self.components)
+        y = _times_q(self._rows, members)
+        return self.row(mask, sum(y[j] for j in members))
+
+
 def _spin_structures(link: FramedLink, sigma: int, r: int,
-                     arf_table: Mapping[str, int]) -> tuple[SpinStructureData, ...]:
-    """One row per spin structure, in ascending bitmask order.
+                     arf_table: Mapping[str, int]) -> SpinStructures:
+    """The spin structures' record, its vectors checked characteristic.
 
-    The spin structures are indexed by the characteristic sublinks C,
-    lk(C, K_i) = Q_ii mod 2 for every component i: the 2**r solutions
-    x = particular + span(kernel) of Q x = diag(Q) over GF(2).  Before the
-    walk the basis is checked once (Q times the particular solution is
-    diag(Q), Q times each kernel vector 0, mod 2), a failure naming the
-    particular sublink or the particular plus that kernel vector; then
-    every row is characteristic.
-
-    A Gray-code walk visits them, step k toggling the kernel vector indexed
-    by the trailing zeros of k.  Setting x_i adds 2 y_i + Q_ii to
-    C.C = x^T Q x and column i to y = Q x; clearing it subtracts 2 y_i - Q_ii
-    and the column, y_i read before the update.  y is kept as one int of
-    fixed-width lanes, lane j holding y_j + b, and each toggled column is
-    packed once into the same lanes (_lanes: one int8 struct pass, or
-    shifts when an entry is wider), so a toggle reads y_i with one shift
-    and mask and adds or subtracts one int.  b bounds every |y_j| the
-    walk reaches, from the particular solution's y and the toggled columns
-    alone, O(n) per toggled column, so no lane leaves [0, 2 b] and no carry
-    or borrow crosses into the next.
-
-    Each x is an int mask, component 0 the leading bit, so sorting the
-    masks puts the rows in bitmask order.  Arf is looked up in arf_table by
-    bitmask, 0 with arf_assumed set when absent, and lambda is computed once
-    per mu residue.
+    The characteristic sublinks are the 2**r solutions x = particular +
+    span(kernel) of Q x = diag(Q) over GF(2).  The kernel is brought to
+    reduced echelon form, each vector's leading bit cleared from the others,
+    and the particular solution is cleared at those bits: the record's base
+    and basis.  Those are the vectors the walk toggles, and they are checked
+    once (Q times the base is diag(Q), Q times each basis vector 0, mod 2),
+    a failure naming the base or the base plus that basis vector; then every
+    row is characteristic.  Nothing is walked here.
     """
     q = link.matrix
-    n, rows = q.rows, q.entries  # Q is symmetric: column i is row i
+    n, rows = q.rows, q.entries
     diagonal = q.diagonal()
     solution = solve_gf2(q, list(diagonal))
-    x = solution.particular
-    y = _times_q(rows, x)
-    mask = _parity_mask(x)
+    pivots: dict[int, int] = {}  # leading bit -> the one vector that has it
+    for v in map(_parity_mask, solution.kernel):
+        for lead, w in pivots.items():
+            if v & lead:
+                v ^= w
+        lead = 1 << v.bit_length() - 1
+        for other, w in pivots.items():
+            if w & lead:
+                pivots[other] = w ^ v
+        pivots[lead] = v
+    base = _parity_mask(solution.particular)
+    for lead, v in pivots.items():
+        if base & lead:
+            base ^= v
+    basis = sorted(pivots.values())  # by leading bit, as no two share one
+    y = _times_q(rows, _members(base, n))
     if _parity_mask(y) != _parity_mask(diagonal):
-        raise _not_characteristic(mask, n)
-    for v in solution.kernel:
-        if _parity_mask(_times_q(rows, v)):
-            raise _not_characteristic(mask ^ _parity_mask(v), n)
-    cc = sum(compress(y, x))
-    found = [(mask, cc)]
-    if solution.kernel:  # else one row, and nothing to pack
-        toggled = {i for v in solution.kernel for i in compress(range(n), v)}
+        raise _not_characteristic(base, n)
+    for v in basis:
+        if _parity_mask(_times_q(rows, _members(v, n))):
+            raise _not_characteristic(base ^ v, n)
+    return SpinStructures(rows, sigma, r, arf_table, base, basis, y)
+
+
+def _walk(rows: Sequence[Sequence[int]], base: int, basis: Sequence[int],
+          y: list[int]) -> tuple[list[int], list[int]]:
+    """The masks and C.C of base + span(basis), row i at index i, from
+    y = Q times the base.
+
+    A Gray-code walk visits the rows, step s toggling basis vector k, for k
+    the trailing zeros of s (the ruler, built by doubling).  After step s
+    the coefficients of the basis read s ^ (s >> 1) in binary, so the row
+    is stored at that index: its rank in bitmask order (SpinStructures),
+    with one toggle a step and no sort.  Setting x_i adds 2 y_i + Q_ii to C.C = x^T Q x and column i to
+    y = Q x; clearing it subtracts 2 y_i - Q_ii and the column, y_i read
+    before the update.  y is kept as one int of fixed-width lanes, lane j
+    holding y_j + b, and each toggled column is packed once into the same
+    lanes (_lanes: one int8 struct pass, or shifts when an entry is wider),
+    so a toggle reads y_i with one shift and mask and adds or subtracts one
+    int.  b bounds every |y_j| the walk reaches, from the base's y and the
+    toggled columns alone, O(n) per toggled column, so no lane leaves
+    [0, 2 b] and no carry or borrow crosses into the next.
+    """
+    n = len(rows)
+    cc = sum(y[i] for i in _members(base, n))
+    count = 1 << len(basis)
+    masks, ccs = [base] * count, [cc] * count
+    if basis:  # else one row, and nothing to pack
+        supports = [_members(v, n) for v in basis]
+        toggled = set().union(*supports)
+        # Q is symmetric: column i is row i
         packed, columns, width, offset = _lanes(y, [rows[i] for i in toggled])
         column_of = dict(zip(toggled, columns))
         lane = (1 << width) - 1
-        toggles = [[(width * i, 1 << (n - 1 - i), column_of[i],
-                     rows[i][i] - 2 * offset, rows[i][i] + 2 * offset)
-                    for i in compress(range(n), v)] for v in solution.kernel]
-        for step in range(1, 1 << len(toggles)):
-            for shift, bit, column, to_set, to_clear in toggles[(step & -step).bit_length() - 1]:
+        toggles = [(v, [(width * i, 1 << n - 1 - i, column_of[i],
+                         rows[i][i] - 2 * offset, rows[i][i] + 2 * offset)
+                        for i in support]) for v, support in zip(basis, supports)]
+        ruler = []  # the toggle of each step
+        for toggle in toggles:
+            ruler += [toggle] + ruler
+        mask = base
+        for rank, (v, components) in zip([s ^ s >> 1 for s in range(1, count)], ruler):
+            for shift, bit, column, to_set, to_clear in components:
                 if mask & bit:  # 2 y_i - Q_ii = 2 (lane - b) - Q_ii
                     cc += to_clear - 2 * (packed >> shift & lane)
                     packed -= column
                 else:
                     cc += 2 * (packed >> shift & lane) + to_set
                     packed += column
-                mask ^= bit
-            found.append((mask, cc))
-        found.sort()
-    top, get, new = 1 << n, arf_table.get, tuple.__new__
-    lams: dict[int, LambdaClass] = {}
-    out = []
-    for mask, cc in found:
-        bits = bin(mask | top)[3:]
-        arf = get(bits)
-        mu = (sigma - cc + 8 * (arf or 0)) % 16
-        lam = lams.get(mu) or lams.setdefault(mu, lambda_from_mu(r, mu))
-        out.append(new(SpinStructureData, (bits, cc, arf or 0, arf is None, mu, lam)))
-    return tuple(out)
+            mask ^= v
+            masks[rank] = mask
+            ccs[rank] = cc
+    return masks, ccs
 
 
 def _lanes(y: Sequence[int],
@@ -194,7 +294,7 @@ def _lanes(y: Sequence[int],
     n, peak = len(y), max(map(abs, y), default=0)
     offset = peak + (len(columns) << 7)
     width = -(-_lane_bits(offset) // 8) * 8
-    layout = struct.Struct("<" + f"b{width // 8 - 1}x" * n)
+    layout = _int8_lanes(width // 8, n)
     try:
         unsigned = [int.from_bytes(layout.pack(*c), "little") for c in columns]
     except struct.error:  # an entry past int8
@@ -210,6 +310,13 @@ def _lanes(y: Sequence[int],
             packed, width, offset)
 
 
+@lru_cache(maxsize=64)
+def _int8_lanes(size: int, n: int) -> struct.Struct:
+    """The layout of n lanes of size bytes, an int8 in the low byte of each
+    and zero pad bytes above: compiled once per (size, n)."""
+    return struct.Struct("<" + f"b{size - 1}x" * n)
+
+
 def _lane_bits(offset: int) -> int:
     """The bits a lane needs to hold 0, ..., 2 * offset."""
     return (2 * offset + 1).bit_length()
@@ -220,20 +327,25 @@ def _ones(width: int, n: int) -> int:
     return ((1 << width * n) - 1) // ((1 << width) - 1)
 
 
-def _times_q(rows: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
-    """Q x for a 0/1 vector x and Q symmetric: the sum of the rows x picks."""
-    return list(map(sum, zip([0] * len(rows), *compress(rows, x))))
+def _times_q(rows: Sequence[Sequence[int]], members: Sequence[int]) -> list[int]:
+    """Q x for x the 0/1 vector of members and Q symmetric: the sum of
+    their rows."""
+    return list(map(sum, zip([0] * len(rows), *[rows[i] for i in members])))
+
+
+def _members(mask: int, n: int) -> list[int]:
+    """The components in mask, component 0 the leading of n bits."""
+    return list(compress(range(n), bin(mask | 1 << n)[3:].encode().translate(_BIT_VALUES)))
 
 
 def _parity_mask(values: Sequence[int]) -> int:
     """The parities of values as the bits of one int, values[0] leading."""
-    return sum(1 << k for k, v in enumerate(reversed(values)) if v & 1)
+    return int("0" + "".join(["1" if v & 1 else "0" for v in values]), 2)
 
 
 def _not_characteristic(mask: int, n: int) -> NotCharacteristic:
     """The error naming mask's members, component 0 the leading of n bits."""
-    members = [i for i in range(n) if mask >> n - 1 - i & 1]
-    return NotCharacteristic(f"sublink {members} is not characteristic")
+    return NotCharacteristic(f"sublink {_members(mask, n)} is not characteristic")
 
 
 def lambda_from_mu(r: int, mu: int) -> LambdaClass:
@@ -303,14 +415,16 @@ class LinkAnalysis(NamedTuple):
 
     framings: NaturalFramings
     homology: HomologyProfile
-    spin_structures: tuple[SpinStructureData, ...]
+    spin_structures: SpinStructures
 
 
 def analyze(link: FramedLink, arf_table: Mapping[str, int] | None) -> LinkAnalysis:
     """Natural framings (hence chi, sigma, tau), homology and spin
     structures of a link, in one pass.  arf_table maps sublink bitmasks to
-    Arf invariants and may be None; each of its values must be 0 or 1."""
-    table = {} if arf_table is None else arf_table
+    Arf invariants and may be None; each of its values must be 0 or 1.
+    The spin structures' record builds its rows when they are read, so it
+    keeps a copy of the table."""
+    table = {} if arf_table is None else dict(arf_table)
     if not all(isinstance(arf, int) and not isinstance(arf, bool) and arf in (0, 1)
                for arf in table.values()):
         raise ValueError("arf must be 0 or 1")

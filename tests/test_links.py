@@ -16,6 +16,7 @@ from framings import (
     NotSymmetric,
     OddFraming,
     SpinStructureData,
+    SpinStructures,
     TotalDefect,
     act,
     analyze,
@@ -55,7 +56,7 @@ def members_of(c: SpinStructureData) -> frozenset[int]:
     return frozenset(i for i, bit in enumerate(c.bitmask) if bit == "1")
 
 
-def spins_of(link: FramedLink, arf_table=None) -> tuple[SpinStructureData, ...]:
+def spins_of(link: FramedLink, arf_table=None) -> SpinStructures:
     return analyze(link, arf_table).spin_structures
 
 
@@ -295,9 +296,11 @@ class TestGrayCodeWalk:
         (FramedLink.from_rows([[-129] * 2] * 2), [("01", -129), ("10", -129)]),
         (FramedLink.from_rows([[1, 0, 2, 127], [0, 0, 2, 1], [2, 2, 0, 0], [127, 1, 0, -1]]),
          [("1000", 1), ("1010", 5)]),
+        (FramedLink.from_rows([[1] * 3] * 3),
+         [("001", 1), ("010", 1), ("100", 1), ("111", 9)]),
     ], ids=["empty", "odd-unknot", "even-unknot", "identity70", "wide-copies",
             "wide-negative-copies", "int8-top-copies", "int8-bottom-copies",
-            "past-int8-copies", "below-int8-copies", "int8-lane-width"])
+            "past-int8-copies", "below-int8-copies", "int8-lane-width", "shared-leading-bit"])
     def test_edges(self, link, rows):
         # Whole (bitmask, C.C) lists in ascending order; test_matches_bruteforce
         # holds random links to the same.  The identity's mask is 70 bits wide.
@@ -309,7 +312,41 @@ class TestGrayCodeWalk:
         # int8-lane-width takes the int8 pass with y_3 = 127 beside one toggled
         # column, so b = 127 + 128 and a lane needs 9 bits, rounded up to 16;
         # 8-bit lanes would read one of its two C.C values wrong.
+        # shared-leading-bit: the solver's kernel vectors 110 and 101 share
+        # their leading bit, so rows come out in bitmask order only once the
+        # basis is reduced (011, 101) and the base cleared (100 -> 001).
         assert [(c.bitmask, c.self_intersection) for c in spins_of(link)] == rows
+
+
+class TestSpinRecord:
+    """rows[i] builds row i from the basis, and iteration reads the walked
+    columns: each is the other's oracle."""
+
+    @pytest.mark.parametrize("wide", [False, True], ids=["narrow", "wide"])
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_indexing_matches_iteration(self, wide, data):
+        link = data.draw(spin_test_links(wide=wide))
+        report = analyze(link, None)
+        rows = report.spin_structures
+        walked = list(rows)
+        assert rows.count == len(rows) == len(walked) == 2 ** report.homology.r
+        for i, row in enumerate(walked):
+            assert rows[i] == row
+            assert rows[i - rows.count] == row
+        for i in (rows.count, -rows.count - 1):
+            with pytest.raises(IndexError):
+                rows[i]
+
+    def test_a_200_component_unlink_is_counted_not_walked(self, monkeypatch):
+        def walk(*args):
+            raise AssertionError("the walk ran")
+
+        monkeypatch.setattr(framings.links, "_walk", walk)
+        rows = analyze(FramedLink.from_rows([[0] * 200] * 200), None).spin_structures
+        assert rows.count == 2 ** 200
+        assert (rows[0].bitmask, rows[0].self_intersection) == ("0" * 200, 0)
+        assert (rows[-1].bitmask, rows[-1].self_intersection) == ("1" * 200, 0)
 
 
 def _count_kernel_calls(monkeypatch) -> dict[str, int]:
