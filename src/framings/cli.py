@@ -16,9 +16,7 @@ its dict, joined by `_dumps` in one pass.  The payload of `invariants` holds
 the 2^r spin structures as `analyze`'s own record (`links.SpinStructures`),
 and both renderers read it: `_dumps` reads its mask and C.C columns and
 fills one %-template per (Arf, mu) class with each row's bitmask, members
-and C.C; the text report iterates its rows.  Other long arrays render as
-one column: like dicts sort and quote their keys once per call, and each
-of their fields renders with one converter mapped over the column.
+and C.C; the text report iterates its rows.
 
 Exit codes: 0 success, 1 `catalog` with a FAIL row, 2 parse or validation
 error, 3 mathematical precondition violation.
@@ -34,7 +32,6 @@ import sys
 from fractions import Fraction
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable, NamedTuple, NoReturn, Sequence
 
@@ -483,11 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_LITERALS = {None: "null", True: "true", False: "false"}
-# Shorter arrays render item by item: there, sorting out a column's types
-# costs more than mapping one converter saves (2 ints: about 0.7 us item
-# by item, 1.2 us as a column; even near 16; Python 3.11, 2-vCPU VM).
-_COLUMN_MIN = 8
 # A spin row's fields that its class fixes, and the three left as slots of
 # the class's template, in sorted key order.  A bitmask holds only 0s and 1s,
 # so its quotes go in the template.
@@ -502,16 +494,12 @@ def _dumps(obj: object) -> str:
     "self_intersection", "arf", "arf_assumed", "mu": mu_representative(mu),
     "mu_mod16": mu, "lambda": lam.representative, "lambda_mod4": lam.value}.
 
-    An array of _COLUMN_MIN items or more renders as one column.  A column
-    of exact ints, of strs, or of bools and None maps one converter over
-    it (repr, _quote, a dict lookup).  A column of dicts with one nonempty
-    key tuple renders each key's values as a column and fills the shape's
-    %-template row by row.  Other columns, shorter arrays and a lone dict's
-    values render item by item: exact ints, strs, bools and None inline,
-    lists and nonempty dicts recurse, and json.dumps renders the rest
-    (floats, subclasses, {}).  A table local to the call maps each dict
-    shape (its key tuple and indent) to its sorted keys and a %-template of
-    their `,\n  "key": ` heads, so like dicts sort and quote their keys once.
+    Arrays and a dict's values render item by item: exact ints, strs, bools
+    and None inline, lists and nonempty dicts recurse, and json.dumps
+    renders the rest (floats, subclasses, {}).  A table local to the call
+    maps each dict shape (its key tuple and indent) to its sorted keys and a
+    %-template of their `,\n  "key": ` heads, so like dicts sort and quote
+    their keys once.
 
     The spin rows build no dicts and no row tuples: the loop reads the
     record's mask and C.C columns, and per row makes the bitmask and looks
@@ -536,23 +524,6 @@ def _dumps(obj: object) -> str:
                 else _quote(v) if type(v) is str else "null" if v is None
                 else "true" if v is True else "false" if v is False
                 else render(v, pad) for v in values]
-
-    def column(values: Sequence, pad: str) -> list[str]:
-        kinds = set(map(type, values))
-        if kinds == {int}:
-            return list(map(repr, values))
-        if kinds == {str}:
-            return list(map(_quote, values))
-        if kinds <= {bool, type(None)}:
-            return list(map(_LITERALS.__getitem__, values))
-        inner = pad + "  "
-        if kinds == {dict}:
-            keys = set(map(tuple, values))
-            if len(keys) == 1 and () not in keys:  # like dicts, and not all {}
-                order, template = shape(keys.pop(), pad)
-                return list(map(template.__mod__, zip(*[
-                    column(list(map(itemgetter(k), values)), inner) for k in order])))
-        return items(values, pad)
 
     def spin_rows(spins: links.SpinStructures, pad: str) -> str:  # at least one row
         inner = pad + "  "
@@ -590,8 +561,7 @@ def _dumps(obj: object) -> str:
         if not obj:
             return "[]"
         # No name holds the item texts, so they are freed before the copies of their join.
-        return "[" + inner + ("," + inner).join(
-            column(obj, inner) if len(obj) >= _COLUMN_MIN else items(obj, inner)) + pad + "]"
+        return "[" + inner + ("," + inner).join(items(obj, inner)) + pad + "]"
 
     return render(obj, "\n")
 

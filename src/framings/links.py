@@ -122,7 +122,8 @@ class SpinStructures:
     base plus the vectors at the 1 bits of i, has a larger mask than every
     row before it.
 
-    count is the exact 2**r (len() raises OverflowError past sys.maxsize).
+    count, the exact 2**r, is the record's only size: it has no len(), which
+    could not hold 2**r past sys.maxsize, and so it is always true.
     rows[i] builds row i from the basis in O(n**2), with no walk.  The two
     columns, masks and self_intersections (C.C), are filled once, on first
     use, by one Gray-code walk over all count rows (_walk); iteration builds
@@ -164,9 +165,6 @@ class SpinStructures:
         mu = (self._sigma - cc + 8 * (arf or 0)) % 16
         lam = self._lams.get(mu) or self._lams.setdefault(mu, lambda_from_mu(self._r, mu))
         return tuple.__new__(SpinStructureData, (bits, cc, arf or 0, arf is None, mu, lam))
-
-    def __len__(self) -> int:
-        return self.count
 
     def __iter__(self) -> Iterator[SpinStructureData]:
         return map(self.row, self.masks, self.self_intersections)

@@ -707,7 +707,7 @@ def _like_dicts(draw):
     def row():
         return {k: draw(values) for k in draw(st.permutations(keys))}
 
-    rows = [row() for _ in range(draw(st.integers(1, 6)))]
+    rows = [row() for _ in range(draw(st.integers(1, 40)))]
     rows += draw(st.lists(st.sampled_from([{}, [], ()]), max_size=3))
     deeper = row()
     deeper[keys[0]] = [row(), {"again": row()}]
@@ -767,7 +767,7 @@ _subclassed = (st.builds(_Dict, st.dictionaries(_text, st.integers(), max_size=2
                | st.builds(_List, st.lists(st.integers(), max_size=2))
                | st.builds(_Pair, st.integers(), _text)
                | st.sampled_from(_Small) | st.builds(_Str, _text))
-# What one column may hold: one exact type, bools beside ints, subclasses
+# What a long array may hold: one exact type, bools beside ints, subclasses
 # beside their bases, several types at once, arrays, and like dicts.
 _cells = st.sampled_from([
     st.integers(), _text, st.none() | st.booleans(), st.integers(-2, 2) | st.booleans(),
@@ -778,27 +778,26 @@ _cells = st.sampled_from([
 ])
 
 
-_COLUMN = st.integers(cli._COLUMN_MIN - 1, cli._COLUMN_MIN + 2)  # short of a column, and long enough
+_COLUMN = st.integers(0, 40)  # empty, short and long arrays
 
 
 @st.composite
 def _columns(draw):
-    """Arrays whose items render as one column: like dicts (a column of
-    each key's values), arrays of arrays with empty ones and tuples among
-    them, arrays of {} and loose items of several types."""
+    """Arrays of up to 40 items: like dicts, arrays of arrays with empty ones
+    and tuples among them, arrays of {} and loose items of several types."""
     keys = draw(st.lists(_text | st.sampled_from(["%", "a"]), min_size=1, max_size=4, unique=True))
     row = st.fixed_dictionaries({k: draw(_cells) for k in keys})
     cell = draw(_cells)
     array = (st.lists(cell, max_size=2) | st.tuples(cell, cell)
              | st.builds(_List, st.lists(cell, max_size=2)) | st.sampled_from([[], ()]))
 
-    def column(items):
+    def sized(items):
         size = draw(_COLUMN)
         return draw(st.lists(items, min_size=size, max_size=size))
 
-    return {"like": column(row), "arrays": column(array), "deeper": column(st.lists(array, max_size=2)),
-            "empty_dicts": column(st.just({})),
-            "loose": column(_cells.flatmap(lambda cells: cells))}
+    return {"like": sized(row), "arrays": sized(array), "deeper": sized(st.lists(array, max_size=2)),
+            "empty_dicts": sized(st.just({})),
+            "loose": sized(_cells.flatmap(lambda cells: cells))}
 
 
 @settings(max_examples=100)
@@ -807,7 +806,7 @@ def test_json_renderer_renders_columns_byte_for_byte(value):
     assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
-# Each array is cli._COLUMN_MIN items or more, so it renders as one column.
+# Long arrays of edge items, and a lone dict of them.
 @pytest.mark.parametrize("value", [
     [{}] * 8, [[], [1, 2], [], (3,), ()] * 2, [[[], [0]], [[]]] * 4, [1, True, False, 0, None] * 2,
     [{"a": 1}, {"a": True}] * 4, [_Small.ONE, 1] * 4, [_Str("x"), "y"] * 4,
@@ -817,7 +816,6 @@ def test_json_renderer_renders_columns_byte_for_byte(value):
         "bool-beside-int-in-like-dicts", "int-enum", "str-subclass", "list-subclass",
         "named-tuple", "dict-subclass", "empty-dict-subclass", "lone-dict"])
 def test_json_renderer_renders_edge_columns_byte_for_byte(value):
-    assert isinstance(value, dict) or len(value) >= cli._COLUMN_MIN
     assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
