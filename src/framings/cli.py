@@ -97,8 +97,7 @@ def load_link_document(path: str) -> LinkDocument:
         raise ParseError(f"{where}: 'arf_table' must be an object")
     arf_table: dict[str, int] = {}
     for key, value in raw_table.items():
-        if (not isinstance(key, str) or len(key) != size
-                or any(c not in "01" for c in key)):
+        if not isinstance(key, str) or len(key) != size or key.strip("01"):
             raise ParseError(f"{where}: arf_table key {_shown(key)} is not a {size}-bit mask")
         if not isinstance(value, int) or isinstance(value, bool) or value not in (0, 1):
             raise ParseError(f"{where}: arf_table[{_shown(key)}] must be 0 or 1")

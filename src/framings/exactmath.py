@@ -6,8 +6,10 @@ One fraction-free (Bareiss) elimination of a symmetric Q gives its
 determinant, its signature and the head of its Smith form.  It stores
 only the upper triangle, since a symmetric block stays symmetric, and
 takes two pivots per step where it can: the block two steps on is made
-of 3x3 minors of the current one over the square of the previous pivot
-(Sylvester's identity; Bareiss's two-step elimination).  It takes one
+of 3x3 minors of the current one, each over the previous pivot twice
+(Sylvester's identity; Bareiss's two-step elimination).  Each 2x2
+cofactor in those minors is a multiple of that pivot, so every entry
+takes one exact division by it, with operands half as wide.  It takes one
 step where the second pivot is 0 or at most 2 rows are left.  A zero
 pivot has one repair, adding a later row k, rebuilt whole from the
 triangle, and its column; a radical direction drops its first row, and
@@ -21,7 +23,9 @@ is a unit mod g splits off as an identity; one Smith loop mod g, on the
 step-m Bareiss block rebuilt from the kept rows by running the steps
 backwards when it is small and on Q otherwise, gives the head of the
 Smith form.  A singular Q and a non-symmetric matrix are reduced by the
-same loop over Z.  No rational or floating-point number enters any
+same loop over Z.  An affine GF(2) system is one bit-sliced elimination
+of a single int, a row to a lane, whose answer is the int masks of a
+reduced echelon basis.  No rational or floating-point number enters any
 elimination.
 """
 
@@ -227,7 +231,12 @@ def _symmetric_pass(mat: IntMatrix) -> tuple[int, int, list[list[int]]]:
     Sylvester identity: entry (i, j), i, j >= 2, is the minor of b on rows
     0, 1, i and columns 0, 1, j over prev^2.  Expanded along column j it is
     b_ij p1 prev - b_1j m1 + b_0j m0, with m1 = p b_1i - b_01 b_0i and
-    m0 = b_01 b_1i - b_11 b_0i.  A zero p1, or 2 rows or fewer, takes the
+    m0 = b_01 b_1i - b_11 b_0i.  Both cofactors are 2 x 2 minors of b, so
+    multiples of prev by Sylvester's identity again: m1 / prev is entry
+    i - 1 of the row-1 pivot row just computed, and m0 / prev is one exact
+    division a row.  So the entry is (b_ij p1 - b_1j m1' + b_0j m0') / prev,
+    m1' and m0' the two quotients, one division by prev on operands half
+    as wide as those over prev^2.  A zero p1, or 2 rows or fewer, takes the
     single step, which reuses the row 1 already computed, and the next
     pivot's repair sees the zero as before; so the kept rows, pivots and
     repairs are those of single steps."""
@@ -259,12 +268,10 @@ def _symmetric_pass(mat: IntMatrix) -> tuple[int, int, list[list[int]]]:
             if p1:
                 signature += 1 if (p1 > 0) == (p > 0) else -1
                 kept.append(nxt)
-                c, d = p1 * prev, prev * prev
                 block = []
                 for i, row in enumerate(a[2:], 2):
-                    m1 = p * one[i - 1] - f * top[i]
-                    m0 = f * one[i - 1] - one[0] * top[i]
-                    block.append([(x * c - y * m1 + z * m0) // d
+                    m1, m0 = nxt[i - 1], (f * one[i - 1] - one[0] * top[i]) // prev
+                    block.append([(x * p1 - y * m1 + z * m0) // prev
                                   for x, y, z in zip(row, one[i - 1:], top[i:])])
                 prev, a = p1, block
                 continue
@@ -330,51 +337,68 @@ def signature_and_smith(q: MatrixLike) -> tuple[int, SmithForm]:
 
 
 class Gf2Solution(NamedTuple):
-    """Affine solution set of a GF(2) system: particular + kernel basis."""
+    """Affine solution set of a GF(2) system, particular + span(kernel),
+    each vector an int mask with column 0 the leading of nc bits.  The
+    kernel is in reduced echelon form and ascending: each vector's leading
+    bit is a free column, and is in no other vector nor in particular."""
 
-    particular: tuple[int, ...]
-    kernel: tuple[tuple[int, ...], ...]
+    particular: int
+    kernel: tuple[int, ...]
+
+
+_BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 def solve_gf2(a: MatrixLike, b: Sequence[int]) -> Gf2Solution:
     """Solve a x = b over GF(2); entries of a and b are reduced mod 2.
 
-    Raises Unsolvable when the system is inconsistent.  Rows are held as
-    integer bitmasks in reduced row echelon form, keyed by pivot column,
-    the right-hand side as bit nc of the same int; a new row is reduced by
-    them, and its pivot cleared from them.  A row reduced to bit nc alone
-    reads 0 = 1.
+    Raises Unsolvable when the system is inconsistent.  (a | b) mod 2 is
+    packed by one C-level pass into one int of max(rows, nc) lanes, nc + 1
+    bits wide: row 0 the highest lane, column 0 the leading bit of a lane
+    and b its last.  Lane nc - 1 - j is column j's place.  The columns are
+    eliminated from nc - 1 down to 0, each by a few whole-int operations,
+    with no loop over rows: column j of every lane is read by one shift
+    and mask; a lane with a 1 there that holds no pivot, its place first,
+    becomes column j's pivot, is added to every other lane with a 1 there
+    by one multiply, carry-free as each lane gets one copy, and is swapped
+    into its place.  A column with no such lane is free.  Every lane that
+    holds no pivot is then 0 but for b, where a 1 reads 0 = 1.
+
+    Read from the top, the lowest nc lanes are then the rows of a reduced
+    echelon form in column order, a free column's lane 0.  Their b column
+    is the particular solution, 0 at each free column f, and their column
+    f plus bit f is f's kernel vector.  A free column f > j is 0 in every
+    lane that holds no pivot when j is eliminated, so pivot row j has a 1
+    at f only for f < j: f is its vector's leading bit, and the vectors,
+    taken as f falls, ascend.
     """
     mat = as_int_matrix(a)
-    nc = mat.cols
-    if len(b) != mat.rows:
-        raise ValueError(f"right-hand side has length {len(b)}, expected {mat.rows}")
-    pivots: dict[int, int] = {}  # pivot column -> row bits, rhs at bit nc
-    for row, rhs in zip(mat.entries, b):
-        bits = sum(1 << j for j, x in enumerate(row) if x & 1) | (rhs & 1) << nc
-        for col, pbits in pivots.items():
-            if (bits >> col) & 1:
-                bits ^= pbits
-        if bits == 1 << nc:
-            raise Unsolvable("inconsistent linear system over GF(2)")
-        if bits == 0:
+    rows, nc = mat.rows, mat.cols
+    if len(b) != rows:
+        raise ValueError(f"right-hand side has length {len(b)}, expected {rows}")
+    if not {int}.issuperset(map(type, b)):  # one C-level scan
+        _refuse_non_int(b, "right-hand side entry")
+    w = nc + 1
+    lane = (1 << w) - 1
+    ones = ((1 << max(rows, nc) * w) - 1) // lane  # bit 0 of each lane
+    entries = chain.from_iterable(map(tuple.__add__, mat.entries, zip(b)))
+    m = int(b"0" + bytes([x & 1 for x in entries]).translate(_BIT_DIGITS), 2)
+    free, avail = [], ones  # avail: the lanes that hold no pivot
+    for j, at in zip(range(nc - 1, -1, -1), range(0, nc * w, w)):
+        col, slot = m >> nc - j & ones, 1 << at
+        if col & slot:  # the pivot is in its place
+            m ^= (m >> at & lane) * (col ^ slot)
+        elif pick := col & avail:
+            pick &= -pick
+            row = m >> pick.bit_length() - 1 & lane
+            m ^= row * (col ^ pick)
+            m ^= (row ^ m >> at & lane) * (pick | slot)
+        else:
+            free.append(j)
             continue
-        col = (bits & -bits).bit_length() - 1
-        for pcol, pbits in pivots.items():
-            if (pbits >> col) & 1:
-                pivots[pcol] = pbits ^ bits
-        pivots[col] = bits
-    particular = [0] * nc
-    for col, pbits in pivots.items():
-        particular[col] = pbits >> nc
-    kernel = []
-    for free in range(nc):
-        if free in pivots:
-            continue
-        v = [0] * nc
-        v[free] = 1
-        for col, pbits in pivots.items():
-            if (pbits >> free) & 1:
-                v[col] = 1
-        kernel.append(tuple(v))
-    return Gf2Solution(tuple(particular), tuple(kernel))
+        avail ^= slot
+    if m & avail:
+        raise Unsolvable("inconsistent linear system over GF(2)")
+    bits = f"{m:0{nc * w}b}"
+    kernel = tuple(int(bits[f::w], 2) | 1 << nc - 1 - f for f in free)
+    return Gf2Solution(int(bits[nc::w], 2), kernel)

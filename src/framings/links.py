@@ -135,7 +135,7 @@ class SpinStructures:
                  "_base", "_basis", "_base_y", "_columns", "_lams")
 
     def __init__(self, rows: tuple[tuple[int, ...], ...], sigma: int, r: int,
-                 arf_table: Mapping[str, int], base: int, basis: list[int],
+                 arf_table: Mapping[str, int], base: int, basis: tuple[int, ...],
                  base_y: list[int]) -> None:
         self.components, self.count, self.arf_table = len(rows), 1 << len(basis), arf_table
         self._rows, self._sigma, self._r, self._base, self._basis = rows, sigma, r, base, basis
@@ -189,33 +189,18 @@ def _spin_structures(link: FramedLink, sigma: int, r: int,
     """The spin structures' record, its vectors checked characteristic.
 
     The characteristic sublinks are the 2**r solutions x = particular +
-    span(kernel) of Q x = diag(Q) over GF(2).  The kernel is brought to
-    reduced echelon form, each vector's leading bit cleared from the others,
-    and the particular solution is cleared at those bits: the record's base
-    and basis.  Those are the vectors the walk toggles, and they are checked
-    once (Q times the base is diag(Q), Q times each basis vector 0, mod 2),
-    a failure naming the base or the base plus that basis vector; then every
-    row is characteristic.  Nothing is walked here.
+    span(kernel) of Q x = diag(Q) over GF(2), and solve_gf2 gives them as
+    masks in the record's reduced echelon form: its particular solution and
+    kernel are the record's base and basis.  Those are the vectors the walk
+    toggles, and they are checked once (Q times the base is diag(Q), Q
+    times each basis vector 0, mod 2), a failure naming the base or the
+    base plus that basis vector; then every row is characteristic.  Nothing
+    is walked here.
     """
     q = link.matrix
     n, rows = q.rows, q.entries
     diagonal = q.diagonal()
-    solution = solve_gf2(q, list(diagonal))
-    pivots: dict[int, int] = {}  # leading bit -> the one vector that has it
-    for v in map(_parity_mask, solution.kernel):
-        for lead, w in pivots.items():
-            if v & lead:
-                v ^= w
-        lead = 1 << v.bit_length() - 1
-        for other, w in pivots.items():
-            if w & lead:
-                pivots[other] = w ^ v
-        pivots[lead] = v
-    base = _parity_mask(solution.particular)
-    for lead, v in pivots.items():
-        if base & lead:
-            base ^= v
-    basis = sorted(pivots.values())  # by leading bit, as no two share one
+    base, basis = solve_gf2(q, diagonal)
     y = _times_q(rows, _members(base, n))
     if _parity_mask(y) != _parity_mask(diagonal):
         raise _not_characteristic(base, n)

@@ -1,5 +1,5 @@
-"""Seeded fuzz of signature_and_smith against oracles that share no code
-with the kernel.
+"""Seeded fuzz of signature_and_smith and solve_gf2 against oracles that
+share no code with the kernel.
 
 Runs 20 000 symmetric matrices with n = 1..8 from five families: dense,
 zero-diagonal, rich in 2 and 3, dense scaled by 2-6, and singular.  Each
@@ -8,9 +8,11 @@ characteristic polynomial and the Smith form from Hermite normal forms
 (mod |det|, or with no modulus when det = 0); every fourth with n <= 4
 is also checked against the gcds of its minors.  The smallest-pivot loop
 run over Z, the kernel's other route, must agree too; that is a route
-check, not an oracle, and is counted apart.  Prints how many matrices
-each check saw and the routes the loop took, and exits 1 on any
-mismatch.  pytest does not collect it; run it with
+check, not an oracle, and is counted apart.  solve_gf2(Q, diag Q) must
+give a particular solution of the system mod 2 and a kernel of
+n - rank_2(Q) vectors in ker Q mod 2, in ascending reduced echelon form.
+Prints how many matrices each check saw and the routes the loop took,
+and exits 1 on any mismatch.  pytest does not collect it; run it with
 
     PYTHONPATH=src:tests python tests/fuzz_smith.py
 """
@@ -22,7 +24,7 @@ import sys
 from collections import Counter
 
 import oracles
-from framings import SmithForm, exactmath, signature_and_smith
+from framings import SmithForm, exactmath, signature_and_smith, solve_gf2
 
 PER_FAMILY = 4000
 
@@ -105,6 +107,16 @@ def main() -> int:
                 checked.update(list(expected))
                 if any(got != e for e in expected.values()):
                     print(f"{family.__name__} {rows}: {got} != {expected}", file=sys.stderr)
+                    mismatches += 1
+                diagonal = [rows[k][k] for k in range(n)]
+                checked["GF(2) solve"] += 1
+                try:
+                    solution = solve_gf2(rows, diagonal)
+                    faults = oracles.gf2_solution_faults(rows, diagonal, *solution)
+                except Exception as exc:
+                    solution, faults = exc, ["raised"]
+                if faults:
+                    print(f"{family.__name__} {rows}: {solution}: {faults}", file=sys.stderr)
                     mismatches += 1
     finally:
         exactmath._smith_factors = loop

@@ -9,7 +9,8 @@ counts per prime from ranks over GF(p) instead of the Smith loop;
 signatures from floating eigenvalues and, exactly, from the sign changes
 of the integer characteristic polynomial instead of symmetric
 elimination, GF(2) systems and characteristic sublinks by exhaustive
-enumeration, a spin structure's mu (`mu_of`) from a C.C summed straight
+enumeration, a GF(2) solution's masks by products with the matrix and by
+the rank mod 2 instead of by elimination on packed lanes, a spin structure's mu (`mu_of`) from a C.C summed straight
 from the linking matrix's entries instead of by the Gray-code walk's
 updates and from the characteristic polynomial's signature, whether
 L(n, 1)'s canonical 2-framing splits as a double by a closed form in n
@@ -246,6 +247,35 @@ def gf2_solutions_bruteforce(a: list[list[int]], b: list[int]) -> set[tuple[int,
         if all(sum(a[i][j] * x[j] for j in range(nc)) % 2 == b[i] % 2 for i in range(nr)):
             out.add(x)
     return out
+
+
+def gf2_solution_faults(a: list[list[int]], b: list[int], particular: int,
+                        kernel: tuple[int, ...]) -> list[str]:
+    """What is wrong with particular + span(kernel) as the solution set of
+    a x = b over GF(2) in reduced echelon form, each vector a mask with
+    column 0 the leading of nc bits; [] when nothing is.  particular must
+    solve the system and each kernel vector a x = 0, the kernel must be
+    nc - rank_2(a) vectors, ascending, and each one's leading bit must be in
+    no other vector nor in particular."""
+    nc = len(a[0]) if a else 0
+
+    def image(mask: int) -> list[int]:
+        x = [mask >> nc - 1 - j & 1 for j in range(nc)]
+        return [sum(r * v for r, v in zip(row, x)) % 2 for row in a]
+
+    leads = [1 << v.bit_length() - 1 for v in kernel]
+    faults = []
+    if not 0 <= particular < 1 << nc or image(particular) != [v % 2 for v in b]:
+        faults.append("particular does not solve a x = b")
+    if any(not 0 < v < 1 << nc or any(image(v)) for v in kernel):
+        faults.append("a kernel vector is not in ker a")
+    if len(kernel) != nc - rank_mod_p(a, 2):
+        faults.append(f"{len(kernel)} kernel vectors, not nc - rank = {nc - rank_mod_p(a, 2)}")
+    if any(u >= v for u, v in zip(kernel, kernel[1:])) or any(
+            particular & lead or any(v & lead for v in kernel if 1 << v.bit_length() - 1 != lead)
+            for lead in leads):
+        faults.append("the kernel is not in ascending reduced echelon form")
+    return faults
 
 
 def characteristic_subsets_bruteforce(rows: list[list[int]]) -> set[frozenset[int]]:

@@ -119,6 +119,13 @@ class TestLoadLinkDocument:
         with pytest.raises(ParseError):
             load_link_document(path)
 
+    def test_rejects_an_arf_key_with_a_bad_character_inside(self, tmp_path):
+        # Both ends are bits; only the middle character is not.
+        path = write_doc(tmp_path, {"matrix": [[2, 0, 0], [0, 2, 0], [0, 0, 2]],
+                                    "arf_table": {"0a1": 0}})
+        with pytest.raises(ParseError, match="arf_table key '0a1' is not a 3-bit mask$"):
+            load_link_document(path)
+
     def test_rejects_non_bit_arf_values(self, tmp_path):
         path = write_doc(tmp_path, {"matrix": [[2]], "arf_table": {"1": 2}})
         with pytest.raises(ParseError):

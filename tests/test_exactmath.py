@@ -430,6 +430,15 @@ def _paired_pivot_forms(draw, max_size=10):
     return [[sum(x * y for x, y in zip(row, other)) for other in low] for row in lb]
 
 
+def _dense_symmetric(rng: random.Random, n: int) -> list[list[int]]:
+    """A symmetric n x n matrix with entries drawn from [-3, 3]."""
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = rng.randint(-3, 3)
+    return rows
+
+
 class TestSymmetricPass:
     @given(_nonzero_leading_minors())
     @settings(max_examples=60)
@@ -464,6 +473,41 @@ class TestSymmetricPass:
             assert factors == oracles.invariant_factors_by_minors(rows)
         else:
             assert factors == oracles.smith_by_hermite(rows)
+
+    # Dense forms whose pivots run to many digits: the double step's one
+    # division by the previous pivot, and the cofactor m0 divided by it
+    # first, are exact only as Sylvester's identity says, and a wrong
+    # divisor or a misread row-1 entry shows in every later pivot.
+    @pytest.mark.time_limit(20)
+    @pytest.mark.parametrize("n, seed", [(12, 1), (24, 0), (40, 0)])  # seeds with no D_k = 0
+    def test_dense_pivots_are_the_leading_minors(self, n, seed):
+        rows = _dense_symmetric(random.Random(seed), n)
+        minors = [oracles.det_fraction_gauss([r[:k] for r in rows[:k]]) for k in range(1, n + 1)]
+        assert all(minors)  # no pivot is 0, so none is repaired
+        _, det, kept = exactmath._symmetric_pass(IntMatrix(rows))
+        assert [row[0] for row in kept] == minors
+        assert det == minors[-1]
+        assert len(str(abs(minors[n // 2]))) >= 5
+
+    # A leading minor D_k made 0 by repeating row 0 as row k - 1 on the
+    # leading k x k block: at k = 10 the second pivot of a double step,
+    # p1 = 0, takes the single step and the next pivot its repair; at
+    # k = 11 the first pivot of a double step is repaired.  Both come after
+    # pivots of several digits.
+    @pytest.mark.time_limit(10)
+    @pytest.mark.parametrize("k", [10, 11], ids=["p1=0", "repair"])
+    def test_zero_pivot_branches_agree_with_the_oracles(self, k):
+        rows = _dense_symmetric(random.Random(0), 24)
+        for j in range(k):
+            rows[k - 1][j] = rows[j][k - 1] = rows[0][j]
+        rows[k - 1][0] = rows[0][k - 1] = rows[k - 1][k - 1] = rows[0][0]
+        minors = [oracles.det_fraction_gauss([r[:i] for r in rows[:i]]) for i in range(1, k + 1)]
+        assert all(minors[:-1]) and minors[-1] == 0
+        signature, det, kept = exactmath._symmetric_pass(IntMatrix(rows))
+        assert [row[0] for row in kept[:k - 1]] == minors[:-1]
+        assert kept[k - 1][0] != 0  # the repaired pivot
+        assert det == oracles.det_fraction_gauss(rows) != 0
+        assert signature == _signature(rows)
 
     @given(_nonzero_leading_minors(max_size=10))
     @settings(max_examples=40)
@@ -664,36 +708,42 @@ class TestSignatureAndSmith:
         assert {"loop", "trailing"} <= set(routes), routes
 
 
-def _expand(sol) -> list[tuple[int, ...]]:
-    """Every solution: the particular one plus each subset sum of the kernel."""
+def _expand(sol) -> list[int]:
+    """Every solution as a mask: the particular one plus each subset sum of
+    the kernel."""
     out = []
     for picks in range(1 << len(sol.kernel)):
-        v = list(sol.particular)
+        v = sol.particular
         for k, basis in enumerate(sol.kernel):
             if (picks >> k) & 1:
-                v = [x ^ y for x, y in zip(v, basis)]
-        out.append(tuple(v))
+                v ^= basis
+        out.append(v)
     return out
+
+
+def _mask(x: tuple[int, ...]) -> int:
+    """The 0/1 vector x as a mask, x[0] its leading bit."""
+    return int("0" + "".join(map(str, x)), 2)
 
 
 class TestSolveGf2:
     def test_zero_map(self):
         sol = solve_gf2([[0]], [0])
-        assert sol.particular == (0,)
-        assert sol.kernel == ((1,),)
-        assert sorted(_expand(sol)) == [(0,), (1,)]
+        assert sol.particular == 0
+        assert sol.kernel == (0b1,)
+        assert sorted(_expand(sol)) == [0b0, 0b1]
 
     def test_identity_system(self):
         identity = IntMatrix([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         sol = solve_gf2(identity, [1, 0, 1])
-        assert sol.particular == (1, 0, 1)
+        assert sol.particular == 0b101
         assert sol.kernel == ()
         assert len(_expand(sol)) == 1
 
     def test_chain_matrix_mod2(self):
         # [[2,1],[1,2]] reduces to the swap matrix; diagonal reduces to 0.
         sol = solve_gf2([[2, 1], [1, 2]], [2, 2])
-        assert _expand(sol) == [(0, 0)]
+        assert _expand(sol) == [0b00]
 
     def test_unsolvable(self):
         with pytest.raises(Unsolvable):
@@ -701,12 +751,25 @@ class TestSolveGf2:
 
     def test_empty_system(self):
         sol = solve_gf2([], [])
-        assert sol.particular == ()
-        assert _expand(sol) == [()]
+        assert sol == (0, ())
+        assert _expand(sol) == [0]
+
+    def test_rows_with_no_columns(self):
+        # One equation 0 = b: solved by the empty vector alone when b is even.
+        assert solve_gf2([[]], [0]) == (0, ())
+        with pytest.raises(Unsolvable, match="^inconsistent linear system over GF\\(2\\)$"):
+            solve_gf2([[]], [1])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             solve_gf2([[1]], [1, 0])
+
+    @pytest.mark.parametrize("entry", [1.5, True, "1"], ids=["float", "bool", "str"])
+    def test_refuses_non_integer_right_hand_side(self, entry):
+        # bool is refused as it is in a matrix entry.
+        with pytest.raises(TypeError,
+                           match=f"^non-integer right-hand side entry {re.escape(repr(entry))}$"):
+            solve_gf2([[1]], [entry])
 
     @given(int_matrices(max_rows=4, max_cols=4, lo=0, hi=1),
            st.lists(st.integers(0, 1), max_size=4))
@@ -719,8 +782,30 @@ class TestSolveGf2:
                 solve_gf2(rows, b)
             return
         sol = solve_gf2(rows, b)
-        assert set(_expand(sol)) == expected
+        assert set(_expand(sol)) == set(map(_mask, expected))
         assert len(_expand(sol)) == len(expected)
+
+    @given(int_matrices(max_rows=6, max_cols=6, lo=-3, hi=3),
+           st.lists(st.integers(0, 1), min_size=6, max_size=6))
+    def test_kernel_is_ascending_reduced_echelon(self, rows, x):
+        # b = a x is solvable; the answer must be the reduced echelon form
+        # the spin record walks, with nc - rank mod 2 kernel vectors.
+        b = [sum(r * v for r, v in zip(row, x)) for row in rows]
+        sol = solve_gf2(rows, b)
+        assert oracles.gf2_solution_faults(rows, b, *sol) == []
+
+    @pytest.mark.time_limit(5)
+    def test_dense_100_against_the_rank_mod_2(self):
+        # 100 rows of lanes 101 bits wide, a rank mod 2 of at most 60: the
+        # packed int spans thousands of digits and the kernel has 40 vectors or more.
+        rng = random.Random(39)
+        base = [[rng.randint(-3, 3) for _ in range(100)] for _ in range(60)]
+        rows = [[sum(col) + 2 * rng.randint(-1, 1) for col in zip(*rng.sample(base, 5))]
+                for _ in range(100)]
+        b = [sum(row[:7]) for row in rows]
+        sol = solve_gf2(rows, b)
+        assert len(sol.kernel) >= 40
+        assert oracles.gf2_solution_faults(rows, b, *sol) == []
 
     def test_characteristic_system_always_solvable_exhaustive(self):
         # a x = diag(a) is solvable for every symmetric bit matrix.

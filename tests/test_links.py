@@ -404,15 +404,15 @@ class TestAnalyze:
         # returning the empty sublink, as its particular solution or one
         # kernel step away from a good one, must not go unnoticed.
         link = unknot(-5)
-        for bad in (Gf2Solution(particular=(0,), kernel=()),
-                    Gf2Solution(particular=(1,), kernel=((1,),))):
+        for bad in (Gf2Solution(particular=0b0, kernel=()),
+                    Gf2Solution(particular=0b1, kernel=(0b1,))):
             monkeypatch.setattr(framings.links, "solve_gf2", lambda a, b, _bad=bad: _bad)
             with pytest.raises(NotCharacteristic, match=r"^sublink \[\] is not characteristic$"):
                 analyze(link, None)
-        # Q = diag(0, 0, 1): the particular (0, 0, 1) is right, but the
-        # second kernel vector (0, 1, 1) is not in ker Q mod 2, so the walk
-        # is refused before it starts, naming particular + v = {1}.
-        bad = Gf2Solution(particular=(0, 0, 1), kernel=((1, 0, 0), (0, 1, 1)))
+        # Q = diag(0, 0, 1): the particular 0b001 is right, but the kernel
+        # vector 0b011 is not in ker Q mod 2, so the walk is refused before
+        # it starts, naming particular + v = {1}.
+        bad = Gf2Solution(particular=0b001, kernel=(0b011, 0b100))
         monkeypatch.setattr(framings.links, "solve_gf2", lambda a, b: bad)
         with pytest.raises(NotCharacteristic, match=r"^sublink \[1\] is not characteristic$"):
             analyze(FramedLink.from_rows([[0, 0, 0], [0, 0, 0], [0, 0, 1]]), None)
