@@ -6,7 +6,10 @@ renderer.  A plain command line, a subcommand name and then only its
 declared arguments spelt out in full, is read straight from the table
 (`_plain_args`) and builds no parser.  Anything else goes through the whole
 argparse tree from `build_parser`, so help, abbreviations and usage errors
-keep its text.
+keep its text.  Each call is a fresh process, so a plain command line
+imports only what it runs: argparse only in `build_parser`, fractions only
+where a Fraction is computed with (`cover`, and the signature defect of
+`quotient`), `catalog` only in `cmd_catalog`, and no pathlib.
 Link files are JSON documents with a symmetric integer linking matrix and
 an optional table of Arf invariants keyed by sublink bitmask.  Every
 command validates its input and returns one payload dict; `main` prints its
@@ -24,21 +27,22 @@ error, 3 mathematical precondition violation.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import re
 import sys
-from fractions import Fraction
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
-from pathlib import Path
-from typing import Callable, NamedTuple, NoReturn, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn, Sequence
 
-from . import __version__, bundles, catalog, defects, links, quotients
+from . import __version__, bundles, defects, links, quotients
 from .defects import LambdaClass, TotalDefect
 from .errors import _TOKEN_WIDTH, FramingError, NotSymmetric, ParseError, _shown, _shown_int
 from .links import _BIT_VALUES
+
+if TYPE_CHECKING:
+    import argparse
 
 
 # The characters str.splitlines() breaks at, each mapped to its repr escape:
@@ -52,18 +56,32 @@ class LinkDocument(NamedTuple):
     arf_table: dict[str, int]
 
 
+def _stem(path: str) -> str:
+    """`pathlib.PurePath(path).stem` of a POSIX path, without importing pathlib:
+    its last part other than '' and '.', less the last suffix, if any."""
+    name = next((part for part in reversed(path.split("/")) if part not in ("", ".")), "")
+    dot = name.rfind(".")
+    return name[:dot] if 0 < dot < len(name) - 1 else name
+
+
 def load_link_document(path: str) -> LinkDocument:
     """Read and validate a link file; any defect raises ParseError."""
     # A path whose repr passes 40 characters is named by its length (_shown).
     where = path.translate(_LINE_BREAKS) if _shown(path) == repr(path) else _shown(path)
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        with open(path, encoding="utf-8") as file:
+            text = file.read()
     except OSError as exc:  # strerror, as str(exc) repeats the path
         raise ParseError(f"cannot read {where}: {exc.strerror or type(exc).__name__}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{where} is not valid JSON: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ParseError(f"cannot parse {where}: {exc}") from exc
+    except ValueError as exc:  # open() refuses a path with a NUL in it, escaped here
+        where = where.replace("\0", r"\x00")
+        raise ParseError(f"cannot read {where}: {exc}") from exc
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where} is not valid JSON: {exc}") from exc
     except ValueError as exc:  # raised by str-to-int past sys.get_int_max_str_digits()
         raise ParseError(f"cannot parse {where}: an integer in it has more digits "
                          "than the interpreter converts from text") from exc
@@ -85,7 +103,7 @@ def load_link_document(path: str) -> LinkDocument:
     if components != size:
         raise ParseError(f"{where}: components = {_shown_int(components)} "
                          f"but matrix is {size}x{size}")
-    name = raw.get("name", Path(path).stem)
+    name = raw.get("name", _stem(path))
     if not isinstance(name, str):
         raise ParseError(f"{where}: 'name' must be a string")
     try:  # a lone surrogate (a JSON escape, an undecodable file name) has no UTF-8 to print
@@ -109,7 +127,7 @@ def _pair_text(pair: list[int]) -> str:
     return f"({pair[0]}, {pair[1]})"
 
 
-def cmd_invariants(args: argparse.Namespace) -> dict:
+def cmd_invariants(args: SimpleNamespace) -> dict:
     doc = load_link_document(args.file)
     link = doc.link
     report = links.analyze(link, doc.arf_table)
@@ -173,7 +191,7 @@ def _invariants_text(payload: dict) -> list[str]:
     return lines
 
 
-def cmd_canonical(args: argparse.Namespace) -> dict:
+def cmd_canonical(args: SimpleNamespace) -> dict:
     if (args.file is None) == (args.lambda_class is None):
         raise ParseError("give exactly one of a link file and --lambda")
     if args.lambda_class is not None:
@@ -226,7 +244,7 @@ def _canonical_text(payload: dict) -> list[str]:
 MAX_QUOTIENT_ORDER = 10**6
 
 
-def cmd_quotient(args: argparse.Namespace) -> dict:
+def cmd_quotient(args: SimpleNamespace) -> dict:
     try:
         group = quotients.parse_group(args.group)
     except ValueError as exc:
@@ -270,7 +288,7 @@ def _quotient_text(payload: dict) -> list[str]:
     return lines
 
 
-def cmd_bundle(args: argparse.Namespace) -> dict:
+def cmd_bundle(args: SimpleNamespace) -> dict:
     if args.genus < 0:
         raise ParseError("--genus must be nonnegative")
     bundle = bundles.CircleBundle(args.genus, args.euler)
@@ -299,26 +317,28 @@ _INTEGER = re.compile(r"\s*[-+]?[0-9]+\s*")
 
 
 def _integer(text: str) -> int:
-    """int(text) for text in the integer grammar, else ArgumentTypeError,
-    whose message argparse prints as it is."""
+    """int(text) for text in the integer grammar, else ValueError, whose
+    message `build_parser`'s tree prints as it is."""
     if _INTEGER.fullmatch(text):
         try:
             return int(text)
         except ValueError:  # more digits than sys.get_int_max_str_digits()
             pass
-    raise argparse.ArgumentTypeError(f"invalid integer value: {_shown(text)}")
+    raise ValueError(f"invalid integer value: {_shown(text)}")
 
 
-def cmd_cover(args: argparse.Namespace) -> dict:
+def cmd_cover(args: SimpleNamespace) -> dict:
+    from fractions import Fraction
+
     try:
         start = TotalDefect(*map(_integer, args.defect.split(",")))
-    except (TypeError, argparse.ArgumentTypeError) as exc:  # TypeError: not two integers
+    except (TypeError, ValueError) as exc:  # TypeError: not two integers
         raise ParseError(f"--defect must look like 'd,h', got {_shown(args.defect)}") from exc
     if args.degree < 1:
         raise ParseError("--degree must be at least 1")
     try:
         sigma_pi = Fraction(*map(_integer, args.sigma_pi.split("/")))
-    except (TypeError, argparse.ArgumentTypeError, ZeroDivisionError) as exc:  # not p or p/q
+    except (TypeError, ValueError, ZeroDivisionError) as exc:  # not p or p/q
         raise ParseError(f"--sigma-pi must be an integer or p/q, "
                          f"got {_shown(args.sigma_pi)}") from exc
     result = defects.pullback_cover(start, args.degree, sigma_pi)
@@ -332,7 +352,9 @@ def _cover_text(payload: dict) -> list[str]:
             f"  {_pair_text(payload['defect'])} -> {_pair_text(payload['result'])}"]
 
 
-def cmd_catalog(args: argparse.Namespace) -> dict:
+def cmd_catalog(args: SimpleNamespace) -> dict:
+    from . import catalog
+
     entries = catalog.build_catalog()
     return {
         "entries": [{"key": e.key, "description": e.description,
@@ -350,31 +372,10 @@ def _catalog_text(payload: dict) -> list[str]:
     return lines
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors end, like every other error,
-    in exit 2 with one stderr line; subparsers inherit the class.  argparse
-    echoes an unknown token as it is, so a token, or the value after its
-    first '=', whose repr passes 40 characters is named by its length
-    (_shown), and line breaks are escaped."""
-
-    _argv: Sequence[str] = ()
-
-    def parse_known_args(self, args=None, namespace=None):
-        self._argv = sys.argv[1:] if args is None else args
-        return super().parse_known_args(args, namespace)
-
-    def error(self, message: str) -> NoReturn:
-        parts = {part for token in self._argv for part in (token, token.partition("=")[2])}
-        for part in sorted(parts, key=len, reverse=True):  # a long part before any inside it
-            if _shown(part) != repr(part):
-                message = message.replace(repr(part), _shown(part)).replace(part, _shown(part))
-        self.exit(2, f"error: {message.translate(_LINE_BREAKS)}\n")
-
-
 class _Command(NamedTuple):
     help: str
     arguments: tuple[tuple[str, dict], ...]  # (name, add_argument options) pairs
-    run: Callable[[argparse.Namespace], dict]
+    run: Callable[[SimpleNamespace], dict]
     text: Callable[[dict], list[str]]
 
 
@@ -412,8 +413,8 @@ def _plain_value(token: str) -> bool:
     return not token.startswith("-") or re.fullmatch("-[0-9]+", token) is not None
 
 
-def _plain_args(commands: dict[str, _Command], argv: Sequence[str]) -> argparse.Namespace | None:
-    """The namespace `build_parser().parse_args(argv)` returns, read straight
+def _plain_args(commands: dict[str, _Command], argv: Sequence[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser().parse_args(argv)` fills, read straight
     from the table, or None unless argv[0] names a command and every token
     after it is plain: a positional, an exact option name, the value after
     it, or `name=value`.  None for help, '--', an abbreviation, an unknown
@@ -459,14 +460,47 @@ def _plain_args(commands: dict[str, _Command], argv: Sequence[str]) -> argparse.
         if isinstance(value, str) and "type" in spec:  # argparse types string defaults too
             try:
                 value = spec["type"](value)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
+            except ValueError:
                 return None
         values[dest] = value
-    return None if free else argparse.Namespace(**values)
+    return None if free else SimpleNamespace(**values)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    """The whole argparse tree, from the table: the one place argparse is
+    imported, as only help, abbreviations and usage errors need it."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        """An argument parser whose usage errors end, like every other error,
+        in exit 2 with one stderr line; subparsers inherit the class.  argparse
+        echoes an unknown token as it is, so a token, or the value after its
+        first '=', whose repr passes 40 characters is named by its length
+        (_shown), and line breaks are escaped."""
+
+        _argv: Sequence[str] = ()
+
+        def parse_known_args(self, args=None, namespace=None):
+            self._argv = sys.argv[1:] if args is None else args
+            return super().parse_known_args(args, namespace)
+
+        def error(self, message: str) -> NoReturn:
+            parts = {part for token in self._argv for part in (token, token.partition("=")[2])}
+            for part in sorted(parts, key=len, reverse=True):  # a long part before any inside it
+                if _shown(part) != repr(part):
+                    message = message.replace(repr(part), _shown(part)).replace(part, _shown(part))
+            self.exit(2, f"error: {message.translate(_LINE_BREAKS)}\n")
+
+    # A type's ValueError as ArgumentTypeError, whose message argparse prints as it is.
+    def typed(convert: Callable[[str], int]) -> Callable[[str], int]:
+        def checked(text: str) -> int:
+            try:
+                return convert(text)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(str(exc)) from exc
+        return checked
+
+    parser = Parser(
         prog="framings",
         description="Degree and Hirzebruch-defect invariants of framings of "
                     "closed oriented 3-manifolds.")
@@ -475,6 +509,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, command in _commands().items():
         subparser = sub.add_parser(name, help=command.help)
         for argument, options in command.arguments + (("--json", {"action": "store_true"}),):
+            if "type" in options:
+                options = {**options, "type": typed(options["type"])}
             subparser.add_argument(argument, **options)
     return parser
 
@@ -568,7 +604,7 @@ def _dumps(obj: object) -> str:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     commands = _commands()
-    args = _plain_args(commands, argv) or build_parser().parse_args(argv)
+    args = _plain_args(commands, argv) or build_parser().parse_args(argv, SimpleNamespace())
     command = commands[args.command]
     try:
         payload = command.run(args)

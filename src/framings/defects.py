@@ -13,10 +13,12 @@ lattice points minimizing the norm 2|d| + |h|.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import _TOKEN_WIDTH, LambdaMismatch, NonIntegralDefect, _require_int, _shown_int
+
+if TYPE_CHECKING:  # fractions is imported where a Fraction is computed with
+    from fractions import Fraction
 
 
 class TotalDefect(NamedTuple):
@@ -109,6 +111,8 @@ def _shown_fraction(q: Fraction | int) -> str:
     """str(q), as a number the user may have typed is named: a numerator or
     denominator past _TOKEN_WIDTH characters by its digit count (_shown_int),
     and the longer of the two when p/q passes it, so no p/q is echoed whole."""
+    from fractions import Fraction
+
     q = Fraction(q)
     parts = [q.numerator] if q.denominator == 1 else [q.numerator, q.denominator]
     shown = [_shown_int(part, _TOKEN_WIDTH) for part in parts]
@@ -127,6 +131,8 @@ def pullback_cover(p: TotalDefect, r: int, sigma_pi: Fraction | int = 0) -> Tota
     so is a bool, as for the degree.  The corrected defect must come out
     an integer or the inputs are inconsistent.
     """
+    from fractions import Fraction
+
     _require_int("cover degree", r)
     if r < 1:
         raise ValueError("cover degree must be at least 1")

@@ -19,14 +19,16 @@ from __future__ import annotations
 import math
 import re
 import sys
-from fractions import Fraction
 from functools import reduce
 from itertools import cycle, islice
 from operator import add
-from typing import Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .defects import TotalDefect
 from .errors import _TOKEN_WIDTH, NonIntegralDefect, _require_int, _shown, _shown_int
+
+if TYPE_CHECKING:  # fractions is imported where a Fraction is computed with
+    from fractions import Fraction
 
 _FAMILY_NAMES = {
     "C": "cyclic",
@@ -142,6 +144,8 @@ def sigma_g(group: FiniteSubgroup) -> int:
 def signature_defect(group: FiniteSubgroup) -> Fraction:
     """Signature defect of the universal covering of the quotient, exactly
     sigma(G) / 3."""
+    from fractions import Fraction
+
     return Fraction(sigma_g(group), 3)
 
 

@@ -10,7 +10,7 @@ import sys
 from collections import Counter
 from enum import IntEnum
 from fractions import Fraction
-from pathlib import Path
+from pathlib import Path, PurePath
 from typing import NamedTuple
 
 import hypothesis.strategies as st
@@ -144,9 +144,16 @@ class TestLoadLinkDocument:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_name_defaults_to_the_stem(self, tmp_path):
-        path = write_doc(tmp_path, {"matrix": []}, name="sphere.json")
-        assert load_link_document(path).name == "sphere"
+    # The loader finds the stem without pathlib, which a plain command line
+    # does not import; it must agree with PurePath on dots at either end.
+    @pytest.mark.parametrize("name", ["sphere.json", "x.", ".json", "a.b.json", "x..json",
+                                      "dir.d/x", "..json", "dir.d/.x", "x"])
+    def test_name_defaults_to_the_stem(self, monkeypatch, tmp_path, name):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir.d").mkdir()
+        for path in (name, str(tmp_path / name), "./" + name):
+            Path(path).write_text('{"matrix": []}')
+            assert load_link_document(path).name == PurePath(path).stem, path
 
     # A lone surrogate has no UTF-8 form: the text report once ended in a
     # UnicodeEncodeError at print.  A process, since capsys never encodes.
@@ -323,6 +330,16 @@ class TestInvariantsCommand:
         code, out, err = run(capsys, "invariants", path)
         assert (code, out) == (2, "")
         assert err == f"error: cannot read {named.format(path=path)}: No such file or directory\n"
+
+    # open() refuses a NUL with a ValueError, once taken for the parser's
+    # digit limit: "cannot parse", with the NUL raw in the line.
+    @pytest.mark.parametrize("path, named", [("links/e8\0.json", "links/e8\\x00.json"),
+                                             ("\0" * 50, "<50 characters>")],
+                             ids=["short", "long"])
+    def test_a_path_with_a_nul_cannot_be_read(self, capsys, path, named):
+        code, out, err = run(capsys, "invariants", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {named}: embedded null byte\n"
 
     def test_a_closed_stdout_ends_quietly(self, tmp_path):
         # The 12-component 0-framed unlink has 4096 spin structures, about
@@ -1061,3 +1078,25 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_ast():
     result = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True,
                             env=env, timeout=60)
     assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+
+# What a plain command line does without: argparse serves help,
+# abbreviations and refusals, fractions the commands that compute with a
+# Fraction, pathlib nothing.  Under -S, as site-packages may import them first.
+_NOT_FOR_A_PLAIN_COMMAND = ["argparse", "gettext", "fractions", "decimal", "framings.catalog",
+                            "pathlib"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (None, []),
+    (["invariants", str(LINKS / "e8.json"), "--json"], []),
+    (["--help"], ["argparse", "gettext"]),
+], ids=["import", "invariants-json", "help"])
+def test_a_plain_command_line_imports_neither_argparse_nor_fractions(argv, loaded):
+    call = f"try: framings.cli.main({argv!r})\nexcept SystemExit: pass\n" if argv else ""
+    check = (f"import sys, framings.cli\n{call}"
+             f"print(sorted(set({_NOT_FOR_A_PLAIN_COMMAND!r}) & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", check], capture_output=True, text=True,
+                            env=source_env(), timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[-1] == repr(loaded)
