@@ -9,14 +9,13 @@ associated disk bundle minus three times its signature.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import _require_int
 
 
-class CircleBundle(NamedTuple):
-    genus: int
-    euler: int
+class CircleBundle(namedtuple("CircleBundle", "genus euler")):
+    __slots__ = ()
 
     @property
     def chi(self) -> int:
@@ -24,12 +23,11 @@ class CircleBundle(NamedTuple):
         return 2 - 2 * self.genus
 
 
-class FiberFraming(NamedTuple):
+class FiberFraming(namedtuple("FiberFraming", "p1 h")):
     """The fiber-preserving framing of a circle bundle: the relative p1 of
     the disk bundle (None for Euler class 0) and the Hirzebruch defect h."""
 
-    p1: int | None
-    h: int
+    __slots__ = ()
 
 
 def fiber_framing(bundle: CircleBundle) -> FiberFraming | None:

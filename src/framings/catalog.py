@@ -7,17 +7,14 @@ up as a FAIL row in `framings catalog` and as a test failure.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from . import bundles, defects, links, quotients
 from .defects import FramingOffset
 
 
-class CatalogEntry(NamedTuple):
-    key: str
-    description: str
-    value: object
-    expected: object
+class CatalogEntry(namedtuple("CatalogEntry", "key description value expected")):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

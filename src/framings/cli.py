@@ -8,8 +8,8 @@ declared arguments spelt out in full, is read straight from the table
 argparse tree from `build_parser`, so help, abbreviations and usage errors
 keep its text.  Each call is a fresh process, so a plain command line
 imports only what it runs: argparse only in `build_parser`, fractions only
-where a Fraction is computed with (`cover`, and the signature defect of
-`quotient`), `catalog` only in `cmd_catalog`, and no pathlib.
+where a Fraction is computed with (`cover`), `catalog` only in
+`cmd_catalog`, and neither typing nor pathlib.
 Link files are JSON documents with a symmetric integer linking matrix and
 an optional table of Arf invariants keyed by sublink bitmask.  Every
 command validates its input and returns one payload dict; `main` prints its
@@ -31,18 +31,20 @@ import json
 import os
 import re
 import sys
+from collections import namedtuple
 from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, NamedTuple, NoReturn, Sequence
 
 from . import __version__, bundles, defects, links, quotients
 from .defects import LambdaClass, TotalDefect
 from .errors import _TOKEN_WIDTH, FramingError, NotSymmetric, ParseError, _shown, _shown_int
 from .links import _BIT_VALUES
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     import argparse
+    from typing import Callable, NoReturn, Sequence
 
 
 # The characters str.splitlines() breaks at, each mapped to its repr escape:
@@ -50,10 +52,8 @@ if TYPE_CHECKING:
 _LINE_BREAKS = str.maketrans({c: repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
 
 
-class LinkDocument(NamedTuple):
-    name: str
-    link: links.FramedLink
-    arf_table: dict[str, int]
+class LinkDocument(namedtuple("LinkDocument", "name link arf_table")):
+    __slots__ = ()
 
 
 def _stem(path: str) -> str:
@@ -263,7 +263,8 @@ def cmd_quotient(args: SimpleNamespace) -> dict:
         "sigma_g": sigma,
         "sigma_g_bruteforce": brute,
         "bruteforce_abs_error": abs(brute - sigma),
-        "signature_defect": str(quotients.signature_defect(group)),
+        # sigma / 3 in lowest terms with no Fraction: sigma >= 0, and gcd(sigma, 3) is 1 or 3.
+        "signature_defect": str(sigma // 3) if sigma % 3 == 0 else f"{sigma}/3",
         "defect": list(defect),
     }
     if group.family == "C":
@@ -372,11 +373,11 @@ def _catalog_text(payload: dict) -> list[str]:
     return lines
 
 
-class _Command(NamedTuple):
-    help: str
-    arguments: tuple[tuple[str, dict], ...]  # (name, add_argument options) pairs
-    run: Callable[[SimpleNamespace], dict]
-    text: Callable[[dict], list[str]]
+class _Command(namedtuple("_Command", "help arguments run text")):
+    """A subcommand: its help, its (name, add_argument options) pairs, its
+    cmd_* and its renderer."""
+
+    __slots__ = ()
 
 
 def _commands() -> dict[str, _Command]:

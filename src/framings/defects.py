@@ -13,32 +13,33 @@ lattice points minimizing the norm 2|d| + |h|.
 from __future__ import annotations
 
 import operator
-from typing import TYPE_CHECKING, NamedTuple
+from collections import namedtuple
 
 from .errors import _TOKEN_WIDTH, LambdaMismatch, NonIntegralDefect, _require_int, _shown_int
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # fractions is imported where a Fraction is computed with
     from fractions import Fraction
 
 
-class TotalDefect(NamedTuple):
-    d: int
-    h: int
+class TotalDefect(namedtuple("TotalDefect", "d h")):
+    __slots__ = ()
 
 
-class FramingOffset(NamedTuple):
+class FramingOffset(namedtuple("FramingOffset", "m_rho n_sigma")):
     """Translation by m_rho copies of rho and n_sigma copies of sigma."""
 
-    m_rho: int
-    n_sigma: int
+    __slots__ = ()
 
 
-class LambdaClass(NamedTuple("LambdaClass", [("value", int)])):
+class LambdaClass(namedtuple("LambdaClass", "value")):
     """A residue mod 4 of an int or a LambdaClass; 2 and -2 name the same class."""
 
     __slots__ = ()
 
     def __new__(cls, value: LambdaClass | int) -> LambdaClass:
+        if isinstance(value, bool):  # as _require_int refuses one: True is no class 1
+            raise TypeError("lambda class must be an int or a LambdaClass, not bool")
         return super().__new__(cls, operator.index(value) % 4)
 
     # _replace builds through _make, which would otherwise skip __new__.

@@ -31,16 +31,20 @@ elimination.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import chain
 from math import gcd, lcm, prod
-from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import NotSymmetric, Unsolvable
 
-MatrixLike = Union["IntMatrix", Sequence[Sequence[int]]]
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable, Sequence, Union
+
+    MatrixLike = Union["IntMatrix", Sequence[Sequence[int]]]
 
 
-class IntMatrix(NamedTuple("IntMatrix", [("entries", tuple[tuple[int, ...], ...])])):
+class IntMatrix(namedtuple("IntMatrix", "entries")):
     """Immutable integer matrix stored as a tuple of row tuples.
 
     The 0x0 matrix is legal and represents the empty presentation
@@ -108,7 +112,7 @@ def as_int_matrix(m: MatrixLike) -> IntMatrix:
     return IntMatrix(m)
 
 
-class SmithForm(NamedTuple("SmithForm", [("invariant_factors", tuple[int, ...])])):
+class SmithForm(namedtuple("SmithForm", "invariant_factors")):
     """Invariant factors d1 | d2 | ... | dr followed by zeros."""
 
     __slots__ = ()
@@ -336,14 +340,13 @@ def signature_and_smith(q: MatrixLike) -> tuple[int, SmithForm]:
     return signature, SmithForm((*head, abs(det) // prod(head)))
 
 
-class Gf2Solution(NamedTuple):
+class Gf2Solution(namedtuple("Gf2Solution", "particular kernel")):
     """Affine solution set of a GF(2) system, particular + span(kernel),
     each vector an int mask with column 0 the leading of nc bits.  The
     kernel is in reduced echelon form and ascending: each vector's leading
     bit is a free column, and is in no other vector nor in particular."""
 
-    particular: int
-    kernel: tuple[int, ...]
+    __slots__ = ()
 
 
 _BIT_DIGITS = bytes.maketrans(b"\0\1", b"01")

@@ -14,21 +14,25 @@ Gray-code order, on first use, each stored at its rank in bitmask order.
 from __future__ import annotations
 
 import struct
+from collections import namedtuple
 from functools import lru_cache
 from itertools import compress
 from operator import index, lshift
-from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .defects import FramingOffset, LambdaClass, TotalDefect, act, boundary_defect
 from .errors import NotCharacteristic, NotSymmetric, OddFraming
 from .exactmath import IntMatrix, exact_signature, signature_and_smith, solve_gf2
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterator, Mapping, Sequence
 
 
 # A bitmask's bytes made 0 and 1, so that compress picks its members at C level.
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
-class FramedLink(NamedTuple("FramedLink", [("matrix", IntMatrix)])):
+class FramedLink(namedtuple("FramedLink", "matrix")):
     """A framed link, known only through its linking matrix."""
 
     __slots__ = ()
@@ -86,28 +90,21 @@ def e8_link() -> FramedLink:
     return _plumbing([2] * 8, [(i, i + 1) for i in range(6)] + [(4, 7)])
 
 
-class HomologyProfile(NamedTuple):
+class HomologyProfile(namedtuple("HomologyProfile", "betti1 torsion r s")):
     """First homology of the surgered manifold: Betti number, torsion
     coefficients, and the mod-2 ranks r of H1 and s of its torsion part."""
 
-    betti1: int
-    torsion: tuple[int, ...]
-    r: int
-    s: int
+    __slots__ = ()
 
 
-class SpinStructureData(NamedTuple):
+class SpinStructureData(namedtuple("SpinStructureData",
+                                   "bitmask self_intersection arf arf_assumed mu lam")):
     """A spin structure of the surgered manifold, by its characteristic
     sublink C: C's bitmask (1 at each member), C.C, Arf(C), mu (mod 16) and
     lambda (mod 4).  The linking matrix does not determine Arf, a knot
     invariant of C: the caller supplies it, else arf_assumed marks a 0."""
 
-    bitmask: str
-    self_intersection: int
-    arf: int
-    arf_assumed: bool
-    mu: int
-    lam: LambdaClass
+    __slots__ = ()
 
 
 class SpinStructures:
@@ -343,7 +340,7 @@ def mu_representative(mu: int) -> int:
     return ((mu + 7) % 16) - 7
 
 
-class NaturalFramings(NamedTuple):
+class NaturalFramings(namedtuple("NaturalFramings", "chi sigma tau even")):
     """Defects of the framings a surgery presentation carries naturally,
     each a function of (chi, sigma, tau) alone.
 
@@ -352,10 +349,7 @@ class NaturalFramings(NamedTuple):
     Twisting delta by m rho and n sigma is act(delta, FramingOffset(m, n)).
     """
 
-    chi: int
-    sigma: int
-    tau: int
-    even: bool
+    __slots__ = ()
 
     @property
     def delta(self) -> TotalDefect:
@@ -392,13 +386,11 @@ def _framings(link: FramedLink, sigma: int) -> NaturalFramings:
     return NaturalFramings(link.components + 1, sigma, link.matrix.trace(), link.is_even)
 
 
-class LinkAnalysis(NamedTuple):
+class LinkAnalysis(namedtuple("LinkAnalysis", "framings homology spin_structures")):
     """Everything the surgery calculus says about one link, computed with
     one symmetric elimination (signature_and_smith) and one GF(2) solve."""
 
-    framings: NaturalFramings
-    homology: HomologyProfile
-    spin_structures: SpinStructures
+    __slots__ = ()
 
 
 def analyze(link: FramedLink, arf_table: Mapping[str, int] | None) -> LinkAnalysis:

@@ -19,16 +19,18 @@ from __future__ import annotations
 import math
 import re
 import sys
+from collections import namedtuple
 from functools import reduce
 from itertools import cycle, islice
 from operator import add
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .defects import TotalDefect
 from .errors import _TOKEN_WIDTH, NonIntegralDefect, _require_int, _shown, _shown_int
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:  # fractions is imported where a Fraction is computed with
     from fractions import Fraction
+    from typing import Iterator, Sequence
 
 _FAMILY_NAMES = {
     "C": "cyclic",
@@ -54,7 +56,7 @@ _POLYHEDRAL_CYCLIC = {
 }
 
 
-class FiniteSubgroup(NamedTuple("FiniteSubgroup", [("family", str), ("m", int)])):
+class FiniteSubgroup(namedtuple("FiniteSubgroup", "family m")):
     """A finite subgroup of the unit quaternions, up to conjugacy."""
 
     __slots__ = ()

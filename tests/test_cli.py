@@ -17,7 +17,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from framings import __version__, bundles, catalog, cli, links
+from framings import __version__, bundles, catalog, cli, links, quotients
 from framings.catalog import CatalogEntry
 from framings.cli import MAX_QUOTIENT_ORDER, load_link_document, main
 from framings.errors import ParseError
@@ -471,6 +471,14 @@ class TestQuotientCommand:
         assert payload["defect"] == [0, -6]
         assert payload["signature_defect"] == "722/3"
         assert payload["bruteforce_abs_error"] < 1e-6
+
+    @pytest.mark.parametrize("spec", [f"C{m}" for m in range(1, 31)]
+                             + [f"D{m}" for m in range(2, 12)] + ["T", "O", "I"])
+    def test_signature_defect_is_the_library_fraction(self, capsys, spec):
+        # cmd_quotient writes sigma/3 from the integer sigma, with no Fraction.
+        code, out, _ = run(capsys, "quotient", spec, "--json")
+        expected = str(quotients.signature_defect(quotients.parse_group(spec)))
+        assert (code, json.loads(out)["signature_defect"]) == (0, expected)
 
     def test_lens_canonicalization(self, capsys):
         code, out, _ = run(capsys, "quotient", "C7")
@@ -1082,16 +1090,18 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_ast():
 
 # What a plain command line does without: argparse serves help,
 # abbreviations and refusals, fractions the commands that compute with a
-# Fraction, pathlib nothing.  Under -S, as site-packages may import them first.
+# Fraction, typing and pathlib nothing.  Under -S, as site-packages may
+# import them first.
 _NOT_FOR_A_PLAIN_COMMAND = ["argparse", "gettext", "fractions", "decimal", "framings.catalog",
-                            "pathlib"]
+                            "pathlib", "typing"]
 
 
 @pytest.mark.parametrize("argv, loaded", [
     (None, []),
     (["invariants", str(LINKS / "e8.json"), "--json"], []),
+    (["quotient", "C7", "--json"], []),
     (["--help"], ["argparse", "gettext"]),
-], ids=["import", "invariants-json", "help"])
+], ids=["import", "invariants-json", "quotient-json", "help"])
 def test_a_plain_command_line_imports_neither_argparse_nor_fractions(argv, loaded):
     call = f"try: framings.cli.main({argv!r})\nexcept SystemExit: pass\n" if argv else ""
     check = (f"import sys, framings.cli\n{call}"

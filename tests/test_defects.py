@@ -45,7 +45,8 @@ class TestLambdaClass:
     @pytest.mark.parametrize("value, message", [
         (2.5, "'float' object cannot be interpreted as an integer"),
         ("1", "'str' object cannot be interpreted as an integer"),
-    ], ids=["float", "str"])
+        (True, "lambda class must be an int or a LambdaClass, not bool"),
+    ], ids=["float", "str", "bool"])
     def test_every_build_runs_the_checks(self, value, message):
         good = LambdaClass(1)
         assert_rejected(good, {"value": value}, TypeError, message)
