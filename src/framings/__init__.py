@@ -29,6 +29,7 @@ from .errors import (
     NotSymmetric,
     OddFraming,
     ParseError,
+    TooManySpinStructures,
     Unsolvable,
 )
 from .exactmath import (

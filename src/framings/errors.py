@@ -59,5 +59,9 @@ class NotCharacteristic(FramingError):
     """The given sublink fails the characteristic condition mod 2."""
 
 
+class TooManySpinStructures(FramingError):
+    """Listing every spin structure would pass the walk's cap on rows."""
+
+
 class ParseError(FramingError):
     """A link document or command-line value failed to parse or validate."""

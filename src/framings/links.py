@@ -7,8 +7,9 @@ intersection form is Q, and everything computed here (homology, spin
 structures with their mu and lambda, the natural framings' defects) is a
 function of that matrix alone; each record stores each fact once.  The
 spin structures are kept as their GF(2) affine space (SpinStructures):
-any one row is built from its basis, and all 2^r are walked once, in
-Gray-code order, on first use, each stored at its rank in bitmask order.
+any one row is built from its basis, and all 2^r, up to MAX_WALKED_ROWS,
+are walked once, in Gray-code order, on first use, each stored at its rank
+in bitmask order.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import compress
 from operator import index, lshift
 
 from .defects import FramingOffset, LambdaClass, TotalDefect, act, boundary_defect
-from .errors import NotCharacteristic, NotSymmetric, OddFraming
+from .errors import NotCharacteristic, NotSymmetric, OddFraming, TooManySpinStructures
 from .exactmath import IntMatrix, exact_signature, signature_and_smith, solve_gf2
 
 TYPE_CHECKING = False
@@ -30,6 +31,11 @@ if TYPE_CHECKING:
 
 # A bitmask's bytes made 0 and 1, so that compress picks its members at C level.
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+# The most rows the walk fills its columns with.  The 0-framed 20-component
+# unlink has this many, and its --json report is 364 MB; each further
+# component doubles that.
+MAX_WALKED_ROWS = 2**20
 
 
 class FramedLink(namedtuple("FramedLink", "matrix")):
@@ -123,7 +129,8 @@ class SpinStructures:
     could not hold 2**r past sys.maxsize, and so it is always true.
     rows[i] builds row i from the basis in O(n**2), with no walk.  The two
     columns, masks and self_intersections (C.C), are filled once, on first
-    use, by one Gray-code walk over all count rows (_walk); iteration builds
+    use, by one Gray-code walk over all count rows (_walk), which refuses a
+    count past MAX_WALKED_ROWS with TooManySpinStructures; iteration builds
     each row from them.  Arf is looked up in arf_table by bitmask, 0 with
     arf_assumed set when absent, and lambda is computed once per mu residue.
     """
@@ -152,6 +159,10 @@ class SpinStructures:
 
     def _walked(self) -> tuple[list[int], list[int]]:
         if self._columns is None:
+            if self.count > MAX_WALKED_ROWS:
+                raise TooManySpinStructures(
+                    f"the surgered manifold has 2^{len(self._basis)} spin structures, "
+                    f"past the limit of {MAX_WALKED_ROWS} that are listed")
             self._columns = _walk(self._rows, self._base, self._basis, self._base_y)
         return self._columns
 

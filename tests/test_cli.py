@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from enum import IntEnum
 from fractions import Fraction
@@ -15,9 +16,9 @@ from typing import NamedTuple
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from framings import __version__, bundles, catalog, cli, links, quotients
+from framings import FramedLink, __version__, bundles, catalog, cli, links, quotients
 from framings.catalog import CatalogEntry
 from framings.cli import MAX_QUOTIENT_ORDER, load_link_document, main
 from framings.errors import ParseError
@@ -412,6 +413,34 @@ class TestInvariantsCommand:
             f"  [{row['bitmask'] or '-'}] C.C = {row['self_intersection']}  Arf = {row['arf']}"
             f"{' [arf assumed 0]' if row['arf_assumed'] else ''}  mu = {row['mu']} (mod 16)  "
             f"lambda = {row['lambda']} (class {row['lambda_mod4']} mod 4)" for row in rows]
+
+    # Past links.MAX_WALKED_ROWS the report is refused before any row is
+    # walked or rendered, so a large count ends in exit 3, not in the walk's
+    # MemoryError (30 components) or OverflowError (200).
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("components", [21, 30, 200])
+    def test_a_spin_count_past_the_cap_exits_3_with_one_line(self, capsys, tmp_path,
+                                                            components, json_flag):
+        path = write_doc(tmp_path, {"matrix": [[0] * components] * components})
+        start = time.perf_counter()
+        code, out, err = run(capsys, "invariants", path, *json_flag)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (3, "")
+        assert err == (f"error: the surgered manifold has 2^{components} spin structures, "
+                       f"past the limit of {links.MAX_WALKED_ROWS} that are listed\n")
+
+    def test_the_cap_admits_its_own_count(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(links, "MAX_WALKED_ROWS", 8)
+        at_cap = write_doc(tmp_path, {"matrix": [[0] * 3] * 3}, name="u3.json")
+        past = write_doc(tmp_path, {"matrix": [[0] * 4] * 4}, name="u4.json")
+        code, out, _ = run(capsys, "invariants", at_cap, "--json")
+        assert (code, len(json.loads(out)["spin_structures"])) == (0, 8)
+        code, out, _ = run(capsys, "invariants", at_cap)
+        assert (code, out.count(" C.C = ")) == (0, 8)
+        for json_flag in ([], ["--json"]):
+            assert run(capsys, "invariants", past, *json_flag) == (
+                3, "", "error: the surgered manifold has 2^4 spin structures, "
+                       "past the limit of 8 that are listed\n")
 
 
 class TestCanonicalCommand:
@@ -849,6 +878,68 @@ def test_json_renderer_renders_columns_byte_for_byte(value):
         "named-tuple", "dict-subclass", "empty-dict-subclass", "lone-dict"])
 def test_json_renderer_renders_edge_columns_byte_for_byte(value):
     assert cli._dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+class _Key(str):
+    """A str subclass, which arf_table.get(bits) finds as it finds its str."""
+
+
+@st.composite
+def _spin_records(draw):
+    """The spin record of a drawn link, n = 0 to 8, wide entries or not,
+    with an Arf table of characteristic masks, other n-bit masks, and keys
+    that are no n-bit mask: of another length, with a character other than
+    0 and 1 (some of which int(key, 2) reads), or not a str."""
+    link = draw(st.booleans().flatmap(lambda wide: spin_test_links(wide=wide)))
+    n = link.components
+    bits = st.text("01", min_size=n, max_size=n)
+    changed = st.tuples(bits, st.integers(0, max(n - 1, 0)),
+                        st.sampled_from([" ", "+", "-", "_", "2", "b", "x", "\t", "\u0661"]))
+    key = st.one_of(
+        st.sampled_from([spin.bitmask for spin in links.analyze(link, None).spin_structures]),
+        bits, bits.map(_Key),
+        st.text("01", max_size=n + 2).filter(lambda k: len(k) != n),
+        changed.map(lambda c: c[0][:c[1]] + c[2] + c[0][c[1] + 1:]),
+        bits.map(lambda b: ("0b" + b)[:n]), bits.map(str.encode),
+        st.integers(-1, 2 ** n) | st.none() | st.tuples(bits))
+    return links.analyze(link, draw(st.dictionaries(key, st.integers(0, 1), max_size=8)))
+
+
+def _text_rows(report: links.LinkAnalysis) -> list[str]:
+    """The spin rows of `_invariants_text` on report's record."""
+    spins = report.spin_structures
+    lines = cli._invariants_text({
+        "name": "x", "components": spins.components, "chi": 0, "sigma": 0, "tau": 0,
+        "homology": report.homology._asdict(), "spin_structures": spins,
+        "framings": {"freed_gompf_h": 0}, "warnings": []})
+    end = lines.index("natural framings:")
+    return lines[end - spins.count:end]
+
+
+# Both renderers fill tables local to the call: the halves of each mask, the
+# Arf table as int masks, and one template per class.  Rows from iterating
+# the record are the reference, as dicts for the JSON and as the text
+# report's f-string for the text.
+@settings(max_examples=300)
+@given(_spin_records())
+@example(links.analyze(links.empty_link(), {"": 1, 0: 1, "0": 0}))
+@example(links.analyze(links.unknot(0), {"1": 1, "0": 0, "01": 1, b"1": 0, 1: 1}))
+@example(links.analyze(FramedLink.from_rows([[0] * 5] * 5),
+                       {"10000": 1, "00011": 0, "00001": 1, "11111": 0, "0b011": 1, "1_000": 1}))
+def test_spin_rows_by_table_are_the_record_rows(report):
+    spins = report.spin_structures
+    rows = [{"bitmask": s.bitmask, "self_intersection": s.self_intersection,
+             "members": [i for i, bit in enumerate(s.bitmask) if bit == "1"],
+             "arf": s.arf, "arf_assumed": s.arf_assumed,
+             "mu": links.mu_representative(s.mu), "mu_mod16": s.mu,
+             "lambda": s.lam.representative, "lambda_mod4": s.lam.value} for s in spins]
+    assert cli._dumps({"spin_structures": spins, "n": 1}) == json.dumps(
+        {"spin_structures": rows, "n": 1}, indent=2, sort_keys=True)
+    assert _text_rows(report) == [
+        f"  [{bits or '-'}] C.C = {cc}  Arf = {arf}{' [arf assumed 0]' if assumed else ''}  "
+        f"mu = {links.mu_representative(mu)} (mod 16)  "
+        f"lambda = {lam.representative} (class {lam.value} mod 4)"
+        for bits, cc, arf, assumed, mu, lam in spins]
 
 
 @pytest.mark.parametrize("argv, golden", _golden_cases())

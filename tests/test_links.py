@@ -17,6 +17,7 @@ from framings import (
     OddFraming,
     SpinStructureData,
     SpinStructures,
+    TooManySpinStructures,
     TotalDefect,
     act,
     analyze,
@@ -350,6 +351,31 @@ class TestSpinRecord:
             len(rows)
         assert (rows[0].bitmask, rows[0].self_intersection) == ("0" * 200, 0)
         assert (rows[-1].bitmask, rows[-1].self_intersection) == ("1" * 200, 0)
+
+    # Past MAX_WALKED_ROWS neither the columns nor iteration walk: each
+    # raises at once, and the count and single rows still answer.
+    @pytest.mark.parametrize("components", [21, 30, 200])
+    def test_a_count_past_the_cap_is_refused_before_the_walk(self, monkeypatch, components):
+        def walk(*args):
+            raise AssertionError("the walk ran")
+
+        monkeypatch.setattr(framings.links, "_walk", walk)
+        rows = analyze(FramedLink.from_rows([[0] * components] * components), None).spin_structures
+        message = (f"the surgered manifold has 2^{components} spin structures, "
+                   f"past the limit of {framings.links.MAX_WALKED_ROWS} that are listed")
+        for read in (iter, lambda rows: rows.masks, lambda rows: rows.self_intersections):
+            with pytest.raises(TooManySpinStructures) as refused:
+                read(rows)
+            assert str(refused.value) == message
+        assert rows.count == 2 ** components
+        assert rows[-1].bitmask == "1" * components
+
+    def test_the_cap_admits_its_own_count(self, monkeypatch):
+        monkeypatch.setattr(framings.links, "MAX_WALKED_ROWS", 8)
+        assert [row.bitmask for row in analyze(FramedLink.from_rows([[0] * 3] * 3), None)
+                .spin_structures] == [format(i, "03b") for i in range(8)]
+        with pytest.raises(TooManySpinStructures):
+            iter(analyze(FramedLink.from_rows([[0] * 4] * 4), None).spin_structures)
 
 
 def _count_kernel_calls(monkeypatch) -> dict[str, int]:
