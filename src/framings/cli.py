@@ -17,12 +17,11 @@ renderer's text, or under --json ASCII-escaped JSON byte-identical to
 `json.dumps(payload, indent=2, sort_keys=True)` with each spin row written as
 its dict, joined by `_dumps` in one pass.  The payload of `invariants` holds
 the 2^r spin structures as `analyze`'s own record (`links.SpinStructures`),
-and both renderers read its mask and C.C columns through `_spin_rows`: each
-row is two half-mask lookups in tables made once per call, for its bitmask
-and members, and one % into its (Arf, mu) class's template, the JSON row
-for `_dumps` and the report line for the text.  Past
-`links.MAX_WALKED_ROWS` rows the record refuses to be walked, and the
-command exits 3.
+and both renderers read it: `_dumps` reads its mask and C.C columns and
+builds each row from two half-mask lookups in tables made once per call,
+for its bitmask and members, and one % into its (Arf, mu) class's
+template; the text report iterates its rows.  Past `links.MAX_WALKED_ROWS`
+rows the record refuses to be walked, and the command exits 3.
 
 Exit codes: 0 success, 1 `catalog` with a FAIL row, 2 parse or validation
 error, 3 mathematical precondition violation.
@@ -175,7 +174,11 @@ def _invariants_text(payload: dict) -> list[str]:
         f"  s = {profile['s']}",
         f"spin structures (characteristic sublinks): {spins.count}",
     ]
-    lines += _spin_rows(spins, _text_template)
+    for bits, cc, arf, assumed, mu, lam in spins:
+        note = " [arf assumed 0]" if assumed else ""
+        lines.append(f"  [{bits or '-'}] C.C = {cc}  Arf = {arf}{note}  "
+                     f"mu = {links.mu_representative(mu)} (mod 16)  "
+                     f"lambda = {lam.representative} (class {lam.value} mod 4)")
     lines.append("natural framings:")
     if "delta" in framings:
         lines += [
@@ -532,58 +535,6 @@ class _Half(dict):
         return entry
 
 
-def _spin_rows(spins: links.SpinStructures,
-               template_of: Callable[[links.SpinStructureData], str], pad: str = "") -> list[str]:
-    """Each row of spins in bitmask order, as its class's template filled
-    with (high bits, low bits, high members, low members, C.C), the items of
-    the members array at indent pad + "  ".  The tables are local to the call.
-
-    The mask splits into a high half and a low half of n // 2 bits, each
-    looked up in a _Half table.  The high half's entry names the low table
-    that follows it: the one that continues the members array or, when the
-    high half has no members, the one that opens it, whose 0 renders [] (mask
-    0 is row 0 alone).  The Arf (or its absence) and C.C mod 16 fix the
-    row's class, and with it arf, arf_assumed, mu and lambda: the template
-    is template_of(the record's row) for the class's first row, kept at slot
-    C.C & 15 + 16 * (0 if the Arf is absent, else 1 + Arf).  The Arf table's
-    keys become int masks once; a key that is not an n-character string of
-    0s and 1s is ignored, as arf_table.get(bits) ignores it.
-    """
-    n = spins.components
-    low = n // 2
-    names = [str(i) for i in range(n)]
-    opening, comma, close = "[" + pad + "  ", "," + pad + "  ", pad + "]"
-    continues = _Half(names[n - low:], lambda members: (
-        comma + comma.join(members) + close if members else close,))
-    opens = _Half(names[n - low:], lambda members: (
-        opening + comma.join(members) + close if members else "[]",))
-    high = _Half(names[:n - low], lambda members: (
-        (opening + comma.join(members), continues) if members else ("", opens)))
-    code = {int("0" + key, 2): arf + 1 << 4 for key, arf in spins.arf_table.items()
-            if isinstance(key, str) and len(key) == n and not key.strip("01")}.get
-    templates: list[str | None] = [None] * 48
-    lows, rows = (1 << low) - 1, []
-    for mask, cc in zip(spins.masks, spins.self_intersections):
-        high_bits, high_members, tail = high[mask >> low]
-        low_bits, low_members = tail[mask & lows]
-        slot = cc & 15 | code(mask, 0)
-        template = templates[slot]
-        if template is None:
-            template = templates[slot] = template_of(spins.row(mask, cc))
-        rows.append(template % (high_bits, low_bits, high_members, low_members, cc))
-    return rows
-
-
-def _text_template(spin: links.SpinStructureData) -> str:
-    """The text report's row template for spin's class: the bits, or '-'
-    for the empty link's one row, and C.C as slots, the members skipped."""
-    bits = "[%s%s]%.0s%.0s" if spin.bitmask else "[-%s%s]%.0s%.0s"
-    note = " [arf assumed 0]" if spin.arf_assumed else ""
-    return (f"  {bits} C.C = %d  Arf = {spin.arf}{note}  "
-            f"mu = {links.mu_representative(spin.mu)} (mod 16)  "
-            f"lambda = {spin.lam.representative} (class {spin.lam.value} mod 4)")
-
-
 # A spin row's fields that its class fixes, and the three left as slots of
 # the class's template, in sorted key order, the first two of two halves
 # each.  A bitmask holds only 0s and 1s, so its quotes go in the template.
@@ -605,10 +556,19 @@ def _dumps(obj: object) -> str:
     %-template of their `,\n  "key": ` heads, so like dicts sort and quote
     their keys once.
 
-    The spin rows build no dicts and no row tuples (`_spin_rows`): each
-    class met fills the row shape's template once with its six fixed
-    fields, from the record's own row, leaving the bitmask, the members and
-    C.C as slots, so a row costs two table lookups and one %.
+    The spin rows build no dicts and no row tuples: each row is two lookups
+    in _Half tables and one %.  The mask splits into a high half and a low
+    half of n // 2 bits.  The high half's entry names the low table that
+    follows it: the one that continues the members array or, when the high
+    half has no members, the one that opens it, whose 0 renders [] (mask 0
+    is row 0 alone).  The Arf (or its absence) and C.C mod 16 fix the row's
+    class, the fields arf, arf_assumed, mu = sigma - C.C + 8 Arf and lambda;
+    each class met fills the row shape's template once with its six fixed
+    fields, from the record's own row, and keeps it at slot C.C & 15 + 16 *
+    (0 if the Arf is absent, else 1 + Arf), leaving the bitmask's and the
+    members' two halves and C.C as slots.  The Arf table's keys become int
+    masks once; a key that is not an n-character string of 0s and 1s is
+    ignored, as arf_table.get(bits) ignores it.
     """
     shapes: dict[tuple[tuple, str], tuple[list, str]] = {}
 
@@ -630,14 +590,34 @@ def _dumps(obj: object) -> str:
         inner = pad + "  "
         fields = inner + "  "  # the rows' keys, and the members arrays
         order, template = shape(_SPIN_FIXED + tuple(_SPIN_SLOTS), inner)
-
-        def row_template(spin: links.SpinStructureData) -> str:
-            shown = _SPIN_SLOTS | dict(zip(_SPIN_FIXED, items([
-                spin.arf, spin.arf_assumed, spin.lam.representative, spin.lam.value,
-                links.mu_representative(spin.mu), spin.mu], fields)))
-            return template % tuple(shown[k] for k in order)
-
-        return "[" + inner + ("," + inner).join(_spin_rows(spins, row_template, fields)) + pad + "]"
+        n = spins.components
+        low = n // 2
+        names = [str(i) for i in range(n)]
+        opening, comma, close = "[" + fields + "  ", "," + fields + "  ", fields + "]"
+        continues = _Half(names[n - low:], lambda members: (
+            comma + comma.join(members) + close if members else close,))
+        opens = _Half(names[n - low:], lambda members: (
+            opening + comma.join(members) + close if members else "[]",))
+        high = _Half(names[:n - low], lambda members: (
+            (opening + comma.join(members), continues) if members else ("", opens)))
+        code = {int("0" + key, 2): arf + 1 << 4 for key, arf in spins.arf_table.items()
+                if isinstance(key, str) and len(key) == n and not key.strip("01")}.get
+        classes: list[str | None] = [None] * 48
+        lows, texts = (1 << low) - 1, []
+        for mask, cc in zip(spins.masks, spins.self_intersections):
+            high_bits, high_members, tail = high[mask >> low]
+            low_bits, low_members = tail[mask & lows]
+            slot = cc & 15 | code(mask, 0)
+            row = classes[slot]
+            if row is None:
+                spin = spins.row(mask, cc)
+                shown = _SPIN_SLOTS | dict(zip(_SPIN_FIXED, items([
+                    spin.arf, spin.arf_assumed, spin.lam.representative, spin.lam.value,
+                    links.mu_representative(spin.mu), spin.mu], fields)))
+                row = classes[slot] = template % tuple(shown[k] for k in order)
+            texts.append(row % (high_bits, low_bits, high_members, low_members, cc))
+        texts = ("," + inner).join(texts)  # frees the row texts before the one copy of their join
+        return f"[{inner}{texts}{pad}]"
 
     def render(obj: object, pad: str) -> str:
         inner = pad + "  "

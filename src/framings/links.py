@@ -32,9 +32,10 @@ if TYPE_CHECKING:
 # A bitmask's bytes made 0 and 1, so that compress picks its members at C level.
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
-# The most rows the walk fills its columns with.  The 0-framed 20-component
-# unlink has this many, and its --json report is 364 MB; each further
-# component doubles that.
+# The most rows the walk fills its columns with, a bound on memory: the
+# 0-framed 20-component unlink has this many, its --json report is 364 MB
+# and its process peaks near 0.9 GB, and each further component doubles
+# that.  A count past it is refused even where memory would suffice.
 MAX_WALKED_ROWS = 2**20
 
 

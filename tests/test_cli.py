@@ -916,10 +916,10 @@ def _text_rows(report: links.LinkAnalysis) -> list[str]:
     return lines[end - spins.count:end]
 
 
-# Both renderers fill tables local to the call: the halves of each mask, the
-# Arf table as int masks, and one template per class.  Rows from iterating
-# the record are the reference, as dicts for the JSON and as the text
-# report's f-string for the text.
+# `_dumps` fills tables local to the call: the halves of each mask, the Arf
+# table as int masks, and one template per class.  Rows from iterating the
+# record are the reference, as dicts for the JSON and as the text report's
+# f-string for the text.
 @settings(max_examples=300)
 @given(_spin_records())
 @example(links.analyze(links.empty_link(), {"": 1, 0: 1, "0": 0}))
